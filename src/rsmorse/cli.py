@@ -3,7 +3,8 @@
 Subcommands: poly, verify {pieri,qdiff,commute,nonneg,limits,balance},
 ortho, scatter, evolve.  Configuration comes from flags, optionally
 seeded by a key=value config file (flags win).  Exit codes: 0 success,
-1 verification failure, 2 configuration error.
+1 verification failure, 2 configuration error or a pole of an operator
+at the chosen parameters.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .combinatorics import (
     total_order_key,
 )
 from .dualop import apply_Hhat_l, matrix_in_monomial_basis
-from .errors import DegeneracyError, ParamDomainError, RSMorseError
+from .errors import DegeneracyError, ParamDomainError, PoleError, RSMorseError
 from .latticeop import (
     LatticeFunction,
     commutator_on_delta,
@@ -47,6 +48,7 @@ DEFAULTS = {
     "max_weight": "3",
     "tol": "1e-10",
     "quad_nodes": "",
+    "time": "1.0",
     "seed": "1",
     "out": "",
     "format": "json",
@@ -97,15 +99,21 @@ class RunConfig:
         if self.max_weight < 0:
             raise ParamDomainError(f"max-weight must be >= 0, got {self.max_weight}")
         self.tol = float(pick("tol"))
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ParamDomainError(f"tol must be a finite number > 0, got {self.tol}")
         raw_nodes = pick("quad_nodes")
         self.quad_nodes = int(raw_nodes) if raw_nodes else None
+        if self.quad_nodes is not None and self.quad_nodes < 1:
+            raise ParamDomainError(f"quad-nodes must be >= 1, got {self.quad_nodes}")
         self.seed = int(pick("seed"))
         self.out = pick("out") or None
         self.format = pick("format")
         if self.format not in ("json", "csv"):
             raise ParamDomainError(f"format must be json or csv, got {self.format}")
         self.force = bool(getattr(args, "force", False))
-        self.time = float(getattr(args, "time", None) or 1.0)
+        self.time = float(pick("time"))
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ParamDomainError(f"time must be a finite number >= 0, got {self.time}")
 
     def describe(self):
         return {
@@ -473,6 +481,9 @@ def main(argv=None):
             return cmd_evolve(config)
     except ParamDomainError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except PoleError as exc:
+        print(f"pole: {exc}", file=sys.stderr)
         return 2
     except DegeneracyError as exc:
         print(f"degeneracy: {exc}", file=sys.stderr)

@@ -9,6 +9,12 @@ Hops that would leave the partition cone are excluded by an explicit
 shape check on the shifted tuple; the corresponding coefficients vanish
 anyway, and tests pin down that consistency.
 
+Hop tables are built once per (l, lam, params) and shared by every
+caller: hop_terms returns a cached tuple of frozen HopTerms, and its
+coefficients, like U_coeff and V_coeff, read one factor table per
+(lam, params) that holds the site powers and the one-body and pair
+factors of that label.
+
 Sign convention for the square-root prefactors of the hop coefficients:
 sqrt(q*t0/(t1*t2)) = 1/that0 and sqrt(t1*t2/(q*t0)) = that0, which is an
 exact rational on the hatted parameter domain (also for negative that0).
@@ -16,13 +22,14 @@ exact rational on the hatted parameter domain (also for negative that0).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import check_partition, is_partition
-from .errors import ParamDomainError
+from .errors import ParamDomainError, PoleError
 
 __all__ = [
     "LatticeFunction",
@@ -199,39 +206,129 @@ def apply_H(f, params):
     return LatticeFunction(n, out)
 
 
+# Hop tables kept, one per (l, lam, params).
+HOP_CACHE_SIZE = 4096
+# Factor tables kept, one per (lam, params).  Callers ask for all levels of
+# a label close together, so a short LRU still builds each table once per
+# label and holds little memory.
+FACTOR_CACHE_SIZE = 32
+
+
+class _Factors:
+    """Every factor of the hop coefficients at one label, computed once.
+
+    Indices are 1-based sites.  a[j] = q**x_j; up[j] and down[j] are the
+    one-body factors of an up- and a down-hop at j; pair_up[j, k] =
+    (1/t - r)/(1 - r) and pair_down[j, k] = (t - r)/(1 - r) with
+    r = a_j/a_k.  The in-pair q-factors of V and U, for j hopping up and
+    k hopping down, are built on first use: they are the only factors with
+    a pole on the parameter domain (1 - q r = 0, e.g. at q = t**(j-k)
+    when lam_j = lam_k).
+    """
+
+    def __init__(self, lam, params):
+        n = len(lam)
+        t, q = params.t, params.q
+        t0, t1, t2, that0 = params.t0, params.t1, params.t2, params.that0
+        self.lam, self.n, self.t, self.q = lam, n, t, q
+        self.a = a = [None] + [_site_power(lam, j, params) for j in range(1, n + 1)]
+        self.up = [None] + [(1 / that0) * (1 - t1 * a[j]) * (1 - t2 * a[j]) for j in range(1, n + 1)]
+        self.down = [None] + [that0 * (1 - t0 * a[j]) * (1 - a[j]) for j in range(1, n + 1)]
+        self.pair_up, self.pair_down = {}, {}
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                if k != j:
+                    r = a[j] / a[k]
+                    self.pair_up[j, k] = (1 / t - r) / (1 - r)
+                    self.pair_down[j, k] = (t - r) / (1 - r)
+        self._v_in = {}
+        self._u_in = {}
+
+    def _ratio(self, j, k, factor):
+        """r = a_j/a_k for an in-pair factor; PoleError when 1 - q r = 0."""
+        r = self.a[j] / self.a[k]
+        if 1 - self.q * r == 0:
+            raise PoleError(
+                f"pole of H_l at lam={self.lam}: the factor {factor} of the pair "
+                f"(j, k) = ({j}, {k}) divides by 1 - q a_j/a_k = 0"
+            )
+        return r
+
+    def v_in(self, j, k):
+        """(1 - t r)/(1 - r) (1/t - q r)/(1 - q r) for j in J+, k in J-."""
+        if (j, k) not in self._v_in:
+            t, q, r = self.t, self.q, self._ratio(j, k, "(1/t - q r)/(1 - q r)")
+            self._v_in[j, k] = (1 - t * r) / (1 - r) * (1 / t - q * r) / (1 - q * r)
+        return self._v_in[j, k]
+
+    def u_in(self, j, k):
+        """(1 - t r)/(1 - r) (1 - q r/t)/(1 - q r) for j in I+, k in I-."""
+        if (j, k) not in self._u_in:
+            t, q, r = self.t, self.q, self._ratio(j, k, "(1 - q r/t)/(1 - q r)")
+            self._u_in[j, k] = (1 - t * r) / (1 - r) * (1 - q * r / t) / (1 - q * r)
+        return self._u_in[j, k]
+
+
+@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _factors(lam, params):
+    return _Factors(lam, params)
+
+
+def _v(Jp, Jm, F):
+    p, m = len(Jp), len(Jm)
+    out = F.t ** ((-p * (p - 1) + m * (m - 1)) // 2)
+    for j in Jp:
+        out *= F.up[j]
+    for j in Jm:
+        out *= F.down[j]
+    rest = [k for k in range(1, F.n + 1) if k not in Jp and k not in Jm]
+    for j in Jp:
+        for k in Jm:
+            out *= F.v_in(j, k)
+        for k in rest:
+            out *= F.pair_up[j, k]
+    for j in Jm:
+        for k in rest:
+            out *= F.pair_down[j, k]
+    return out
+
+
+def _u(K, p, F):
+    if p == 0:
+        return Fraction(1)
+    total = 0
+    for sp in range(p + 1):
+        for Ip in itertools.combinations(K, sp):
+            restp = [k for k in K if k not in Ip]
+            for Im in itertools.combinations(restp, p - sp):
+                rest = [k for k in restp if k not in Im]
+                term = 1
+                for j in Ip:
+                    term *= F.up[j]
+                for j in Im:
+                    term *= F.down[j]
+                for j in Ip:
+                    for k in Im:
+                        term *= F.u_in(j, k)
+                    for k in rest:
+                        term *= F.pair_up[j, k]
+                for j in Im:
+                    for k in rest:
+                        term *= F.pair_down[j, k]
+                total += term
+    return (-1) ** p * total
+
+
 def V_coeff(Jplus, Jminus, lam, params):
     """Hop-product coefficient V_{J+,J-}(lam) of the integral H_l."""
     lam = check_partition(lam)
-    n = len(lam)
     Jp = tuple(sorted(set(Jplus)))
     Jm = tuple(sorted(set(Jminus)))
     if set(Jp) & set(Jm):
         raise ParamDomainError(f"J+ and J- must be disjoint, got {Jp} and {Jm}")
     for j in Jp + Jm:
         _check_index(lam, j)
-    t = params.t
-    a = [_site_power(lam, j, params) for j in range(1, n + 1)]
-
-    p, m = len(Jp), len(Jm)
-    out = t ** ((-p * (p - 1) + m * (m - 1)) // 2)
-    for j in Jp:
-        out *= (1 / params.that0) * (1 - params.t1 * a[j - 1]) * (1 - params.t2 * a[j - 1])
-    for j in Jm:
-        out *= params.that0 * (1 - params.t0 * a[j - 1]) * (1 - a[j - 1])
-    rest = [k for k in range(1, n + 1) if k not in Jp and k not in Jm]
-    for j in Jp:
-        for k in Jm:
-            r = a[j - 1] / a[k - 1]
-            out *= (1 - t * r) / (1 - r)
-            out *= (1 / t - params.q * r) / (1 - params.q * r)
-        for k in rest:
-            r = a[j - 1] / a[k - 1]
-            out *= (1 / t - r) / (1 - r)
-    for j in Jm:
-        for k in rest:
-            r = a[j - 1] / a[k - 1]
-            out *= (t - r) / (1 - r)
-    return out
+    return _v(Jp, Jm, _factors(lam, params))
 
 
 def U_coeff(K, p, lam, params):
@@ -246,36 +343,7 @@ def U_coeff(K, p, lam, params):
     K = tuple(sorted(set(K)))
     for j in K:
         _check_index(lam, j)
-    if p == 0:
-        return Fraction(1)
-    t = params.t
-    a = [_site_power(lam, j, params) for j in range(1, len(lam) + 1)]
-    total = 0
-    for sp in range(p + 1):
-        sm = p - sp
-        for Ip in itertools.combinations(K, sp):
-            restp = [k for k in K if k not in Ip]
-            for Im in itertools.combinations(restp, sm):
-                rest = [k for k in K if k not in Ip and k not in Im]
-                term = 1
-                for j in Ip:
-                    term *= (1 / params.that0) * (1 - params.t1 * a[j - 1]) * (1 - params.t2 * a[j - 1])
-                for j in Im:
-                    term *= params.that0 * (1 - params.t0 * a[j - 1]) * (1 - a[j - 1])
-                for j in Ip:
-                    for k in Im:
-                        r = a[j - 1] / a[k - 1]
-                        term *= (1 - t * r) / (1 - r)
-                        term *= (1 - params.q * r / t) / (1 - params.q * r)
-                    for k in rest:
-                        r = a[j - 1] / a[k - 1]
-                        term *= (1 / t - r) / (1 - r)
-                for j in Im:
-                    for k in rest:
-                        r = a[j - 1] / a[k - 1]
-                        term *= (t - r) / (1 - r)
-                total += term
-    return (-1) ** p * total
+    return _u(K, p, _factors(lam, params))
 
 
 @dataclass(frozen=True)
@@ -293,12 +361,19 @@ def hop_terms(l, lam, params):
 
     Coefficient = U_{(J+ u J-)^c, l - |J+| - |J-|}(lam) * V_{J+,J-}(lam).
     Admissibility is the explicit shape check on the shifted tuple, not a
-    reliance on coefficient zeros.
+    reliance on coefficient zeros.  Returns a shared, cached tuple.
     """
     lam = check_partition(lam)
     n = len(lam)
     if not 1 <= l <= n:
         raise ParamDomainError(f"level l must satisfy 1 <= l <= {n}, got {l}")
+    return _hop_table(l, lam, params)
+
+
+@functools.lru_cache(maxsize=HOP_CACHE_SIZE)
+def _hop_table(l, lam, params):
+    F = _factors(lam, params)
+    n = len(lam)
     out = []
     for assign in itertools.product((0, 1, 2), repeat=n):
         Jp = tuple(j for j in range(1, n + 1) if assign[j - 1] == 1)
@@ -309,9 +384,13 @@ def hop_terms(l, lam, params):
         if not is_partition(target):
             continue
         comp = tuple(j for j in range(1, n + 1) if assign[j - 1] == 0)
-        coeff = U_coeff(comp, l - len(Jp) - len(Jm), lam, params) * V_coeff(Jp, Jm, lam, params)
+        coeff = _u(comp, l - len(Jp) - len(Jm), F) * _v(Jp, Jm, F)
         out.append(HopTerm(Jplus=Jp, Jminus=Jm, target=target, coefficient=coeff))
-    return out
+    return tuple(out)
+
+
+# hit and miss counts of the hop-table memo
+hop_terms.cache_info = _hop_table.cache_info
 
 
 def apply_Hl_at(l, f, lam, params):

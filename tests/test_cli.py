@@ -80,6 +80,33 @@ class TestConfigHandling:
         code, _, err = run(capsys, ["poly", "--config", str(tmp_path / "absent.cfg")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ortho", "--n", "1", "--max-weight", "2", "--tol", "0"],
+            ["ortho", "--n", "1", "--max-weight", "2", "--tol", "-1"],
+            ["ortho", "--n", "1", "--max-weight", "2", "--tol", "nan"],
+            ["ortho", "--n", "1", "--max-weight", "2", "--tol", "inf"],
+            ["ortho", "--n", "1", "--max-weight", "2", "--quad-nodes", "0"],
+            ["evolve", "--n", "1", "--max-weight", "4", "--time", "-1"],
+            ["evolve", "--n", "1", "--max-weight", "4", "--time", "nan"],
+            ["evolve", "--n", "1", "--max-weight", "4", "--time", "inf"],
+        ],
+    )
+    def test_out_of_domain_numbers_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "configuration error" in err
+
+    def test_config_file_sets_time(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("time = 0.5\n")
+        code, out, _ = run(capsys, ["evolve", "--n", "1", "--max-weight", "4", "--config", str(cfg)])
+        assert code == 0
+        assert [s["time"] for s in json.loads(out)["series"]] == [0.0, 0.25, 0.5]
+
 
 class TestPoly:
     def test_trivial_table(self, capsys):
@@ -169,3 +196,23 @@ class TestEvolve:
         assert abs(start["0"][0] - 1.0) < 1e-12 and abs(start["0"][1]) < 1e-12
         for snap in series:
             assert abs(snap["norm"] - 1.0) < 1e-9
+
+    def test_zero_time_stays_at_start(self, capsys):
+        code, out, _ = run(capsys, ["evolve", "--n", "1", "--max-weight", "4", "--time", "0"])
+        assert code == 0
+        series = json.loads(out)["series"]
+        assert [s["time"] for s in series] == [0.0, 0.0, 0.0]
+        assert all(s["state"] == series[0]["state"] for s in series)
+
+
+class TestPoles:
+    def test_pole_at_q_equal_t_exits_two(self, capsys):
+        # q = t puts 1 - q a_2/a_1 = 0 in the level-2 stay-put coefficient at equal parts
+        code, out, err = run(
+            capsys,
+            ["verify", "commute", "--n", "2", "--max-weight", "2", "--q", "1/2", "--t", "1/2"],
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "pole" in err and "(j, k) = (2, 1)" in err

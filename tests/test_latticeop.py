@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmorse.combinatorics import is_partition, partitions_max_weight
-from rsmorse.errors import ParamDomainError
+from rsmorse.errors import ParamDomainError, PoleError
 from rsmorse.latticeop import (
     LatticeFunction,
     U_coeff,
@@ -168,6 +170,70 @@ class TestHigherIntegrals:
     def test_level_out_of_range(self):
         with pytest.raises(ParamDomainError):
             apply_Hl(3, LatticeFunction.delta((1, 0)), PARAM_SETS[0])
+
+
+class TestHopTableMemo:
+    def test_repeated_calls_share_one_table(self):
+        p = PARAM_SETS[0]
+        table = hop_terms(2, (2, 1, 0), p)
+        assert isinstance(table, tuple)
+        assert hop_terms(2, [2, 1, 0], p) is table
+        assert hop_terms(2, (2, 1, 0), p) == table
+        commutator_on_delta(1, 2, (1, 0), p)
+        assert hop_terms.cache_info().hits > 0
+
+    def test_params_are_part_of_the_key(self):
+        lam = (2, 1)
+        for p in PARAM_SETS:
+            hop_terms(1, lam, p)
+        tables = [hop_terms(1, lam, p) for p in PARAM_SETS]
+        coeffs = [tuple(term.coefficient for term in table) for table in tables]
+        assert len(set(coeffs)) == len(PARAM_SETS)
+        for p, table in zip(PARAM_SETS, tables):
+            for term in table:
+                if term.Jplus:
+                    assert term.coefficient == v_plus(lam, term.Jplus[0], p)
+                elif term.Jminus:
+                    assert term.coefficient == v_minus(lam, term.Jminus[0], p)
+
+    def test_pole_is_named(self):
+        p = params_from_hat("1/2", "1/2", ("1/2", "-1/3", "1/5"))
+        assert hop_terms(1, (1, 1), p)
+        with pytest.raises(PoleError, match=r"lam=\(1, 1\).*\(j, k\) = \(2, 1\)"):
+            hop_terms(2, (1, 1), p)
+
+
+def _rationals(low, high, max_den=7):
+    """Rationals a/b strictly inside the integer bounds (low, high), b <= max_den."""
+    return st.integers(2, max_den).flatmap(
+        lambda b: st.integers(low * b + 1, high * b - 1).map(lambda a: Fraction(a, b))
+    )
+
+
+@st.composite
+def _lattice_cases(draw):
+    t = draw(_rationals(0, 1))
+    # q = t or q = t**2 puts poles into the higher integrals; a third of the cases do
+    k = draw(st.integers(0, 5))
+    q = t**k if k in (1, 2) else draw(_rationals(0, 1))
+    that = tuple(draw(_rationals(-1, 1).filter(lambda r: r != 0)) for _ in range(3))
+    n = draw(st.integers(1, 3))
+    lam = draw(st.sampled_from(partitions_max_weight(n, 3)))
+    return params_from_hat(q, t, that), lam
+
+
+@settings(deadline=None)
+@given(_lattice_cases())
+def test_integrals_commute_or_name_a_pole(case):
+    p, lam = case
+    n = len(lam)
+    f = LatticeFunction.delta(lam)
+    assert apply_Hl(1, f, p).minus(apply_H(f, p)).is_zero()
+    try:
+        comms = [commutator_on_delta(l, m, lam, p) for l in range(1, n + 1) for m in range(l, n + 1)]
+    except PoleError:
+        return
+    assert all(c.is_zero() for c in comms)
 
 
 class TestEpsilon0:
