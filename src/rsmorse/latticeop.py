@@ -10,10 +10,10 @@ shape check on the shifted tuple; the corresponding coefficients vanish
 anyway, and tests pin down that consistency.
 
 Hop tables are built once per (l, lam, params) and shared by every
-caller: hop_terms returns a cached tuple of frozen HopTerms, and its
-coefficients, like U_coeff and V_coeff, read one factor table per
-(lam, params) that holds the site powers and the one-body and pair
-factors of that label.
+caller: hop_terms returns a cached tuple of frozen HopTerms.  Each table
+build, like each U_coeff and V_coeff call, first computes one factor
+table of (lam, params) holding the site powers and the one-body and
+pair factors of that label, and every coefficient reads from it.
 
 Sign convention for the square-root prefactors of the hop coefficients:
 sqrt(q*t0/(t1*t2)) = 1/that0 and sqrt(t1*t2/(q*t0)) = that0, which is an
@@ -208,10 +208,6 @@ def apply_H(f, params):
 
 # Hop tables kept, one per (l, lam, params).
 HOP_CACHE_SIZE = 4096
-# Factor tables kept, one per (lam, params).  Callers ask for all levels of
-# a label close together, so a short LRU still builds each table once per
-# label and holds little memory.
-FACTOR_CACHE_SIZE = 32
 
 
 class _Factors:
@@ -269,11 +265,6 @@ class _Factors:
         return self._u_in[j, k]
 
 
-@functools.lru_cache(maxsize=FACTOR_CACHE_SIZE)
-def _factors(lam, params):
-    return _Factors(lam, params)
-
-
 def _v(Jp, Jm, F):
     p, m = len(Jp), len(Jm)
     out = F.t ** ((-p * (p - 1) + m * (m - 1)) // 2)
@@ -328,7 +319,7 @@ def V_coeff(Jplus, Jminus, lam, params):
         raise ParamDomainError(f"J+ and J- must be disjoint, got {Jp} and {Jm}")
     for j in Jp + Jm:
         _check_index(lam, j)
-    return _v(Jp, Jm, _factors(lam, params))
+    return _v(Jp, Jm, _Factors(lam, params))
 
 
 def U_coeff(K, p, lam, params):
@@ -343,7 +334,7 @@ def U_coeff(K, p, lam, params):
     K = tuple(sorted(set(K)))
     for j in K:
         _check_index(lam, j)
-    return _u(K, p, _factors(lam, params))
+    return _u(K, p, _Factors(lam, params))
 
 
 @dataclass(frozen=True)
@@ -372,7 +363,7 @@ def hop_terms(l, lam, params):
 
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)
 def _hop_table(l, lam, params):
-    F = _factors(lam, params)
+    F = _Factors(lam, params)
     n = len(lam)
     out = []
     for assign in itertools.product((0, 1, 2), repeat=n):
