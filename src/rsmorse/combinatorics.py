@@ -14,6 +14,7 @@ weights too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -215,13 +216,21 @@ class SignedPermutation:
         return SignedPermutation(sigma, signs)
 
 
+# Orbits kept, one per distinct mu.
+ORBIT_CACHE_SIZE = 1024
+
+
 def orbit(mu):
     """Distinct images of mu under W, sorted for determinism.
 
     Signs are only flipped on nonzero entries, and permutations are
     deduplicated, so each orbit vector appears exactly once.
     """
-    mu = tuple(mu)
+    return list(_orbit(tuple(mu)))
+
+
+@functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)
+def _orbit(mu):
     perms = set(itertools.permutations(mu))
     out = set()
     for p in perms:
@@ -231,7 +240,7 @@ def orbit(mu):
             for s, i in zip(signs, nz):
                 v[i] = s * v[i]
             out.add(tuple(v))
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def monomial_eval(mu, z):
@@ -249,14 +258,46 @@ def monomial_eval(mu, z):
     for j, zj in enumerate(z):
         if isinstance(zj, (int, float, complex, Fraction)) and zj == 0:
             raise ParamDomainError(f"monomial_eval requires nonzero coordinates, z[{j}] = 0")
+    if all(isinstance(zj, (int, Fraction)) for zj in z):
+        return _monomial_eval_rational(mu, z)
     total = 0
-    for nu in orbit(mu):
+    for nu in _orbit(mu):
         term = 1
         for zj, e in zip(z, nu):
             if e:
                 term = term * zj**e
         total = total + term
     return total
+
+
+def _monomial_eval_rational(mu, z):
+    """m_mu(z) at a rational point, on integers with denominators cleared.
+
+    With z_j = a_j/b_j and M the largest |mu_j|, every term z^nu times
+    prod_j (a_j b_j)^M is the integer prod_j a_j^(M+nu_j) b_j^(M-nu_j),
+    read from one power table per coordinate; one Fraction divides the
+    integer sum by prod_j (a_j b_j)^M at the end.
+    """
+    M = max((abs(e) for e in mu), default=0)
+    tables = []
+    den = 1
+    for zj in z:
+        a, b = zj.numerator, zj.denominator
+        pa = [1]
+        pb = [1]
+        for _ in range(2 * M):
+            pa.append(pa[-1] * a)
+            pb.append(pb[-1] * b)
+        # tables[j][M + e] = a^(M+e) b^(M-e), the cleared z_j^e
+        tables.append([pa[M + e] * pb[M - e] for e in range(-M, M + 1)])
+        den *= pa[M] * pb[M]
+    num = 0
+    for nu in _orbit(mu):
+        term = 1
+        for row, e in zip(tables, nu):
+            term *= row[M + e]
+        num += term
+    return Fraction(num, den)
 
 
 def elem_sym(k, z):

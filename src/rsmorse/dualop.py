@@ -13,6 +13,11 @@ the action is computed by evaluation-interpolation:
 * one held-out point re-checks the interpolated image exactly, so a
   support violation cannot pass silently.
 
+The matrix of Hhat_l on the monomial basis is built once per
+(l, n, params, seed) and shared: dual_matrix returns a cached DualMatrix
+that holds every row up to some weight and grows on demand, fitting only
+the rows it lacks over the whole box of labels of the new weight.
+
 Points are drawn from ratios of small primes with a seeded RNG; hitting
 a pole of a coefficient or a singular interpolation matrix triggers a
 resample with the seed advanced.
@@ -20,6 +25,7 @@ resample with the seed advanced.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -30,8 +36,8 @@ from .combinatorics import (
     check_partition,
     dominance_leq,
     ideal,
-    merged_ideal,
     monomial_eval,
+    partitions_max_weight,
     total_order_key,
 )
 from .errors import ParamDomainError, PoleError, SingularMatrixError, StructureError
@@ -46,12 +52,17 @@ __all__ = [
     "uhat_coeff",
     "vhat_signed",
     "generic_points",
+    "DualMatrix",
+    "dual_matrix",
     "apply_Hhat_l",
     "TriangularMatrix",
     "matrix_in_monomial_basis",
 ]
 
 MAX_RESAMPLE_ATTEMPTS = 32
+
+# Dual-operator matrices kept, one per (l, n, params, seed).
+DUAL_CACHE_SIZE = 64
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
@@ -339,8 +350,8 @@ def generic_points(n, count, params, seed):
 class TriangularMatrix:
     """Action of a dual integral on the monomial basis of an ideal.
 
-    entries[(mu, nu)] = coefficient of m_nu in Hhat_l m_mu; triangularity
-    (nu <= mu in dominance) is verified at construction time.
+    entries[(mu, nu)] = coefficient of m_nu in Hhat_l m_mu; every entry
+    has nu <= mu in dominance, as checked when the rows were fitted.
     """
 
     root: tuple
@@ -349,10 +360,6 @@ class TriangularMatrix:
 
     def entry(self, mu, nu):
         return self.entries.get((tuple(mu), tuple(nu)), Fraction(0))
-
-    def row(self, mu):
-        mu = tuple(mu)
-        return {nu: c for (m, nu), c in self.entries.items() if m == mu}
 
     def diagonal(self, mu):
         return self.entry(mu, mu)
@@ -413,51 +420,101 @@ def _interpolate(l, n, support, rhs_functions, params, seed):
     )
 
 
+class DualMatrix:
+    """Rows of Hhat_l on the monomial basis of every label up to a weight.
+
+    rows[mu][nu] = coefficient of m_nu in Hhat_l m_mu, for each length-n
+    partition mu of weight <= weight.  Reaching a larger weight
+    interpolates only the rows not held yet, all in one fit over the
+    whole box partitions_max_weight(n, weight).  The box is closed
+    downward in dominance, so an entry at nu not below mu is a genuine
+    triangularity violation and raises StructureError naming the pairs.
+    Rows are shared by every caller and must not be mutated.
+    """
+
+    def __init__(self, l, n, params, seed):
+        self.l = l
+        self.n = n
+        self.params = params
+        self.seed = seed
+        self.weight = -1
+        self.rows = {}
+
+    def grow(self, weight):
+        """Hold every row of weight <= weight."""
+        if weight <= self.weight:
+            return
+        box = partitions_max_weight(self.n, weight)
+        new = [mu for mu in box if sum(mu) > self.weight]
+        fns = [(lambda z, cache, mu=mu: cache.eval(mu, z)) for mu in new]
+        X = _interpolate(self.l, self.n, box, fns, self.params, self.seed)
+        rows = {}
+        violations = []
+        for mu, coeffs in zip(new, X):
+            row = {}
+            for nu, c in zip(box, coeffs):
+                if c == 0:
+                    continue
+                if not dominance_leq(nu, mu):
+                    violations.append((mu, nu, c))
+                row[nu] = c
+            rows[mu] = row
+        if violations:
+            raise StructureError(
+                "dual integral acts non-triangularly on the monomial basis: "
+                + ", ".join(f"m_{mu} -> m_{nu} with coefficient {c}" for mu, nu, c in violations)
+            )
+        self.rows.update(rows)
+        self.weight = weight
+
+    def row(self, mu):
+        """{nu: coefficient of m_nu in Hhat_l m_mu}, growing the box if needed."""
+        mu = check_partition(mu, self.n)
+        self.grow(sum(mu))
+        return self.rows[mu]
+
+
+def dual_matrix(l, n, params, seed=0):
+    """The shared matrix of Hhat_l on length-n labels, fitted with seed."""
+    if not 1 <= l <= n:
+        raise ParamDomainError(f"level l must satisfy 1 <= l <= {n}, got {l}")
+    return _dual_matrix(l, n, params, seed)
+
+
+@functools.lru_cache(maxsize=DUAL_CACHE_SIZE)
+def _dual_matrix(l, n, params, seed):
+    return DualMatrix(l, n, params, seed)
+
+
+# hit and miss counts of the dual-matrix memo
+dual_matrix.cache_info = _dual_matrix.cache_info
+dual_matrix.cache_clear = _dual_matrix.cache_clear
+
+
 def apply_Hhat_l(l, p, params, seed=0):
-    """Apply the dual integral Hhat_l to an invariant polynomial exactly."""
-    if p.is_zero():
-        return InvariantPolynomial(p.n, {})
-    support = merged_ideal(p.support())
-    X = _interpolate(
-        l,
-        p.n,
-        support,
-        [lambda z, cache, poly=p: poly.evaluate(z, cache)],
-        params,
-        seed,
-    )
-    coeffs = {nu: X[0][i] for i, nu in enumerate(support) if X[0][i] != 0}
-    return InvariantPolynomial(p.n, coeffs)
+    """Apply the dual integral Hhat_l to an invariant polynomial exactly.
+
+    Sums the rows of the shared dual_matrix(l, n, params, seed).
+    """
+    mat = dual_matrix(l, p.n, params, seed)
+    if p.coeffs:
+        mat.grow(max(sum(mu) for mu in p.coeffs))
+    out = {}
+    for mu, c in p.coeffs.items():
+        for nu, v in mat.rows[mu].items():
+            out[nu] = out.get(nu, 0) + c * v
+    return InvariantPolynomial(p.n, out)
 
 
 def matrix_in_monomial_basis(l, root, params, seed=0):
     """Matrix of Hhat_l on the monomial basis of the ideal of root.
 
-    The image of every m_mu is interpolated over the full ideal of the
-    root, so an entry at nu not below mu is a genuine triangularity
-    violation and raises StructureError naming the offending pairs.
+    Read from the shared dual_matrix(l, n, params, seed), whose rows are
+    fitted over whole weight boxes and checked for triangularity there.
     """
     root = check_partition(root)
     basis = ideal(root)
-    members = list(basis.members)
-    fns = [
-        (lambda z, cache, mu=mu: cache.eval(mu, z))
-        for mu in members
-    ]
-    X = _interpolate(l, len(root), members, fns, params, seed)
-    entries = {}
-    violations = []
-    for k, mu in enumerate(members):
-        for i, nu in enumerate(members):
-            c = X[k][i]
-            if c == 0:
-                continue
-            if not dominance_leq(nu, mu):
-                violations.append((mu, nu, c))
-            entries[(mu, nu)] = c
-    if violations:
-        raise StructureError(
-            "dual integral acts non-triangularly on the monomial basis: "
-            + ", ".join(f"m_{mu} -> m_{nu} with coefficient {c}" for mu, nu, c in violations)
-        )
+    mat = dual_matrix(l, len(root), params, seed)
+    mat.grow(sum(root))
+    entries = {(mu, nu): c for mu in basis.members for nu, c in mat.rows[mu].items()}
     return TriangularMatrix(root=root, basis=basis, entries=entries)

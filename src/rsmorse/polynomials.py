@@ -21,7 +21,7 @@ from .combinatorics import (
     ideal,
     total_order_key,
 )
-from .dualop import InvariantPolynomial, MonomialCache, matrix_in_monomial_basis
+from .dualop import InvariantPolynomial, MonomialCache, dual_matrix
 from .errors import DegeneracyError
 from .latticeop import hop_terms
 from .qcore import qpoch_finite
@@ -67,33 +67,22 @@ def normalization_point(n, params):
 
 @dataclass
 class PolynomialFamily:
-    """Cache of eigenpolynomials and operator rows for fixed parameters.
+    """Cache of eigenpolynomials for fixed parameters.
 
-    Rows of the Hhat_1 monomial matrix are shared across nested dominance
-    ideals, so repeated builds over a growing family of labels reuse the
-    expensive interpolation work.
+    The Hhat_1 rows they are solved from live in the shared
+    dual_matrix(1, n, params, seed), so every family and every dual
+    operator call with the same parameters and seed reuse one
+    interpolation per weight box.
     """
 
     params: object
     seed: int = 0
-    _rows: dict = field(default_factory=dict, repr=False)
     _polys: dict = field(default_factory=dict, repr=False)
     _cache: MonomialCache = field(default_factory=MonomialCache, repr=False)
 
-    def _ensure_rows(self, root):
-        basis = ideal(root)
-        if all(mu in self._rows for mu in basis.members):
-            return basis
-        mat = matrix_in_monomial_basis(1, root, self.params, seed=self.seed)
-        for mu in basis.members:
-            self._rows[mu] = mat.row(mu)
-        return basis
-
     def row(self, mu):
-        mu = check_partition(mu)
-        if mu not in self._rows:
-            self._ensure_rows(mu)
-        return self._rows[mu]
+        """Row {nu: coefficient} of the Hhat_1 monomial matrix at mu."""
+        return dual_matrix(1, len(mu), self.params, self.seed).row(mu)
 
     def P(self, lam):
         lam = check_partition(lam)
@@ -118,9 +107,10 @@ def build_P(lam, params, family=None, seed=0):
     lam = check_partition(lam)
     if family is None:
         family = PolynomialFamily(params=params, seed=seed)
-    basis = family._ensure_rows(lam)
-    members = sorted(basis.members, key=total_order_key, reverse=True)
-    energy = family.row(lam).get(lam, Fraction(0))
+    # lam comes first, so its row grows the shared matrix to |lam| in one fit
+    members = sorted(ideal(lam).members, key=total_order_key, reverse=True)
+    rows = {mu: family.row(mu) for mu in members}
+    energy = rows[lam].get(lam, Fraction(0))
     coeffs = {lam: Fraction(1)}
     for nu in members:
         if nu == lam:
@@ -129,8 +119,8 @@ def build_P(lam, params, family=None, seed=0):
         for mu, c in coeffs.items():
             if mu == nu:
                 continue
-            acc += c * family.row(mu).get(nu, Fraction(0))
-        gap = energy - family.row(nu).get(nu, Fraction(0))
+            acc += c * rows[mu].get(nu, Fraction(0))
+        gap = energy - rows[nu].get(nu, Fraction(0))
         if gap == 0:
             if acc == 0:
                 continue

@@ -153,6 +153,14 @@ class ParamSet:
     t: Fraction
     that: tuple
 
+    def __post_init__(self):
+        # every memo lookup hashes its params; hashing a Fraction costs a
+        # modular inverse, so the hash is taken once
+        object.__setattr__(self, "_hash", hash((self.q, self.t, self.that)))
+
+    def __hash__(self):
+        return self._hash
+
     @property
     def that0(self):
         return self.that[0]

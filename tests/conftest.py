@@ -3,8 +3,9 @@
 The three parameter sets are fixed in-domain rationals chosen to cover
 negative couplings in different slots; every test that claims an exact
 identity runs over all of them.  Polynomial families are cached per
-parameter set for the whole session because the triangular operator
-rows they hold are by far the most expensive objects in the suite.
+parameter set for the whole session, so each eigenpolynomial is built
+once; the triangular operator rows behind them are shared through
+rsmorse.dualop.dual_matrix.
 """
 
 from fractions import Fraction

@@ -88,7 +88,8 @@ def test_criterion_02_dual_eigen_identity(record_criterion):
             for lam in _labels(n, cap):
                 poly = fam.P(lam)
                 for l in range(1, n + 1):
-                    lhs = apply_Hhat_l(l, poly, p, seed=0)
+                    # family seed + 1: l = 1 is not checked against the matrix P came from
+                    lhs = apply_Hhat_l(l, poly, p, seed=fam.seed + 1)
                     diff = lhs.minus(poly.scaled(eval_E_l(lam, l, p)))
                     checked += 1
                     if not diff.is_zero():

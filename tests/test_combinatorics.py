@@ -1,7 +1,11 @@
+import cmath
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmorse.combinatorics import (
     SignedPermutation,
@@ -177,6 +181,58 @@ class TestOrbitAndMonomials:
             monomial_eval((1, 0), (Fraction(2), Fraction(0)))
         with pytest.raises(ParamDomainError):
             monomial_eval((1, 0), (Fraction(2),))
+
+    def test_inexact_inputs_keep_their_values(self):
+        # floats, complex numbers and numpy arrays take the generic loop
+        mu = (2, 1, 0)
+        z = (Fraction(2, 3), Fraction(-5, 7), Fraction(11, 3))
+        exact = monomial_eval(mu, z)
+        assert monomial_eval(mu, tuple(float(v) for v in z)) == pytest.approx(float(exact), rel=1e-14)
+        xi = (0.3, 1.7, 2.9)
+        on_torus = monomial_eval(mu, tuple(cmath.exp(1j * x) for x in xi))
+        # on the torus m_mu is the orbit sum of e^(i <nu, xi>), a real number
+        expected = sum(cmath.exp(1j * sum(e * x for e, x in zip(nu, xi))) for nu in orbit(mu))
+        assert abs(on_torus - expected) < 1e-12
+        assert abs(on_torus.imag) < 1e-12
+        grid = [np.array([float(v), 0.5, 2.0]) for v in z]
+        vec = monomial_eval(mu, grid)
+        for k in range(3):
+            assert vec[k] == pytest.approx(monomial_eval(mu, tuple(float(g[k]) for g in grid)), rel=1e-14)
+
+
+def _orbit_sum(mu, z):
+    total = Fraction(0)
+    for nu in orbit(mu):
+        term = Fraction(1)
+        for zj, e in zip(z, nu):
+            term *= Fraction(zj) ** e
+        total += term
+    return total
+
+
+_nonzero_rationals = st.one_of(
+    st.integers(-9, 9).filter(lambda a: a != 0),
+    st.builds(Fraction, st.integers(-40, 40).filter(lambda a: a != 0), st.integers(1, 40)),
+)
+
+
+@st.composite
+def _monomial_cases(draw):
+    n = draw(st.integers(1, 4))
+    mu = draw(st.sampled_from(partitions_max_weight(n, 6)))
+    z = tuple(draw(_nonzero_rationals) for _ in range(n))
+    return mu, z, draw(st.integers(0, n - 1)), draw(st.sampled_from((0, Fraction(0))))
+
+
+@settings(deadline=None)
+@given(_monomial_cases())
+def test_rational_monomial_kernel_matches_orbit_sum(case):
+    mu, z, j, zero = case
+    got = monomial_eval(mu, z)
+    assert isinstance(got, Fraction)
+    assert got == _orbit_sum(mu, z)
+    with pytest.raises(ParamDomainError):
+        monomial_eval(mu, z[:j] + (zero,) + z[j + 1 :])
 
 
 class TestSymmetricFunctions:

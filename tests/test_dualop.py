@@ -3,13 +3,15 @@ from fractions import Fraction
 import pytest
 
 import rsmorse.dualop as dualop
-from rsmorse.combinatorics import dominance_leq, eval_E_l, ideal, monomial_eval
+from rsmorse.combinatorics import dominance_leq, eval_E_l, ideal, monomial_eval, partitions_max_weight
 from rsmorse.dualop import (
+    DualMatrix,
     InvariantPolynomial,
     MonomialCache,
     apply_Hhat_l,
     apply_dual_h_pointwise,
     dual_hl_pointwise,
+    dual_matrix,
     generic_points,
     matrix_in_monomial_basis,
     uhat_coeff,
@@ -178,8 +180,14 @@ class TestApplyHhat:
             return real(J, eps, z, params) * (1 + z[0])
 
         monkeypatch.setattr(dualop, "vhat_signed", crooked)
-        with pytest.raises(StructureError):
-            apply_Hhat_l(1, InvariantPolynomial.monomial((1,)), p)
+        # a matrix already held would answer without fitting anything
+        dual_matrix.cache_clear()
+        try:
+            with pytest.raises(StructureError):
+                apply_Hhat_l(1, InvariantPolynomial.monomial((1,)), p)
+        finally:
+            # rows fitted on the crooked operator must not reach other tests
+            dual_matrix.cache_clear()
 
 
 class TestMatrix:
@@ -213,3 +221,54 @@ class TestMatrix:
         p = PARAM_SETS[0]
         rows = matrix_in_monomial_basis(1, (1,), p).to_json()
         assert all(set(r) == {"mu", "nu", "value"} for r in rows)
+
+
+class TestDualMatrix:
+    def test_repeated_apply_adds_hits_only(self):
+        p = PARAM_SETS[1]
+        poly = InvariantPolynomial(2, {(2, 1): Fraction(1), (1, 0): Fraction(-2, 3)})
+        first = apply_Hhat_l(2, poly, p, seed=5)
+        before = dual_matrix.cache_info()
+        again = apply_Hhat_l(2, poly, p, seed=5)
+        after = dual_matrix.cache_info()
+        assert again.coeffs == first.coeffs
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+
+    def test_growth_solves_only_new_rows(self, monkeypatch):
+        p = PARAM_SETS[0]
+        mat = DualMatrix(1, 2, p, seed=0)
+        mat.grow(2)
+        held = dict(mat.rows)
+        shapes = []
+        real = dualop.solve_exact
+
+        def spy(A, B):
+            shapes.append((len(A), len(B[0])))
+            return real(A, B)
+
+        monkeypatch.setattr(dualop, "solve_exact", spy)
+        mat.grow(3)
+        mat.grow(3)
+        mat.row((2, 1))
+        box = partitions_max_weight(2, 3)
+        new = [mu for mu in box if sum(mu) == 3]
+        assert shapes == [(len(box), len(new))]
+        assert set(mat.rows) == set(box)
+        assert all(mat.rows[mu] is row for mu, row in held.items())
+
+    def test_box_rows_equal_per_ideal_interpolation(self):
+        # the same rows, fitted over one ideal at points of another seed
+        for p in PARAM_SETS:
+            for l, root in [(1, (3, 1)), (2, (2, 1)), (2, (2, 1, 0))]:
+                members = ideal(root).members
+                fns = [(lambda z, cache, mu=mu: cache.eval(mu, z)) for mu in members]
+                X = dualop._interpolate(l, len(root), members, fns, p, seed=12345)
+                mat = dual_matrix(l, len(root), p, 0)
+                for mu, coeffs in zip(members, X):
+                    expected = {nu: c for nu, c in zip(members, coeffs) if c != 0}
+                    assert mat.row(mu) == expected
+
+    def test_level_out_of_range(self):
+        with pytest.raises(ParamDomainError):
+            dual_matrix(3, 2, PARAM_SETS[0])

@@ -7,9 +7,9 @@ import pytest
 
 import rsmorse.polynomials as polynomials
 from rsmorse.combinatorics import eval_E, ideal, partitions_max_weight
-from rsmorse.dualop import apply_Hhat_l, generic_points
+from rsmorse.dualop import apply_Hhat_l, dual_matrix, generic_points
 from rsmorse.errors import DegeneracyError
-from rsmorse.polynomials import build_P, leading_coeff, normalization_point, pieri_residual
+from rsmorse.polynomials import PolynomialFamily, build_P, leading_coeff, normalization_point, pieri_residual
 from rsmorse.qcore import qpoch_finite
 
 from conftest import PARAM_SETS, family_for
@@ -86,9 +86,6 @@ class TestBuildP:
                 (0,): {(0,): Fraction(5)},
             }
 
-            def _ensure_rows(self, root):
-                return ideal(root)
-
             def row(self, mu):
                 return self.rows[mu]
 
@@ -129,5 +126,29 @@ def test_family_rows_are_shared():
     p = PARAM_SETS[0]
     fam = family_for(p)
     fam.P((2, 1))
+    mat = dual_matrix(1, 2, p, fam.seed)
     for mu in partitions_max_weight(2, 3):
-        assert mu in fam._rows
+        assert fam.row(mu) is mat.rows[mu]
+    other = PolynomialFamily(params=p, seed=fam.seed)
+    before = dual_matrix.cache_info()
+    assert other.P((2, 1)).coeffs == fam.P((2, 1)).coeffs
+    after = dual_matrix.cache_info()
+    assert after.misses == before.misses
+    assert other.row((2, 1)) is mat.rows[(2, 1)]
+
+
+def test_check_seed_is_its_own_matrix():
+    # the dual eigen-check runs at the family seed + 1, apart from the fit
+    p = PARAM_SETS[2]
+    fam = PolynomialFamily(params=p, seed=41)
+    poly = fam.P((1, 0))
+    before = dual_matrix.cache_info()
+    image = apply_Hhat_l(1, poly, p, seed=fam.seed + 1)
+    after = dual_matrix.cache_info()
+    assert after.misses == before.misses + 1
+    fit = dual_matrix(1, 2, p, fam.seed)
+    check = dual_matrix(1, 2, p, fam.seed + 1)
+    assert fit is not check
+    assert check.rows[(1, 0)] is not fit.rows[(1, 0)]
+    assert check.rows[(1, 0)] == fit.rows[(1, 0)]
+    assert image.minus(poly.scaled(eval_E((1, 0), p))).is_zero()

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from rsmorse.dualop import dual_matrix
 from rsmorse.errors import ParamDomainError, TruncationCapError
+from rsmorse.latticeop import hop_terms
 from rsmorse.qcore import (
     params_from_hat,
     parse_rational,
@@ -168,3 +170,15 @@ class TestParamSet:
     def test_wrong_coupling_count(self):
         with pytest.raises(ParamDomainError):
             params_from_hat("1/3", "1/2", ("1/2", "1/3"))
+
+    def test_equal_params_share_memo_entries(self):
+        a = params_from_hat("1/3", "0.5", ("0.5", "-1/3", "1/5"))
+        b = params_from_hat(Fraction(1, 3), Fraction(1, 2), (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)))
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash((a.q, a.t, a.that))
+        assert a != params_from_hat("1/3", "0.5", ("0.5", "-1/3", "1/7"))
+        assert hop_terms(1, (1, 0), a) is hop_terms(1, (1, 0), b)
+        before = dual_matrix.cache_info()
+        assert dual_matrix(1, 2, a, 9) is dual_matrix(1, 2, b, 9)
+        after = dual_matrix.cache_info()
+        assert after.hits == before.hits + 1
