@@ -1,10 +1,12 @@
 """Command-line front end: tables, verification suites, reports.
 
 Subcommands: poly, verify {pieri,qdiff,commute,nonneg,limits,balance},
-ortho, scatter, evolve.  Configuration comes from flags, optionally
-seeded by a key=value config file (flags win).  Exit codes: 0 success,
-1 verification failure, 2 configuration error or a pole of an operator
-at the chosen parameters.
+ortho, scatter, evolve.  The verify suites and the acceptance criteria
+run the same public case functions (pieri_cases, qdiff_cases,
+commute_cases, nonneg_violations, balance_cases).  Configuration comes
+from flags, optionally seeded by a key=value config file (flags win).
+Exit codes: 0 success, 1 verification failure, 2 configuration error or
+a pole of an operator at the chosen parameters.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .combinatorics import (
     partitions_max_weight,
     total_order_key,
 )
-from .dualop import apply_Hhat_l, matrix_in_monomial_basis
+from .dualop import apply_Hhat_l, generic_points, matrix_in_monomial_basis
 from .errors import DegeneracyError, ParamDomainError, PoleError, RSMorseError
 from .latticeop import (
     LatticeFunction,
@@ -147,22 +149,12 @@ def _labels(config):
     return sorted(partitions_max_weight(config.n, config.max_weight), key=total_order_key)
 
 
-def _rational_points(n, count, seed):
-    rng = random.Random(seed)
-    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-    pts = []
-    while len(pts) < count:
-        coords = []
-        for _ in range(n):
-            a, b = rng.sample(primes, 2)
-            coords.append(Fraction(a, b))
-        if len(set(coords)) == n:
-            pts.append(tuple(coords))
-    return pts
+def _family(config):
+    return PolynomialFamily(params=config.params, seed=config.seed)
 
 
 def cmd_poly(config):
-    family = PolynomialFamily(params=config.params, seed=config.seed)
+    family = _family(config)
     tables = []
     for lam in _labels(config):
         poly = family.P(lam)
@@ -184,12 +176,11 @@ def _case(name, ok, detail=""):
     return {"case": name, "pass": bool(ok), "detail": detail}
 
 
-def _suite_pieri(config):
-    family = PolynomialFamily(params=config.params, seed=config.seed)
-    points = _rational_points(config.n, 3, config.seed + 17)
+def pieri_cases(family, labels, points):
+    """Lattice Pieri recurrence of the family at each label, level and point."""
     cases = []
-    for lam in _labels(config):
-        for l in range(1, config.n + 1):
+    for lam in labels:
+        for l in range(1, len(lam) + 1):
             for z in points:
                 r = pieri_residual(l, lam, z, family)
                 cases.append(
@@ -198,80 +189,92 @@ def _suite_pieri(config):
     return cases
 
 
-def _suite_qdiff(config):
-    family = PolynomialFamily(params=config.params, seed=config.seed)
+def qdiff_cases(family, labels):
+    """Dual eigen-identity Hhat_l P_lam = E_(lam,l) P_lam at each label and level.
+
+    Hhat_l is fitted at the family seed + 1, so the l = 1 check is not
+    read back from the very matrix P was solved from.
+    """
+    params = family.params
     cases = []
-    for lam in _labels(config):
+    for lam in labels:
         poly = family.P(lam)
-        for l in range(1, config.n + 1):
-            # a seed apart from the family's, so l = 1 is not checked against
-            # the very matrix P was solved from
-            lhs = apply_Hhat_l(l, poly, config.params, seed=config.seed + 1)
-            rhs = poly.scaled(eval_E_l(lam, l, config.params))
-            diff = lhs.minus(rhs)
-            cases.append(
-                _case(
-                    f"qdiff l={l} lam={lam}",
-                    diff.is_zero(),
-                    "exact zero" if diff.is_zero() else f"nonzero on {diff.support()}",
-                )
-            )
+        for l in range(1, len(lam) + 1):
+            lhs = apply_Hhat_l(l, poly, params, seed=family.seed + 1)
+            diff = lhs.minus(poly.scaled(eval_E_l(lam, l, params)))
+            detail = "exact zero" if diff.is_zero() else f"nonzero on {diff.support()}"
+            cases.append(_case(f"qdiff l={l} lam={lam}", diff.is_zero(), detail))
     return cases
 
 
-def _suite_commute(config):
+def _matmul(A, B):
+    size = len(A)
+    return [[sum(A[i][k] * B[k][j] for k in range(size)) for j in range(size)] for i in range(size)]
+
+
+def commute_cases(params, labels, root, seed):
+    """Commutators of the lattice and of the dual integrals.
+
+    Lattice [H_l, H_m] (l <= m) on the delta at each label, then dual
+    [Hhat_l, Hhat_m] (l < m) on the monomial basis of the ideal of root,
+    fitted with seed.
+    """
     cases = []
-    for lam0 in _labels(config):
-        for l in range(1, config.n + 1):
-            for m in range(l, config.n + 1):
-                comm = commutator_on_delta(l, m, lam0, config.params)
-                cases.append(
-                    _case(
-                        f"lattice [H_{l},H_{m}] at {lam0}",
-                        comm.is_zero(),
-                        "exact zero" if comm.is_zero() else f"support {comm.support()}",
-                    )
-                )
-    root = (config.max_weight,) + (0,) * (config.n - 1)
-    mats = {
-        l: matrix_in_monomial_basis(l, root, config.params, seed=config.seed).dense()
-        for l in range(1, config.n + 1)
-    }
-    size = len(mats[1])
-
-    def matmul(A, B):
-        return [
-            [sum(A[i][k] * B[k][j] for k in range(size)) for j in range(size)]
-            for i in range(size)
-        ]
-
-    for l in range(1, config.n + 1):
-        for m in range(l + 1, config.n + 1):
-            lhs = matmul(mats[l], mats[m])
-            rhs = matmul(mats[m], mats[l])
-            ok = lhs == rhs
+    for lam0 in labels:
+        for l in range(1, len(lam0) + 1):
+            for m in range(l, len(lam0) + 1):
+                comm = commutator_on_delta(l, m, lam0, params)
+                detail = "exact zero" if comm.is_zero() else f"support {comm.support()}"
+                cases.append(_case(f"lattice [H_{l},H_{m}] at {lam0}", comm.is_zero(), detail))
+    n = len(root)
+    if n < 2:  # no pair l < m, so no matrix to build
+        return cases
+    mats = {l: matrix_in_monomial_basis(l, root, params, seed).dense() for l in range(1, n + 1)}
+    for l in range(1, n + 1):
+        for m in range(l + 1, n + 1):
+            ok = _matmul(mats[l], mats[m]) == _matmul(mats[m], mats[l])
             cases.append(_case(f"dual [Hhat_{l},Hhat_{m}] on ideal({root})", ok))
     return cases
 
 
-def _suite_nonneg(config):
-    cases = []
+def nonneg_violations(params, labels):
+    """Violations of E_(lam,l) >= 0 and of its two-route agreement.
+
+    (lam, l, value) for a negative value, (lam, l, "route mismatch") where
+    the product formula and the E_(l,n) route disagree.
+    """
     bad = []
-    for lam in _labels(config):
-        for l in range(1, config.n + 1):
-            val = eval_E_l(lam, l, config.params)
+    for lam in labels:
+        for l in range(1, len(lam) + 1):
+            val = eval_E_l(lam, l, params)
             if val < 0:
                 bad.append((lam, l, val))
-            if eval_E_l_via_Eln(lam, l, config.params) != val:
+            if eval_E_l_via_Eln(lam, l, params) != val:
                 bad.append((lam, l, "route mismatch"))
-    cases.append(
+    return bad
+
+
+def balance_cases(params, labels):
+    """Detailed balance of each up-hop lam -> lam + e_j that stays a partition."""
+    cases = []
+    for lam in labels:
+        for j in range(1, len(lam) + 1):
+            if j > 1 and lam[j - 2] == lam[j - 1]:
+                continue
+            r = detailed_balance_residual(lam, j, params)
+            cases.append(_case(f"balance lam={lam} j={j}", r == 0, f"residual={r}"))
+    return cases
+
+
+def _suite_nonneg(config):
+    bad = nonneg_violations(config.params, _labels(config))
+    return [
         _case(
             f"E_(lam,l) >= 0 and two-route agreement, n={config.n}, |lam|<={config.max_weight}",
             not bad,
             "" if not bad else f"violations: {bad[:5]}",
         )
-    )
-    return cases
+    ]
 
 
 def _suite_limits(config):
@@ -313,26 +316,18 @@ def _suite_limits(config):
     return cases
 
 
-def _suite_balance(config):
-    cases = []
-    for lam in _labels(config):
-        for j in range(1, config.n + 1):
-            up = list(lam)
-            up[j - 1] += 1
-            if not (j == 1 or up[j - 2] >= up[j - 1]):
-                continue
-            r = detailed_balance_residual(lam, j, config.params)
-            cases.append(_case(f"balance lam={lam} j={j}", r == 0, f"residual={r}"))
-    return cases
-
-
+# adapters from a RunConfig to the case functions
 _SUITES = {
-    "pieri": _suite_pieri,
-    "qdiff": _suite_qdiff,
-    "commute": _suite_commute,
+    "pieri": lambda c: pieri_cases(
+        _family(c), _labels(c), generic_points(c.n, 3, c.params, c.seed + 17)
+    ),
+    "qdiff": lambda c: qdiff_cases(_family(c), _labels(c)),
+    "commute": lambda c: commute_cases(
+        c.params, _labels(c), (c.max_weight,) + (0,) * (c.n - 1), c.seed
+    ),
     "nonneg": _suite_nonneg,
     "limits": _suite_limits,
-    "balance": _suite_balance,
+    "balance": lambda c: balance_cases(c.params, _labels(c)),
 }
 
 
@@ -359,8 +354,7 @@ def cmd_ortho(config):
         )
     nodes = config.quad_nodes or (200 if config.n == 1 else 120)
     quad = QuadSpec(nodes=nodes, tol=min(config.tol, 1e-12))
-    family = PolynomialFamily(params=config.params, seed=config.seed)
-    rows = gram_report(_labels(config), family, quad)
+    rows = gram_report(_labels(config), _family(config), quad)
     for row in rows:
         row["warn"] = row["rel_err"] > config.tol
     payload = {"config": config.describe(), "nodes": nodes, "rows": rows}

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,7 +38,6 @@ __all__ = [
     "eval_Eln",
     "eval_Ehat",
     "eval_Ehat_l",
-    "cosines_from_angles",
     "cosines_from_point",
 ]
 
@@ -109,10 +107,6 @@ class DominanceIdeal:
 
     root: tuple
     members: tuple
-
-    @property
-    def index(self):
-        return {mu: i for i, mu in enumerate(self.members)}
 
     def __len__(self):
         return len(self.members)
@@ -404,11 +398,6 @@ def eval_E_l_via_Eln(lam, l, params):
     z = [t ** (j - 1) * q ** (-lam[j - 1]) for j in range(1, n + 1)]
     y = [t**m for m in range(l - 1, n)]
     return t ** (-l * (l - 1) // 2) * eval_Eln(l, z, y)
-
-
-def cosines_from_angles(xi):
-    """cos applied entrywise (floats)."""
-    return tuple(math.cos(x) for x in xi)
 
 
 def cosines_from_point(z):

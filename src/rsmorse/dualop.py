@@ -154,18 +154,36 @@ def _pair_t(w, params):
     return (1 - params.t * w) / (1 - w)
 
 
-def _pair_tq_hop(w, params):
-    den = 1 - params.q * w
-    if den == 0:
+def _pair_tq(w, stay, params):
+    """In-pair q-factor: (t - q w)/(1 - q w) if stay, else (1 - t q w)/(1 - q w)."""
+    qw = params.q * w
+    if qw == 1:
         raise PoleError("pair coefficient pole: q * coordinate product equals 1")
-    return (1 - params.t * params.q * w) / den
+    return ((params.t - qw) if stay else (1 - params.t * qw)) / (1 - qw)
 
 
-def _pair_tq_stay(w, params):
-    den = 1 - params.q * w
-    if den == 0:
-        raise PoleError("pair coefficient pole: q * coordinate product equals 1")
-    return (params.t - params.q * w) / den
+def _signed_product(I, eps, mixed, z, params, stay):
+    """One-body, mixed and in-pair product of the dual hop coefficients.
+
+    With u = z^eps on I: one-body factors at u_j for j in I; mixed
+    factors of u_j against the unshifted z_k for k in mixed; and for
+    pairs inside I the t-pair factor times the in-pair q-factor of w =
+    u_j u_k, whose numerator is (t - q w) if stay, else (1 - t q w).
+    """
+    u = [z[j - 1] ** e for j, e in zip(I, eps)]
+    out = 1
+    for uj in u:
+        out *= _one_body(uj, params)
+    for uj in u:
+        for k in mixed:
+            out *= _pair_t(uj * z[k - 1], params)
+            out *= _pair_t(uj / z[k - 1], params)
+    for a in range(len(u)):
+        for b in range(a + 1, len(u)):
+            w = u[a] * u[b]
+            out *= _pair_t(w, params)
+            out *= _pair_tq(w, stay, params)
+    return out
 
 
 def vhat(j, z, params):
@@ -215,34 +233,21 @@ def vhat_signed(J, eps, z, params):
     """Hop coefficient Vhat_{eps J}(z) of the dual integral.
 
     One-body factors at z_j^(eps_j) for j in J; mixed factors against
-    the unshifted coordinates; and for pairs inside J the extra
+    the unshifted coordinates outside J; and for pairs inside J the extra
     (1 - t q u_j u_k)/(1 - q u_j u_k) factor with u = z^eps.
     """
     z = tuple(z)
     J = tuple(J)
-    u = {j: z[j - 1] ** eps[i] for i, j in enumerate(J)}
-    out = 1
-    for j in J:
-        out *= _one_body(u[j], params)
-    comp = [k for k in range(1, len(z) + 1) if k not in u]
-    for j in J:
-        for k in comp:
-            out *= _pair_t(u[j] * z[k - 1], params)
-            out *= _pair_t(u[j] / z[k - 1], params)
-    for a in range(len(J)):
-        for b in range(a + 1, len(J)):
-            w = u[J[a]] * u[J[b]]
-            out *= _pair_t(w, params)
-            out *= _pair_tq_hop(w, params)
-    return out
+    outside = [k for k in range(1, len(z) + 1) if k not in J]
+    return _signed_product(J, eps, outside, z, params, stay=False)
 
 
 def uhat_coeff(K, p, z, params):
     """Stay-put coefficient Uhat_{K,p}(z) of the dual integral.
 
     (-1)^p sum over I in K with |I| = p and signs eps on I of one-body,
-    mixed, and in-pair products; the in-pair q-factor here is
-    (t - q u_j u_k)/(1 - q u_j u_k).  Uhat_{K,0} = 1.
+    mixed (against K minus I) and in-pair products; the in-pair q-factor
+    here is (t - q u_j u_k)/(1 - q u_j u_k).  Uhat_{K,0} = 1.
     """
     z = tuple(z)
     K = tuple(sorted(K))
@@ -254,20 +259,7 @@ def uhat_coeff(K, p, z, params):
     for I in itertools.combinations(K, p):
         rest = [k for k in K if k not in I]
         for eps in itertools.product((1, -1), repeat=p):
-            u = {j: z[j - 1] ** eps[i] for i, j in enumerate(I)}
-            term = 1
-            for j in I:
-                term *= _one_body(u[j], params)
-            for j in I:
-                for k in rest:
-                    term *= _pair_t(u[j] * z[k - 1], params)
-                    term *= _pair_t(u[j] / z[k - 1], params)
-            for a in range(len(I)):
-                for b in range(a + 1, len(I)):
-                    w = u[I[a]] * u[I[b]]
-                    term *= _pair_t(w, params)
-                    term *= _pair_tq_stay(w, params)
-            total += term
+            total += _signed_product(I, eps, rest, z, params, stay=True)
     return (-1) ** p * total
 
 

@@ -97,9 +97,6 @@ class LatticeFunction:
     def minus(self, other):
         return self.plus(other.scaled(-1))
 
-    def norm_sup(self):
-        return max((abs(v) for v in self.values.values()), default=0)
-
     def to_json(self):
         return [
             {"lambda": list(k), "value": str(v)}

@@ -2,15 +2,17 @@
 
 The three parameter sets are fixed in-domain rationals chosen to cover
 negative couplings in different slots; every test that claims an exact
-identity runs over all of them.  Polynomial families are cached per
-parameter set for the whole session, so each eigenpolynomial is built
-once; the triangular operator rows behind them are shared through
+identity runs over all of them, and the property tests draw random ones
+from in_domain_params.  Polynomial families are cached per parameter set
+for the whole session, so each eigenpolynomial is built once; the
+triangular operator rows behind them are shared through
 rsmorse.dualop.dual_matrix.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from rsmorse.polynomials import PolynomialFamily
 from rsmorse.qcore import params_from_hat
@@ -24,6 +26,24 @@ PARAM_SETS = [
 PARAM_IDS = ["pA", "pB", "pC"]
 
 _FAMILIES = {}
+
+
+def _rationals(low, high, max_den=7):
+    """Rationals a/b strictly inside the integer bounds (low, high), b <= max_den."""
+    return st.integers(2, max_den).flatmap(
+        lambda b: st.integers(low * b + 1, high * b - 1).map(lambda a: Fraction(a, b))
+    )
+
+
+@st.composite
+def in_domain_params(draw):
+    """Random in-domain parameters with small denominators."""
+    t = draw(_rationals(0, 1))
+    # q = t or q = t**2 puts poles into the higher integrals; a third of the cases do
+    k = draw(st.integers(0, 5))
+    q = t**k if k in (1, 2) else draw(_rationals(0, 1))
+    that = tuple(draw(_rationals(-1, 1).filter(lambda r: r != 0)) for _ in range(3))
+    return params_from_hat(q, t, that)
 
 
 def family_for(params, seed=0):

@@ -3,7 +3,10 @@
 Every criterion loops over the three frozen parameter sets from conftest
 and prints a single summary line through record_criterion; the assert
 keeps pytest honest.  Exact checks compare Fractions with ==, numerical
-checks carry the stated tolerances.
+checks carry the stated tolerances.  Criteria 01, 02, 03, 06 (balance)
+and 07 (eigenvalues) run the case functions of rsmorse.cli, the same
+ones `rsmorse verify` runs, and count or collect failures from their
+records.
 """
 
 import math
@@ -14,21 +17,22 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import PARAM_SETS, family_for
-from rsmorse.combinatorics import (
-    eval_E_l,
-    eval_E_l_via_Eln,
-    eval_Eln,
-    partitions_max_weight,
+from rsmorse.cli import (
+    balance_cases,
+    commute_cases,
+    nonneg_violations,
+    pieri_cases,
+    qdiff_cases,
 )
-from rsmorse.dualop import apply_Hhat_l, generic_points, matrix_in_monomial_basis
+from rsmorse.combinatorics import eval_Eln, partitions_max_weight
+from rsmorse.dualop import generic_points
 from rsmorse.latticeop import (
     LatticeFunction,
-    commutator_on_delta,
     morse_vanishing_limit_check,
     ruijsenaars_limit_check,
     symmetrization_identity_sides,
 )
-from rsmorse.polynomials import leading_coeff, normalization_point, pieri_residual
+from rsmorse.polynomials import leading_coeff, normalization_point
 from rsmorse.qcore import params_from_hat
 from rsmorse.scattering import (
     S_hat,
@@ -41,7 +45,6 @@ from rsmorse.scattering import (
 from rsmorse.spectral import (
     QuadSpec,
     conjugated_H_matrix,
-    detailed_balance_residual,
     evolve,
     fourier_forward,
     fourier_inverse,
@@ -56,20 +59,20 @@ def _labels(n, cap):
     return partitions_max_weight(n, cap)
 
 
+def _failed(p, cases):
+    """(q, case name) of each failed case record."""
+    return [(p.q, c["case"]) for c in cases if not c["pass"]]
+
+
 def test_criterion_01_pieri_identity(record_criterion):
     checked = 0
     bad = []
     for p in PARAM_SETS:
         fam = family_for(p)
         for n, cap in WEIGHT_CAP.items():
-            points = generic_points(n, 3, p, seed=11)
-            for lam in _labels(n, cap):
-                for l in range(1, n + 1):
-                    for z in points:
-                        r = pieri_residual(l, lam, z, fam)
-                        checked += 1
-                        if r != 0:
-                            bad.append((p.q, lam, l, z))
+            cases = pieri_cases(fam, _labels(n, cap), generic_points(n, 3, p, seed=11))
+            checked += len(cases)
+            bad += _failed(p, cases)
     record_criterion(
         1,
         "exact lattice Pieri identity",
@@ -80,20 +83,15 @@ def test_criterion_01_pieri_identity(record_criterion):
 
 
 def test_criterion_02_dual_eigen_identity(record_criterion):
+    # qdiff_cases applies Hhat_l at the family seed + 1, so l = 1 is not
+    # checked against the matrix P came from
     checked = 0
     bad = []
     for p in PARAM_SETS:
-        fam = family_for(p)
         for n, cap in WEIGHT_CAP.items():
-            for lam in _labels(n, cap):
-                poly = fam.P(lam)
-                for l in range(1, n + 1):
-                    # family seed + 1: l = 1 is not checked against the matrix P came from
-                    lhs = apply_Hhat_l(l, poly, p, seed=fam.seed + 1)
-                    diff = lhs.minus(poly.scaled(eval_E_l(lam, l, p)))
-                    checked += 1
-                    if not diff.is_zero():
-                        bad.append((p.q, lam, l))
+            cases = qdiff_cases(family_for(p), _labels(n, cap))
+            checked += len(cases)
+            bad += _failed(p, cases)
     record_criterion(
         2,
         "exact dual q-difference eigen-identity",
@@ -109,32 +107,12 @@ def test_criterion_03_commutativity(record_criterion):
     bad = []
     for p in PARAM_SETS:
         for n in (1, 2, 3):
-            for lam0 in _labels(n, 4):
-                for l in range(1, n + 1):
-                    for m in range(l, n + 1):
-                        comm = commutator_on_delta(l, m, lam0, p)
-                        lattice_checked += 1
-                        if not comm.is_zero():
-                            bad.append(("lattice", p.q, n, lam0, l, m))
-        for n in (2, 3):
-            root = (4,) + (0,) * (n - 1)
-            mats = {
-                l: matrix_in_monomial_basis(l, root, p, seed=0).dense()
-                for l in range(1, n + 1)
-            }
-            size = len(mats[1])
-
-            def matmul(A, B):
-                return [
-                    [sum(A[i][k] * B[k][j] for k in range(size)) for j in range(size)]
-                    for i in range(size)
-                ]
-
-            for l in range(1, n + 1):
-                for m in range(l + 1, n + 1):
-                    dual_checked += 1
-                    if matmul(mats[l], mats[m]) != matmul(mats[m], mats[l]):
-                        bad.append(("dual", p.q, n, l, m))
+            # at n = 1 there is no dual pair, so only lattice cases come back
+            cases = commute_cases(p, _labels(n, 4), (4,) + (0,) * (n - 1), seed=0)
+            dual = sum(c["case"].startswith("dual") for c in cases)
+            lattice_checked += len(cases) - dual
+            dual_checked += dual
+            bad += _failed(p, cases)
     record_criterion(
         3,
         "lattice and dual integrals commute",
@@ -195,15 +173,9 @@ def test_criterion_06_balance_and_symmetry(record_criterion):
     bad = []
     for p in PARAM_SETS:
         for n in (1, 2, 3):
-            for lam in _labels(n, 4):
-                for j in range(1, n + 1):
-                    up = list(lam)
-                    up[j - 1] += 1
-                    if not (j == 1 or up[j - 2] >= up[j - 1]):
-                        continue
-                    balance_checked += 1
-                    if detailed_balance_residual(lam, j, p) != 0:
-                        bad.append(("balance", p.q, lam, j))
+            cases = balance_cases(p, _labels(n, 4))
+            balance_checked += len(cases)
+            bad += _failed(p, cases)
         for n, l in ((1, 1), (2, 1), (2, 2)):
             conj = conjugated_H_matrix(l, 4, p, n=n)
             sym_checked += 1
@@ -225,14 +197,9 @@ def test_criterion_07_nonnegativity(record_criterion):
     bad = []
     for p in PARAM_SETS:
         for n in (1, 2, 3, 4):
-            for lam in _labels(n, 8):
-                for l in range(1, n + 1):
-                    val = eval_E_l(lam, l, p)
-                    eig_checked += 1
-                    if val < 0:
-                        bad.append(("negative", p.q, lam, l))
-                    if eval_E_l_via_Eln(lam, l, p) != val:
-                        bad.append(("route", p.q, lam, l))
+            labels = _labels(n, 8)
+            eig_checked += n * len(labels)
+            bad += [("eigenvalue", p.q) + v for v in nonneg_violations(p, labels)]
 
     rng = random.Random(7241)
     rec_checked = 0

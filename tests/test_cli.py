@@ -1,11 +1,19 @@
 """End-to-end command-line tests running main() in process."""
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rsmorse.cli import main
+from conftest import in_domain_params
+from rsmorse.cli import balance_cases, main, pieri_cases, qdiff_cases
+from rsmorse.combinatorics import partitions_max_weight
+from rsmorse.dualop import dual_matrix, generic_points
+from rsmorse.errors import DegeneracyError, PoleError
 from rsmorse.latticeop import LatticeFunction
+from rsmorse.polynomials import PolynomialFamily
 
 
 def run(capsys, argv):
@@ -38,6 +46,50 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["ok"] is False
         assert payload["failed"] >= 1
+
+    def test_single_particle_commute_builds_no_dual_matrix(self, capsys):
+        # at n = 1 there is no pair l < m, so no Hhat_l matrix is read
+        before = dual_matrix.cache_info()
+        code, out, _ = run(capsys, ["verify", "commute", "--n", "1", "--max-weight", "3"])
+        after = dual_matrix.cache_info()
+        assert code == 0
+        assert json.loads(out)["passed"] == 4
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+# a label or an index pair, as the engine's errors print them: (1, 0), (0,), (2,1)
+_NAMES_A_LABEL = re.compile(r"\(\d+(, ?\d+)*,?\)")
+
+
+@st.composite
+def _engine_cases(draw):
+    p = draw(in_domain_params())
+    n = draw(st.integers(1, 2))
+    labels = partitions_max_weight(n, draw(st.integers(0, 2)))
+    return p, labels, draw(st.integers(0, 99))
+
+
+@settings(deadline=None, max_examples=30)
+@given(_engine_cases())
+def test_engine_cases_pass_or_name_a_degeneracy(case):
+    """Pieri, qdiff and balance records at random in-domain parameters all
+    pass, or the suite stops on a DegeneracyError or PoleError naming the
+    labels or the pair; no other exception is allowed."""
+    p, labels, seed = case
+    family = PolynomialFamily(params=p, seed=seed)
+    points = generic_points(len(labels[0]), 2, p, seed + 17)
+    suites = (
+        lambda: pieri_cases(family, labels, points),
+        lambda: qdiff_cases(family, labels),
+        lambda: balance_cases(p, labels),
+    )
+    for suite in suites:
+        try:
+            cases = suite()
+        except (DegeneracyError, PoleError) as exc:
+            assert _NAMES_A_LABEL.search(str(exc)), str(exc)
+            continue
+        assert cases and all(c["pass"] for c in cases), [c for c in cases if not c["pass"]]
 
 
 class TestConfigHandling:

@@ -24,7 +24,7 @@ from rsmorse.latticeop import (
 )
 from rsmorse.qcore import params_from_hat
 
-from conftest import PARAM_SETS
+from conftest import PARAM_SETS, in_domain_params
 
 
 def _shifted(lam, j, step):
@@ -211,23 +211,12 @@ class TestHopTableMemo:
             hop_terms(2, (1, 1), p)
 
 
-def _rationals(low, high, max_den=7):
-    """Rationals a/b strictly inside the integer bounds (low, high), b <= max_den."""
-    return st.integers(2, max_den).flatmap(
-        lambda b: st.integers(low * b + 1, high * b - 1).map(lambda a: Fraction(a, b))
-    )
-
-
 @st.composite
 def _lattice_cases(draw):
-    t = draw(_rationals(0, 1))
-    # q = t or q = t**2 puts poles into the higher integrals; a third of the cases do
-    k = draw(st.integers(0, 5))
-    q = t**k if k in (1, 2) else draw(_rationals(0, 1))
-    that = tuple(draw(_rationals(-1, 1).filter(lambda r: r != 0)) for _ in range(3))
+    p = draw(in_domain_params())
     n = draw(st.integers(1, 3))
     lam = draw(st.sampled_from(partitions_max_weight(n, 3)))
-    return params_from_hat(q, t, that), lam
+    return p, lam
 
 
 @settings(deadline=None)
