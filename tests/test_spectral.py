@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from rsmorse.combinatorics import is_partition, partitions_max_weight
 from rsmorse.errors import ParamDomainError, StructureError
 from rsmorse.latticeop import LatticeFunction, epsilon0, v_minus, v_plus
+from rsmorse import spectral
 from rsmorse.qcore import qpoch_infinite
 from rsmorse.spectral import (
     QuadSpec,
@@ -28,6 +30,19 @@ from rsmorse.spectral import (
 )
 
 from conftest import PARAM_SETS, family_for
+
+
+def _count_calls(monkeypatch, name):
+    """Replace spectral.<name> by a wrapper that records its first argument."""
+    real = getattr(spectral, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, name, counted)
+    return calls
 
 
 def _weight_oracle(xi, p, terms=200):
@@ -180,6 +195,57 @@ class TestOrthogonality:
         assert abs(g - target) / target < 1e-6
 
 
+class TestGramTable:
+    def test_one_grid_per_table(self, monkeypatch):
+        fam = family_for(PARAM_SETS[0])
+        labels = partitions_max_weight(2, 4)
+        weights = _count_calls(monkeypatch, "weight_grid")
+        grids = _count_calls(monkeypatch, "evaluate_P_grid")
+        norms = _count_calls(monkeypatch, "norm_Delta")
+        rows = gram_report(labels, fam, QuadSpec(nodes=120))
+        assert len(labels) == 9
+        assert len(rows) == 45
+        assert len(weights) == 1
+        assert len(grids) == 9
+        assert sorted(norms) == sorted(labels)
+
+    @pytest.mark.parametrize(
+        "n, nodes, labels",
+        [(1, 200, [(k,) for k in range(7)]), (2, 120, partitions_max_weight(2, 4))],
+        ids=["n1", "n2"],
+    )
+    def test_matches_per_pair_sum(self, any_params, n, nodes, labels):
+        fam = family_for(any_params)
+        quad = QuadSpec(nodes=nodes, tol=1e-12)
+        points, wgt = quad.grid(n)
+        rho = weight_grid(points, any_params, quad.tol)
+        grids = {lam: evaluate_P_grid(fam.P(lam), points) for lam in labels}
+        rows = gram_report(labels, fam, quad)
+        assert len(rows) == len(labels) * (len(labels) + 1) // 2
+        for row in rows:
+            lam, mu = tuple(row["lambda"]), tuple(row["mu"])
+            ref = float(np.dot(wgt, grids[lam] * grids[mu] * rho)) / math.factorial(n)
+            assert abs(row["value"] - ref) <= 1e-15
+
+    def test_gram_is_a_table_entry(self):
+        p = PARAM_SETS[1]
+        fam = family_for(p)
+        quad = QuadSpec(nodes=120)
+        rows = gram_report([(1, 0), (2, 1)], fam, quad)
+        assert gram((1, 0), (2, 1), fam, quad) == rows[1]["value"]
+        assert gram((2, 1), (2, 1), fam, quad) == rows[2]["value"]
+
+    def test_mixed_rank_rejected(self):
+        fam = family_for(PARAM_SETS[0])
+        with pytest.raises(ParamDomainError, match=r"mixed rank \[1, 2\]"):
+            gram_report([(1,), (1, 0)], fam, QuadSpec(nodes=20))
+        with pytest.raises(ParamDomainError, match="mixed rank"):
+            gram((1,), (1, 0), fam, QuadSpec(nodes=20))
+
+    def test_empty_labels(self):
+        assert gram_report([], family_for(PARAM_SETS[0]), QuadSpec(nodes=20)) == []
+
+
 class TestFourier:
     def test_forward_of_ground_delta(self):
         p = PARAM_SETS[0]
@@ -238,6 +304,28 @@ class TestConjugated:
             for n, l in [(1, 1), (2, 1), (2, 2)]:
                 mat = conjugated_H_matrix(l, 4, p, n=n).matrix
                 assert np.array_equal(mat, mat.T)
+
+    def test_one_norm_ratio_per_label(self, monkeypatch):
+        ratios = _count_calls(monkeypatch, "norm_ratio")
+        conj = conjugated_H_matrix(1, 12, PARAM_SETS[0], n=2)
+        assert len(conj.labels) == 49
+        assert sorted(ratios) == sorted(conj.labels)
+
+    def test_scaled_hop_breaks_detailed_balance(self, monkeypatch):
+        real = spectral.hop_terms
+
+        def scaled(l, lam, params):
+            terms = real(l, lam, params)
+            if lam != (1, 0):
+                return terms
+            return tuple(
+                dataclasses.replace(t, coefficient=2 * t.coefficient) if t.target == (2, 0) else t
+                for t in terms
+            )
+
+        monkeypatch.setattr(spectral, "hop_terms", scaled)
+        with pytest.raises(StructureError, match=r"detailed balance fails on hop \(1, 0\) -> \(2, 0\)"):
+            conjugated_H_matrix(1, 4, PARAM_SETS[0], n=2)
 
     def test_rank_required(self):
         with pytest.raises(ParamDomainError):
