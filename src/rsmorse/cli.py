@@ -139,8 +139,12 @@ def _emit(payload, config, csv_rows=None, csv_header=None):
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise ParamDomainError(f"cannot write the report to {config.out}: {reason}") from exc
     else:
         sys.stdout.write(text)
 

@@ -294,6 +294,95 @@ def _monomial_eval_rational(mu, z):
     return Fraction(num, den)
 
 
+# ---------------------------------------------------------------------------
+# signed hops: the one engine behind the coefficients of H_l and Hhat_l
+# ---------------------------------------------------------------------------
+#
+# Both families of integrals read  sum over sites J with signs eps, |J| <= l,
+# of U_{J^c, l-|J|} V_{eps J} T_{eps J}  (van Diejen's form).  Each side
+# supplies a _Factors table of its own and a way to move a label or a
+# point; how a coefficient is assembled from the table lives only here.
+
+
+def _signed_hops(n, l):
+    """Every (J, eps) with |J| <= l, J ascending and eps its signs.
+
+    Ordered as itertools.product((0, 1, -1), repeat=n), 0 meaning the
+    site stays.
+    """
+    for signs in itertools.product((0, 1, -1), repeat=n):
+        J = tuple(j for j, s in enumerate(signs, 1) if s)
+        if len(J) <= l:
+            yield J, tuple(s for s in signs if s)
+
+
+class _Lazy(dict):
+    """A dict that builds a missing entry as build(*key)."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        self[key] = value = self.build(*key)
+        return value
+
+
+class _Factors:
+    """The factors of the hop coefficients at one label or point.
+
+    one[j, s]: one-body factor of site j moved with sign s.
+    mixed[j, s, k]: factor of a moved j against an unmoved k.
+    pair[j, s, k, r, stay]: factor of j and k moved together with signs
+    s and r, in its U form if stay, else in its V form.
+    """
+
+    __slots__ = ("n", "one", "mixed", "pair")
+
+    def __init__(self, n, one, mixed, pair):
+        self.n, self.one, self.mixed, self.pair = n, one, mixed, pair
+
+
+def _hop_product(J, eps, mixed, F, stay):
+    """One-body, mixed (against the sites in mixed) and in-pair product over J."""
+    one, mix, pair = F.one, F.mixed, F.pair
+    out = 1
+    for j, s in zip(J, eps):
+        out *= one[j, s]
+    for j, s in zip(J, eps):
+        for k in mixed:
+            out *= mix[j, s, k]
+    for a in range(len(J)):
+        for b in range(a + 1, len(J)):
+            out *= pair[J[a], eps[a], J[b], eps[b], stay]
+    return out
+
+
+def _stay_sum(K, p, F):
+    """U_{K,p}: (-1)^p times the sum over disjoint I+, I- in K, |I+| + |I-| = p.
+
+    Enumerates |I+| ascending, then I+, then I-; each term is the U form
+    of the hop product over I+ followed by I-, against the rest of K.
+    """
+    if p == 0:
+        return Fraction(1)
+    total = 0
+    for sp in range(p + 1):
+        signs = (1,) * sp + (-1,) * (p - sp)
+        for Ip in itertools.combinations(K, sp):
+            restp = [k for k in K if k not in Ip]
+            for Im in itertools.combinations(restp, p - sp):
+                rest = [k for k in restp if k not in Im]
+                total += _hop_product(Ip + Im, signs, rest, F, True)
+    return (-1) ** p * total
+
+
+def _hop_coefficient(J, eps, l, F):
+    """U_{J^c, l-|J|} V_{eps J}: the coefficient of the hop eps J in the l-th integral."""
+    rest = tuple(k for k in range(1, F.n + 1) if k not in J)
+    return _stay_sum(rest, l - len(J), F) * _hop_product(J, eps, rest, F, False)
+
+
 def elem_sym(k, z):
     """Elementary symmetric polynomial e_k(z); e_0 = 1, 0 for k > len(z)."""
     if k < 0:

@@ -13,6 +13,11 @@ the action is computed by evaluation-interpolation:
 * one held-out point re-checks the interpolated image exactly, so a
   support violation cannot pass silently.
 
+The coefficients at a point come from the signed-hop engine shared with
+the lattice integrals (combinatorics._hop_coefficient), over one factor
+table of the point built per call; this module only says how the
+factors are built and how a hop moves the point.
+
 The matrix of Hhat_l on the monomial basis is built once per
 (l, n, params, seed) and shared: dual_matrix returns a cached DualMatrix
 that holds every row up to some weight and grows on demand, fitting only
@@ -26,13 +31,18 @@ resample with the seed advanced.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import (
     DominanceIdeal,
+    _Factors,
+    _hop_coefficient,
+    _hop_product,
+    _Lazy,
+    _signed_hops,
+    _stay_sum,
     check_partition,
     dominance_leq,
     ideal,
@@ -162,28 +172,29 @@ def _pair_tq(w, stay, params):
     return ((params.t - qw) if stay else (1 - params.t * qw)) / (1 - qw)
 
 
-def _signed_product(I, eps, mixed, z, params, stay):
-    """One-body, mixed and in-pair product of the dual hop coefficients.
+def _point_factors(z, params):
+    """The factor table of the dual hop coefficients at the point z.
 
-    With u = z^eps on I: one-body factors at u_j for j in I; mixed
-    factors of u_j against the unshifted z_k for k in mixed; and for
-    pairs inside I the t-pair factor times the in-pair q-factor of w =
-    u_j u_k, whose numerator is (t - q w) if stay, else (1 - t q w).
+    With u_j = z_j^s: one[j, s] is the one-body factor at u_j;
+    mixed[j, s, k] the t-pair factors of u_j z_k and u_j/z_k; and
+    pair[j, s, k, r, stay] the t-pair factor of w = u_j z_k^r times the
+    in-pair q-factor of w, whose numerator is (t - q w) if stay, else
+    (1 - t q w).  Every entry is built on first use, so a pole surfaces
+    only at a factor a coefficient reads.
     """
-    u = [z[j - 1] ** e for j, e in zip(I, eps)]
-    out = 1
-    for uj in u:
-        out *= _one_body(uj, params)
-    for uj in u:
-        for k in mixed:
-            out *= _pair_t(uj * z[k - 1], params)
-            out *= _pair_t(uj / z[k - 1], params)
-    for a in range(len(u)):
-        for b in range(a + 1, len(u)):
-            w = u[a] * u[b]
-            out *= _pair_t(w, params)
-            out *= _pair_tq(w, stay, params)
-    return out
+
+    def one(j, s):
+        return _one_body(z[j - 1] ** s, params)
+
+    def mixed(j, s, k):
+        u = z[j - 1] ** s
+        return _pair_t(u * z[k - 1], params) * _pair_t(u / z[k - 1], params)
+
+    def pair(j, s, k, r, stay):
+        w = z[j - 1] ** s * z[k - 1] ** r
+        return _pair_t(w, params) * _pair_tq(w, stay, params)
+
+    return _Factors(len(z), _Lazy(one), _Lazy(mixed), _Lazy(pair))
 
 
 def vhat(j, z, params):
@@ -239,7 +250,7 @@ def vhat_signed(J, eps, z, params):
     z = tuple(z)
     J = tuple(J)
     outside = [k for k in range(1, len(z) + 1) if k not in J]
-    return _signed_product(J, eps, outside, z, params, stay=False)
+    return _hop_product(J, tuple(eps), outside, _point_factors(z, params), False)
 
 
 def uhat_coeff(K, p, z, params):
@@ -253,14 +264,7 @@ def uhat_coeff(K, p, z, params):
     K = tuple(sorted(K))
     if p < 0:
         raise ParamDomainError(f"order p must be >= 0, got {p}")
-    if p == 0:
-        return Fraction(1)
-    total = 0
-    for I in itertools.combinations(K, p):
-        rest = [k for k in K if k not in I]
-        for eps in itertools.product((1, -1), repeat=p):
-            total += _signed_product(I, eps, rest, z, params, stay=True)
-    return (-1) ** p * total
+    return _stay_sum(K, p, _point_factors(z, params))
 
 
 def dual_terms_at_point(l, z, params):
@@ -268,23 +272,19 @@ def dual_terms_at_point(l, z, params):
 
     The operator acts as sum over subsets J with signs eps of
     Uhat_{J^c, l-|J|}(z) Vhat_{eps J}(z) shifting z_j -> q^(eps_j) z_j
-    for j in J.
+    for j in J; all coefficients read one factor table of z.
     """
     z = tuple(z)
     n = len(z)
     if not 1 <= l <= n:
         raise ParamDomainError(f"level l must satisfy 1 <= l <= {n}, got {l}")
+    F = _point_factors(z, params)
     out = []
-    for size in range(l + 1):
-        for J in itertools.combinations(range(1, n + 1), size):
-            comp = tuple(k for k in range(1, n + 1) if k not in J)
-            ustay = uhat_coeff(comp, l - size, z, params)
-            for eps in itertools.product((1, -1), repeat=size):
-                coeff = ustay * vhat_signed(J, eps, z, params)
-                shifted = list(z)
-                for i, j in enumerate(J):
-                    shifted[j - 1] = shifted[j - 1] * params.q**eps[i]
-                out.append((tuple(shifted), coeff))
+    for J, eps in _signed_hops(n, l):
+        shifted = list(z)
+        for j, s in zip(J, eps):
+            shifted[j - 1] = shifted[j - 1] * params.q**s
+        out.append((tuple(shifted), _hop_coefficient(J, eps, l, F)))
     return out
 
 

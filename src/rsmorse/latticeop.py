@@ -12,8 +12,10 @@ anyway, and tests pin down that consistency.
 Hop tables are built once per (l, lam, params) and shared by every
 caller: hop_terms returns a cached tuple of frozen HopTerms.  Each table
 build, like each U_coeff and V_coeff call, first computes one factor
-table of (lam, params) holding the site powers and the one-body and
-pair factors of that label, and every coefficient reads from it.
+table of (lam, params) holding the one-body and pair factors of that
+label.  The coefficients come from the signed-hop engine shared with the
+dual integrals (combinatorics._hop_coefficient) over that table; this
+module only says how the factors are built and how a hop moves lam.
 
 Sign convention for the square-root prefactors of the hop coefficients:
 sqrt(q*t0/(t1*t2)) = 1/that0 and sqrt(t1*t2/(q*t0)) = that0, which is an
@@ -23,12 +25,19 @@ exact rational on the hatted parameter domain (also for negative that0).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .combinatorics import check_partition, is_partition
+from .combinatorics import (
+    _Factors,
+    _hop_coefficient,
+    _Lazy,
+    _signed_hops,
+    _stay_sum,
+    check_partition,
+    is_partition,
+)
 from .errors import ParamDomainError, PoleError
 
 __all__ = [
@@ -41,7 +50,6 @@ __all__ = [
     "U_coeff",
     "hop_terms",
     "apply_Hl",
-    "apply_Hl_at",
     "epsilon0",
     "commutator_on_delta",
     "morse_vanishing_limit_check",
@@ -166,12 +174,11 @@ def v_minus(lam, j, params):
     return out
 
 
-def _shift(lam, plus=(), minus=()):
+def _shift(lam, J, eps, sign=1):
+    """lam moved by sign * eps_j at each site j of J."""
     vec = list(lam)
-    for j in plus:
-        vec[j - 1] += 1
-    for j in minus:
-        vec[j - 1] -= 1
+    for j, s in zip(J, eps):
+        vec[j - 1] += sign * s
     return tuple(vec)
 
 
@@ -185,17 +192,17 @@ def apply_H(f, params):
     candidates = set(f.values)
     for lam in f.values:
         for j in range(1, n + 1):
-            for tgt in (_shift(lam, plus=[j]), _shift(lam, minus=[j])):
+            for tgt in (_shift(lam, (j,), (1,)), _shift(lam, (j,), (-1,))):
                 if is_partition(tgt):
                     candidates.add(tgt)
     out = {}
     for lam in candidates:
         acc = 0
         for j in range(1, n + 1):
-            up = _shift(lam, plus=[j])
+            up = _shift(lam, (j,), (1,))
             if is_partition(up):
                 acc += v_plus(lam, j, params) * (f[up] - f[lam])
-            dn = _shift(lam, minus=[j])
+            dn = _shift(lam, (j,), (-1,))
             if is_partition(dn):
                 acc += v_minus(lam, j, params) * (f[dn] - f[lam])
         if acc != 0:
@@ -207,104 +214,49 @@ def apply_H(f, params):
 HOP_CACHE_SIZE = 4096
 
 
-class _Factors:
-    """Every factor of the hop coefficients at one label, computed once.
+def _factors(lam, params):
+    """The factor table of the hop coefficients at lam (1-based sites).
 
-    Indices are 1-based sites.  a[j] = q**x_j; up[j] and down[j] are the
-    one-body factors of an up- and a down-hop at j; pair_up[j, k] =
-    (1/t - r)/(1 - r) and pair_down[j, k] = (t - r)/(1 - r) with
-    r = a_j/a_k.  The in-pair q-factors of V and U, for j hopping up and
-    k hopping down, are built on first use: they are the only factors with
-    a pole on the parameter domain (1 - q r = 0, e.g. at q = t**(j-k)
-    when lam_j = lam_k).
+    With a_j = q**x_j and r = a_j/a_k: one-body factors
+    (1/that0)(1 - t1 a_j)(1 - t2 a_j) up and that0 (1 - t0 a_j)(1 - a_j)
+    down; mixed factors (1/t - r)/(1 - r) up and (t - r)/(1 - r) down.
+    In-pair factors are built on first use.  Two hops of sign s give
+    t**(-s) in V and 1 in U.  For j up and k down they give
+    (1 - t r)/(1 - r) times (1/t - q r)/(1 - q r) in V or
+    (1 - q r/t)/(1 - q r) in U: the only factors with a pole on the
+    parameter domain (1 - q r = 0, e.g. at q = t**(j-k) when
+    lam_j = lam_k), raised as a PoleError naming lam and the pair.
     """
+    n = len(lam)
+    t, q = params.t, params.q
+    t0, t1, t2, that0 = params.t0, params.t1, params.t2, params.that0
+    a = [None] + [_site_power(lam, j, params) for j in range(1, n + 1)]
+    one, mixed = {}, {}
+    for j in range(1, n + 1):
+        one[j, 1] = (1 / that0) * (1 - t1 * a[j]) * (1 - t2 * a[j])
+        one[j, -1] = that0 * (1 - t0 * a[j]) * (1 - a[j])
+        for k in range(1, n + 1):
+            if k != j:
+                r = a[j] / a[k]
+                mixed[j, 1, k] = (1 / t - r) / (1 - r)
+                mixed[j, -1, k] = (t - r) / (1 - r)
 
-    def __init__(self, lam, params):
-        n = len(lam)
-        t, q = params.t, params.q
-        t0, t1, t2, that0 = params.t0, params.t1, params.t2, params.that0
-        self.lam, self.n, self.t, self.q = lam, n, t, q
-        self.a = a = [None] + [_site_power(lam, j, params) for j in range(1, n + 1)]
-        self.up = [None] + [(1 / that0) * (1 - t1 * a[j]) * (1 - t2 * a[j]) for j in range(1, n + 1)]
-        self.down = [None] + [that0 * (1 - t0 * a[j]) * (1 - a[j]) for j in range(1, n + 1)]
-        self.pair_up, self.pair_down = {}, {}
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if k != j:
-                    r = a[j] / a[k]
-                    self.pair_up[j, k] = (1 / t - r) / (1 - r)
-                    self.pair_down[j, k] = (t - r) / (1 - r)
-        self._v_in = {}
-        self._u_in = {}
-
-    def _ratio(self, j, k, factor):
-        """r = a_j/a_k for an in-pair factor; PoleError when 1 - q r = 0."""
-        r = self.a[j] / self.a[k]
-        if 1 - self.q * r == 0:
+    def pair(j, s, k, sk, stay):
+        if s == sk:
+            return 1 if stay else t**-s
+        if s < 0:
+            j, k = k, j
+        r = a[j] / a[k]
+        if 1 - q * r == 0:
+            factor = "(1 - q r/t)/(1 - q r)" if stay else "(1/t - q r)/(1 - q r)"
             raise PoleError(
-                f"pole of H_l at lam={self.lam}: the factor {factor} of the pair "
+                f"pole of H_l at lam={lam}: the factor {factor} of the pair "
                 f"(j, k) = ({j}, {k}) divides by 1 - q a_j/a_k = 0"
             )
-        return r
+        head = (1 - q * r / t) if stay else (1 / t - q * r)
+        return (1 - t * r) / (1 - r) * head / (1 - q * r)
 
-    def v_in(self, j, k):
-        """(1 - t r)/(1 - r) (1/t - q r)/(1 - q r) for j in J+, k in J-."""
-        if (j, k) not in self._v_in:
-            t, q, r = self.t, self.q, self._ratio(j, k, "(1/t - q r)/(1 - q r)")
-            self._v_in[j, k] = (1 - t * r) / (1 - r) * (1 / t - q * r) / (1 - q * r)
-        return self._v_in[j, k]
-
-    def u_in(self, j, k):
-        """(1 - t r)/(1 - r) (1 - q r/t)/(1 - q r) for j in I+, k in I-."""
-        if (j, k) not in self._u_in:
-            t, q, r = self.t, self.q, self._ratio(j, k, "(1 - q r/t)/(1 - q r)")
-            self._u_in[j, k] = (1 - t * r) / (1 - r) * (1 - q * r / t) / (1 - q * r)
-        return self._u_in[j, k]
-
-
-def _v(Jp, Jm, F):
-    p, m = len(Jp), len(Jm)
-    out = F.t ** ((-p * (p - 1) + m * (m - 1)) // 2)
-    for j in Jp:
-        out *= F.up[j]
-    for j in Jm:
-        out *= F.down[j]
-    rest = [k for k in range(1, F.n + 1) if k not in Jp and k not in Jm]
-    for j in Jp:
-        for k in Jm:
-            out *= F.v_in(j, k)
-        for k in rest:
-            out *= F.pair_up[j, k]
-    for j in Jm:
-        for k in rest:
-            out *= F.pair_down[j, k]
-    return out
-
-
-def _u(K, p, F):
-    if p == 0:
-        return Fraction(1)
-    total = 0
-    for sp in range(p + 1):
-        for Ip in itertools.combinations(K, sp):
-            restp = [k for k in K if k not in Ip]
-            for Im in itertools.combinations(restp, p - sp):
-                rest = [k for k in restp if k not in Im]
-                term = 1
-                for j in Ip:
-                    term *= F.up[j]
-                for j in Im:
-                    term *= F.down[j]
-                for j in Ip:
-                    for k in Im:
-                        term *= F.u_in(j, k)
-                    for k in rest:
-                        term *= F.pair_up[j, k]
-                for j in Im:
-                    for k in rest:
-                        term *= F.pair_down[j, k]
-                total += term
-    return (-1) ** p * total
+    return _Factors(n, one, mixed, _Lazy(pair))
 
 
 def V_coeff(Jplus, Jminus, lam, params):
@@ -316,7 +268,9 @@ def V_coeff(Jplus, Jminus, lam, params):
         raise ParamDomainError(f"J+ and J- must be disjoint, got {Jp} and {Jm}")
     for j in Jp + Jm:
         _check_index(lam, j)
-    return _v(Jp, Jm, _Factors(lam, params))
+    # U_{rest, 0} = 1, so the coefficient at level |J+| + |J-| is V alone
+    signs = (1,) * len(Jp) + (-1,) * len(Jm)
+    return _hop_coefficient(Jp + Jm, signs, len(signs), _factors(lam, params))
 
 
 def U_coeff(K, p, lam, params):
@@ -331,7 +285,7 @@ def U_coeff(K, p, lam, params):
     K = tuple(sorted(set(K)))
     for j in K:
         _check_index(lam, j)
-    return _u(K, p, _Factors(lam, params))
+    return _stay_sum(K, p, _factors(lam, params))
 
 
 @dataclass(frozen=True)
@@ -360,19 +314,15 @@ def hop_terms(l, lam, params):
 
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)
 def _hop_table(l, lam, params):
-    F = _Factors(lam, params)
-    n = len(lam)
+    F = _factors(lam, params)
     out = []
-    for assign in itertools.product((0, 1, 2), repeat=n):
-        Jp = tuple(j for j in range(1, n + 1) if assign[j - 1] == 1)
-        Jm = tuple(j for j in range(1, n + 1) if assign[j - 1] == 2)
-        if len(Jp) + len(Jm) > l:
-            continue
-        target = _shift(lam, plus=Jp, minus=Jm)
+    for J, eps in _signed_hops(len(lam), l):
+        target = _shift(lam, J, eps)
         if not is_partition(target):
             continue
-        comp = tuple(j for j in range(1, n + 1) if assign[j - 1] == 0)
-        coeff = _u(comp, l - len(Jp) - len(Jm), F) * _v(Jp, Jm, F)
+        Jp = tuple(j for j, s in zip(J, eps) if s > 0)
+        Jm = tuple(j for j, s in zip(J, eps) if s < 0)
+        coeff = _hop_coefficient(J, eps, l, F)
         out.append(HopTerm(Jplus=Jp, Jminus=Jm, target=target, coefficient=coeff))
     return tuple(out)
 
@@ -381,37 +331,26 @@ def _hop_table(l, lam, params):
 hop_terms.cache_info = _hop_table.cache_info
 
 
-def apply_Hl_at(l, f, lam, params):
-    """Value of (H_l f) at the single partition lam."""
-    acc = 0
-    for term in hop_terms(l, lam, params):
-        fv = f[term.target]
-        if fv != 0:
-            acc += term.coefficient * fv
-    return acc
-
-
 def apply_Hl(l, f, params):
     """Apply the l-th commuting integral H_l to a lattice function."""
     n = f.n
     if not 1 <= l <= n:
         raise ParamDomainError(f"level l must satisfy 1 <= l <= {n}, got {l}")
+    hops = list(_signed_hops(n, l))
     candidates = set()
-    shifts = []
-    for assign in itertools.product((0, 1, 2), repeat=n):
-        Jp = tuple(j for j in range(1, n + 1) if assign[j - 1] == 1)
-        Jm = tuple(j for j in range(1, n + 1) if assign[j - 1] == 2)
-        if len(Jp) + len(Jm) <= l:
-            shifts.append((Jp, Jm))
     for nu in f.values:
-        for Jp, Jm in shifts:
-            # source lam maps to nu when lam + e_{J+} - e_{J-} = nu
-            src = _shift(nu, plus=Jm, minus=Jp)
+        for J, eps in hops:
+            # source lam maps to nu when lam moved by eps J is nu
+            src = _shift(nu, J, eps, -1)
             if is_partition(src):
                 candidates.add(src)
     out = {}
     for lam in sorted(candidates):
-        acc = apply_Hl_at(l, f, lam, params)
+        acc = 0
+        for term in hop_terms(l, lam, params):
+            fv = f[term.target]
+            if fv != 0:
+                acc += term.coefficient * fv
         if acc != 0:
             out[lam] = acc
     return LatticeFunction(n, out)

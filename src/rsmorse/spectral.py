@@ -9,6 +9,7 @@ an infinite product or an integral is genuinely required.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -195,10 +196,15 @@ class QuadSpec:
     nodes: int
     tol: float = 1e-12
 
-    def grid(self, n):
+    @functools.cached_property
+    def _rule(self):
+        """Nodes and weights of the 1-D rule on [0, pi], solved once per instance."""
         u, w = np.polynomial.legendre.leggauss(self.nodes)
-        x = (u + 1.0) * (math.pi / 2.0)
-        wx = w * (math.pi / 2.0)
+        return (u + 1.0) * (math.pi / 2.0), w * (math.pi / 2.0)
+
+    def grid(self, n):
+        """Fresh (points, weights) arrays of the n-fold tensor rule."""
+        x, wx = self._rule
         axes = np.meshgrid(*([x] * n), indexing="ij")
         points = np.stack([a.reshape(-1) for a in axes], axis=-1)
         wgt = np.ones(points.shape[0])
@@ -404,6 +410,9 @@ def evolve(initial, time, cutoff, params, n=None, l=1):
         if not values:
             raise ParamDomainError("cannot infer rank from an empty state")
         n = len(next(iter(values)))
+    for lam in values:
+        if len(lam) != n:
+            raise ParamDomainError(f"initial support {lam} has rank {len(lam)}, not the rank n={n}")
     conj = conjugated_H_matrix(l, cutoff, params, n=n)
     index = {lam: i for i, lam in enumerate(conj.labels)}
     for lam in values:

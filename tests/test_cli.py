@@ -152,6 +152,15 @@ class TestConfigHandling:
         assert len(err.strip().splitlines()) == 1
         assert "configuration error" in err
 
+    @pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no-such-dir", "a-directory"])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, target):
+        argv = ["poly", "--n", "1", "--max-weight", "1", "--out", str(tmp_path / target)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("configuration error: cannot write the report")
+
     def test_config_file_sets_time(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("time = 0.5\n")

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,24 +17,30 @@ from rsmorse.dualop import (
     matrix_in_monomial_basis,
     uhat_coeff,
     vhat,
+    vhat_signed,
 )
 from rsmorse.errors import ParamDomainError, PoleError, StructureError
 
 from conftest import PARAM_SETS
 
 
-def _vhat_literal(j, z, p):
-    zj = z[j - 1]
+def _one_literal(u, p):
     num = Fraction(1)
     for th in p.that:
-        num *= 1 - th * zj
-    out = num / ((1 - zj * zj) * (1 - p.q * zj * zj))
+        num *= 1 - th * u
+    return num / ((1 - u * u) * (1 - p.q * u * u))
+
+
+def _pt_literal(w, p):
+    return (1 - p.t * w) / (1 - w)
+
+
+def _vhat_literal(j, z, p):
+    zj = z[j - 1]
+    out = _one_literal(zj, p)
     for k in range(1, len(z) + 1):
-        if k == j:
-            continue
-        zk = z[k - 1]
-        out *= (1 - p.t * zj * zk) / (1 - zj * zk)
-        out *= (1 - p.t * zj / zk) / (1 - zj / zk)
+        if k != j:
+            out *= _pt_literal(zj * z[k - 1], p) * _pt_literal(zj / z[k - 1], p)
     return out
 
 
@@ -120,6 +127,68 @@ class TestPointwiseRoutes:
             uhat_coeff((1,), -1, z, p)
 
 
+class TestClosedForms:
+    """Coefficients with two moved coordinates against formulas written out here."""
+
+    POINTS = [(Fraction(5, 2), Fraction(3, 7)), (Fraction(5, 3), Fraction(-2, 11), Fraction(7, 13))]
+
+    def test_vhat_signed_pairs(self):
+        for p in PARAM_SETS:
+            for z in self.POINTS:
+                n = len(z)
+                for j, k in itertools.combinations(range(1, n + 1), 2):
+                    for ej, ek in itertools.product((1, -1), repeat=2):
+                        uj, uk = z[j - 1] ** ej, z[k - 1] ** ek
+                        w = uj * uk
+                        expected = _one_literal(uj, p) * _one_literal(uk, p)
+                        for m in range(1, n + 1):
+                            if m not in (j, k):
+                                zm = z[m - 1]
+                                for u in (uj, uk):
+                                    expected *= _pt_literal(u * zm, p) * _pt_literal(u / zm, p)
+                        expected *= _pt_literal(w, p) * (1 - p.t * p.q * w) / (1 - p.q * w)
+                        assert vhat_signed((j, k), (ej, ek), z, p) == expected
+
+    def test_uhat_first_order(self):
+        for p in PARAM_SETS:
+            for z in self.POINTS:
+                n = len(z)
+                for size in range(1, n + 1):
+                    for K in itertools.combinations(range(1, n + 1), size):
+                        expected = 0
+                        for j in K:
+                            for e in (1, -1):
+                                u = z[j - 1] ** e
+                                term = _one_literal(u, p)
+                                for m in K:
+                                    if m != j:
+                                        term *= _pt_literal(u * z[m - 1], p) * _pt_literal(u / z[m - 1], p)
+                                expected += term
+                        assert uhat_coeff(K, 1, z, p) == -expected
+
+
+class TestFactorTable:
+    def test_each_factor_evaluated_once_per_point(self, monkeypatch):
+        counts = {"_one_body": 0, "_pair_t": 0, "_pair_tq": 0}
+        for name in counts:
+            real = getattr(dualop, name)
+
+            def counting(*args, name=name, real=real):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(dualop, name, counting)
+        p = PARAM_SETS[0]
+        z = generic_points(3, 1, p, seed=5)[0]
+        terms = dualop.dual_terms_at_point(3, z, p)
+        assert len(terms) == 27
+        # 2n one-body arguments z_j^(+-1); 2n(n-1) mixed and 4 n(n-1)/2
+        # in-pair products, the latter in a U and a V form
+        assert counts["_one_body"] == 6
+        assert counts["_pair_t"] <= 48
+        assert counts["_pair_tq"] <= 24
+
+
 class TestGenericPoints:
     def test_deterministic(self):
         p = PARAM_SETS[0]
@@ -174,12 +243,13 @@ class TestApplyHhat:
         # break W-invariance of the hop coefficients; the held-out
         # interpolation check must refuse the fitted image
         p = PARAM_SETS[0]
-        real = dualop.vhat_signed
+        real = dualop.dual_terms_at_point
 
-        def crooked(J, eps, z, params):
-            return real(J, eps, z, params) * (1 + z[0])
+        def crooked(l, z, params):
+            z = tuple(z)
+            return [(zz, c * (1 + z[0]) if zz != z else c) for zz, c in real(l, z, params)]
 
-        monkeypatch.setattr(dualop, "vhat_signed", crooked)
+        monkeypatch.setattr(dualop, "dual_terms_at_point", crooked)
         # a matrix already held would answer without fitting anything
         dual_matrix.cache_clear()
         try:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -170,6 +172,82 @@ class TestHigherIntegrals:
     def test_level_out_of_range(self):
         with pytest.raises(ParamDomainError):
             apply_Hl(3, LatticeFunction.delta((1, 0)), PARAM_SETS[0])
+
+
+def _literal_table(lam, p):
+    """a_j = q**x_j, the one-body factors up/down and the mixed factors, written out."""
+    n = len(lam)
+    a = {j: p.t ** (n - j) * p.q ** lam[j - 1] for j in range(1, n + 1)}
+    up = {j: (1 - p.t1 * a[j]) * (1 - p.t2 * a[j]) / p.that0 for j in a}
+    down = {j: p.that0 * (1 - p.t0 * a[j]) * (1 - a[j]) for j in a}
+
+    def mix_up(j, k):
+        r = a[j] / a[k]
+        return (1 / p.t - r) / (1 - r)
+
+    def mix_down(j, k):
+        r = a[j] / a[k]
+        return (p.t - r) / (1 - r)
+
+    return a, up, down, mix_up, mix_down
+
+
+class TestClosedForms:
+    """Coefficients with two hopping sites against formulas written out here."""
+
+    LABELS = [(2, 0), (3, 1), (2, 1, 0), (3, 1, 1)]
+
+    def test_V_two_sites(self):
+        for p in PARAM_SETS:
+            t, q = p.t, p.q
+            for lam in self.LABELS:
+                n = len(lam)
+                a, up, down, mix_up, mix_down = _literal_table(lam, p)
+                for j, k in itertools.permutations(range(1, n + 1), 2):
+                    rest = [m for m in range(1, n + 1) if m not in (j, k)]
+                    r = a[j] / a[k]
+                    cases = {
+                        ((j, k), ()): up[j] * up[k] / t,
+                        ((), (j, k)): down[j] * down[k] * t,
+                        ((j,), (k,)): up[j] * down[k] * (1 - t * r) / (1 - r) * (1 / t - q * r) / (1 - q * r),
+                    }
+                    for (Jp, Jm), expected in cases.items():
+                        for m in rest:
+                            for i in Jp:
+                                expected *= mix_up(i, m)
+                            for i in Jm:
+                                expected *= mix_down(i, m)
+                        assert V_coeff(Jp, Jm, lam, p) == expected, (lam, Jp, Jm)
+
+    def test_U_first_and_second_order(self):
+        for p in PARAM_SETS:
+            t, q = p.t, p.q
+            for lam in self.LABELS:
+                n = len(lam)
+                a, up, down, mix_up, mix_down = _literal_table(lam, p)
+                for size in range(1, n + 1):
+                    for K in itertools.combinations(range(1, n + 1), size):
+                        first = 0
+                        for j in K:
+                            others = [m for m in K if m != j]
+                            first += up[j] * math.prod(mix_up(j, m) for m in others)
+                            first += down[j] * math.prod(mix_down(j, m) for m in others)
+                        assert U_coeff(K, 1, lam, p) == -first
+                        second = 0
+                        for j, k in itertools.combinations(K, 2):
+                            rest = [m for m in K if m not in (j, k)]
+                            second += up[j] * up[k] * math.prod(mix_up(i, m) for i in (j, k) for m in rest)
+                            second += down[j] * down[k] * math.prod(
+                                mix_down(i, m) for i in (j, k) for m in rest
+                            )
+                        for j, k in itertools.permutations(K, 2):
+                            rest = [m for m in K if m not in (j, k)]
+                            r = a[j] / a[k]
+                            term = up[j] * down[k] * (1 - t * r) / (1 - r) * (1 - q * r / t) / (1 - q * r)
+                            for m in rest:
+                                term *= mix_up(j, m) * mix_down(k, m)
+                            second += term
+                        assert U_coeff(K, 2, lam, p) == second, (lam, K)
 
 
 class TestHopTableMemo:

@@ -159,6 +159,26 @@ class TestNorms:
         assert norm_Delta((0,), p).ratio == 1
 
 
+class TestQuadSpec:
+    def test_rule_solved_once_per_instance(self, monkeypatch):
+        calls = []
+        real = np.polynomial.legendre.leggauss
+
+        def counting(deg):
+            calls.append(deg)
+            return real(deg)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        quad = QuadSpec(nodes=17)
+        points, wgt = quad.grid(2)
+        wgt *= 0.0
+        again, wgt2 = quad.grid(2)
+        assert calls == [17]
+        assert np.array_equal(points, again)
+        assert abs(wgt2.sum() - math.pi**2) < 1e-12
+        assert quad == QuadSpec(nodes=17) and hash(quad) == hash(QuadSpec(nodes=17))
+
+
 class TestOrthogonality:
     def test_single_variable_norm(self):
         p = PARAM_SETS[0]
@@ -374,6 +394,10 @@ class TestEvolve:
     def test_support_beyond_cutoff_rejected(self):
         with pytest.raises(ParamDomainError):
             evolve({(5,): 1.0}, 1.0, 3, PARAM_SETS[0], n=1)
+
+    def test_rank_mismatch_names_both_ranks(self):
+        with pytest.raises(ParamDomainError, match=r"\(0, 0\) has rank 2, not the rank n=1"):
+            evolve({(0, 0): 1.0}, 1.0, 4, PARAM_SETS[0], n=1)
 
     def test_boundary_support_warns(self):
         with pytest.warns(RuntimeWarning, match="leakage"):
