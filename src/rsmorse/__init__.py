@@ -7,7 +7,6 @@ every identity exposed as a checkable residual.
 """
 
 from .combinatorics import (
-    DominanceIdeal,
     SignedPermutation,
     dominance_leq,
     eval_E,
@@ -23,7 +22,6 @@ from .combinatorics import (
 )
 from .dualop import (
     InvariantPolynomial,
-    TriangularMatrix,
     apply_dual_h_pointwise,
     apply_Hhat_l,
     dual_hl_pointwise,

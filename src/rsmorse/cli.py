@@ -112,6 +112,8 @@ class RunConfig:
         self.format = pick("format")
         if self.format not in ("json", "csv"):
             raise ParamDomainError(f"format must be json or csv, got {self.format}")
+        if self.format == "csv" and args.command == "evolve":
+            raise ParamDomainError("evolve writes JSON only; format csv is not supported")
         self.force = bool(getattr(args, "force", False))
         self.time = float(pick("time"))
         if not (math.isfinite(self.time) and self.time >= 0):
@@ -127,14 +129,17 @@ class RunConfig:
         }
 
 
-def _emit(payload, config, csv_rows=None, csv_header=None):
-    """Write the report; CSV only for row-shaped payloads."""
-    if config.format == "csv" and csv_rows is not None:
+def _emit(payload, config, rows=None):
+    """Write the report; CSV only for row-shaped payloads.
+
+    rows is a list of dicts with the same keys: the keys of the first
+    row are the CSV header, each row one line.
+    """
+    if config.format == "csv" and rows is not None:
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(csv_header)
-        for row in csv_rows:
-            writer.writerow(row)
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else [])
+        writer.writeheader()
+        writer.writerows(rows)
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -168,11 +173,8 @@ def cmd_poly(config):
         "count": len(tables),
         "tables": tables,
     }
-    rows = []
-    for tab in tables:
-        for entry in tab["coeffs"]:
-            rows.append((tab["lambda"], entry["mu"], entry["value"]))
-    _emit(payload, config, csv_rows=rows, csv_header=("lambda", "mu", "value"))
+    rows = [{"lambda": tab["lambda"], **entry} for tab in tables for entry in tab["coeffs"]]
+    _emit(payload, config, rows)
     return 0
 
 
@@ -233,7 +235,7 @@ def commute_cases(params, labels, root, seed):
     n = len(root)
     if n < 2:  # no pair l < m, so no matrix to build
         return cases
-    mats = {l: matrix_in_monomial_basis(l, root, params, seed).dense() for l in range(1, n + 1)}
+    mats = {l: matrix_in_monomial_basis(l, root, params, seed) for l in range(1, n + 1)}
     for l in range(1, n + 1):
         for m in range(l + 1, n + 1):
             ok = _matmul(mats[l], mats[m]) == _matmul(mats[m], mats[l])
@@ -346,8 +348,7 @@ def cmd_verify(config, suite):
         "failed": failed,
         "ok": failed == 0,
     }
-    rows = [(c["case"], c["pass"], c["detail"]) for c in cases]
-    _emit(payload, config, csv_rows=rows, csv_header=("case", "pass", "detail"))
+    _emit(payload, config, cases)
     return 0 if failed == 0 else 1
 
 
@@ -362,16 +363,7 @@ def cmd_ortho(config):
     for row in rows:
         row["warn"] = row["rel_err"] > config.tol
     payload = {"config": config.describe(), "nodes": nodes, "rows": rows}
-    csv_rows = [
-        (r["lambda"], r["mu"], r["value"], r["target"], r["abs_err"], r["rel_err"], r["warn"])
-        for r in rows
-    ]
-    _emit(
-        payload,
-        config,
-        csv_rows=csv_rows,
-        csv_header=("lambda", "mu", "value", "target", "abs_err", "rel_err", "warn"),
-    )
+    _emit(payload, config, rows)
     return 0
 
 
@@ -398,15 +390,7 @@ def cmd_scatter(config):
             }
         )
     payload = {"config": config.describe(), "rows": rows}
-    csv_rows = [
-        (r["xi"], r["re"], r["im"], r["arg"], r["abs_dev"], r["branch_dev"]) for r in rows
-    ]
-    _emit(
-        payload,
-        config,
-        csv_rows=csv_rows,
-        csv_header=("xi", "re", "im", "arg", "abs_dev", "branch_dev"),
-    )
+    _emit(payload, config, rows)
     return 0
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "check_partition",
     "dominance_leq",
     "total_order_key",
-    "DominanceIdeal",
     "ideal",
     "partitions_max_weight",
     "SignedPermutation",
@@ -101,29 +100,10 @@ def partitions_max_weight(n, max_weight):
     return out
 
 
-@dataclass(frozen=True)
-class DominanceIdeal:
-    """The set {mu : mu <= root} ordered by the graded-lex total order."""
-
-    root: tuple
-    members: tuple
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, mu):
-        return mu in set(self.members)
-
-
 def ideal(lam):
-    """Dominance ideal of lam as an ordered DominanceIdeal."""
+    """Dominance ideal {mu : mu <= lam} as a tuple in graded-lex order."""
     lam = check_partition(lam)
-    n = len(lam)
-    members = [mu for mu in partitions_max_weight(n, sum(lam)) if dominance_leq(mu, lam)]
-    return DominanceIdeal(root=lam, members=tuple(members))
+    return tuple(mu for mu in partitions_max_weight(len(lam), sum(lam)) if dominance_leq(mu, lam))
 
 
 def merged_ideal(roots):
@@ -335,12 +315,14 @@ class _Factors:
     mixed[j, s, k]: factor of a moved j against an unmoved k.
     pair[j, s, k, r, stay]: factor of j and k moved together with signs
     s and r, in its U form if stay, else in its V form.
+    stay[K, p]: U_{K,p}, filled by _hop_coefficient on first use.
     """
 
-    __slots__ = ("n", "one", "mixed", "pair")
+    __slots__ = ("n", "one", "mixed", "pair", "stay")
 
     def __init__(self, n, one, mixed, pair):
         self.n, self.one, self.mixed, self.pair = n, one, mixed, pair
+        self.stay = {}
 
 
 def _hop_product(J, eps, mixed, F, stay):
@@ -380,7 +362,11 @@ def _stay_sum(K, p, F):
 def _hop_coefficient(J, eps, l, F):
     """U_{J^c, l-|J|} V_{eps J}: the coefficient of the hop eps J in the l-th integral."""
     rest = tuple(k for k in range(1, F.n + 1) if k not in J)
-    return _stay_sum(rest, l - len(J), F) * _hop_product(J, eps, rest, F, False)
+    key = (rest, l - len(J))
+    u = F.stay.get(key)
+    if u is None:
+        u = F.stay[key] = _stay_sum(rest, key[1], F)
+    return u * _hop_product(J, eps, rest, F, False)
 
 
 def elem_sym(k, z):

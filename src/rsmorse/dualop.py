@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import (
-    DominanceIdeal,
     _Factors,
     _hop_coefficient,
     _hop_product,
@@ -55,7 +54,6 @@ from .linalg import solve_exact
 
 __all__ = [
     "InvariantPolynomial",
-    "MonomialCache",
     "vhat",
     "apply_dual_h_pointwise",
     "dual_hl_pointwise",
@@ -65,7 +63,6 @@ __all__ = [
     "DualMatrix",
     "dual_matrix",
     "apply_Hhat_l",
-    "TriangularMatrix",
     "matrix_in_monomial_basis",
 ]
 
@@ -116,9 +113,10 @@ class InvariantPolynomial:
         return self.plus(other.scaled(-1))
 
     def evaluate(self, z, cache=None):
+        """p(z); cache, if given, is an m_mu(z) memo read as cache[mu, z]."""
         total = 0
         for mu, c in self.coeffs.items():
-            m = cache.eval(mu, z) if cache is not None else monomial_eval(mu, z)
+            m = cache[mu, z] if cache is not None else monomial_eval(mu, z)
             total = total + c * m
         return total
 
@@ -131,21 +129,6 @@ class InvariantPolynomial:
     @classmethod
     def from_json(cls, n, rows):
         return cls(n=n, coeffs={tuple(r["mu"]): Fraction(r["value"]) for r in rows})
-
-
-class MonomialCache:
-    """Memoized invariant-monomial evaluations keyed by (mu, point)."""
-
-    def __init__(self):
-        self._store = {}
-
-    def eval(self, mu, z):
-        key = (mu, z)
-        got = self._store.get(key)
-        if got is None:
-            got = monomial_eval(mu, z)
-            self._store[key] = got
-        return got
 
 
 def _one_body(u, params):
@@ -338,75 +321,38 @@ def generic_points(n, count, params, seed):
     return points
 
 
-@dataclass
-class TriangularMatrix:
-    """Action of a dual integral on the monomial basis of an ideal.
+def _interpolate(l, n, support, new, params, seed):
+    """Rows of Hhat_l on the monomials m_mu, mu in new, over the labels support.
 
-    entries[(mu, nu)] = coefficient of m_nu in Hhat_l m_mu; every entry
-    has nu <= mu in dominance, as checked when the rows were fitted.
+    Hhat_l m_mu is evaluated at len(support) + 1 generic points: the
+    first len(support) fix its coefficients on support by an exact
+    solve, the last re-checks the fit.  Returns {mu: {nu: coefficient}}
+    with zero coefficients dropped.
     """
-
-    root: tuple
-    basis: DominanceIdeal
-    entries: dict
-
-    def entry(self, mu, nu):
-        return self.entries.get((tuple(mu), tuple(nu)), Fraction(0))
-
-    def diagonal(self, mu):
-        return self.entry(mu, mu)
-
-    def dense(self):
-        members = self.basis.members
-        return [[self.entry(mu, nu) for nu in members] for mu in members]
-
-    def to_json(self):
-        rows = []
-        for (mu, nu), c in sorted(
-            self.entries.items(), key=lambda kv: (total_order_key(kv[0][0]), total_order_key(kv[0][1]))
-        ):
-            rows.append({"mu": list(mu), "nu": list(nu), "value": str(c)})
-        return rows
-
-
-def _interpolate(l, n, support, rhs_functions, params, seed):
-    """Shared evaluation-interpolation engine.
-
-    rhs_functions: list of callables p_eval(z) giving the polynomial to
-    which Hhat_l is applied, evaluated at a rational point.  Returns the
-    coefficient matrix X with X[k][i] = coefficient of support[i] in
-    Hhat_l applied to the k-th function, plus the held-out diagnostics.
-    """
-    support = list(support)
-    cache = MonomialCache()
+    cache = _Lazy(monomial_eval)
     for attempt in range(MAX_RESAMPLE_ATTEMPTS):
         try:
             pts = generic_points(n, len(support) + 1, params, seed + 1009 * attempt)
-            fit_pts, check_pt = pts[:-1], pts[-1]
-            A = [[cache.eval(nu, z) for nu in support] for z in fit_pts]
-            B = []
-            for z in fit_pts:
+            images = []
+            for z in pts:
                 terms = dual_terms_at_point(l, z, params)
-                B.append([sum(c * f(zz, cache) for zz, c in terms) for f in rhs_functions])
-            X_cols = solve_exact(A, B)
+                images.append([sum(c * cache[mu, zz] for zz, c in terms) for mu in new])
+            A = [[cache[nu, z] for nu in support] for z in pts[:-1]]
+            X = solve_exact(A, images[:-1])
         except (PoleError, SingularMatrixError):
             continue
-        # held-out exactness check at a fresh point
-        try:
-            terms = dual_terms_at_point(l, check_pt, params)
-            direct = [sum(c * f(zz, cache) for zz, c in terms) for f in rhs_functions]
-        except PoleError:
-            continue
-        basis_at_check = [cache.eval(nu, check_pt) for nu in support]
-        for k in range(len(rhs_functions)):
-            fitted = sum(X_cols[i][k] * basis_at_check[i] for i in range(len(support)))
-            if fitted != direct[k]:
+        # held-out exactness check at the last point
+        basis_at_check = [cache[nu, pts[-1]] for nu in support]
+        for k, direct in enumerate(images[-1]):
+            if sum(X[i][k] * basis_at_check[i] for i in range(len(support))) != direct:
                 raise StructureError(
                     "interpolated image disagrees with the operator at a held-out point; "
                     "the image is not supported on the candidate dominance ideal"
                 )
-        X = [[X_cols[i][k] for i in range(len(support))] for k in range(len(rhs_functions))]
-        return X
+        return {
+            mu: {nu: X[i][k] for i, nu in enumerate(support) if X[i][k] != 0}
+            for k, mu in enumerate(new)
+        }
     raise PoleError(
         f"no admissible interpolation point set found after {MAX_RESAMPLE_ATTEMPTS} resamples"
     )
@@ -438,19 +384,10 @@ class DualMatrix:
             return
         box = partitions_max_weight(self.n, weight)
         new = [mu for mu in box if sum(mu) > self.weight]
-        fns = [(lambda z, cache, mu=mu: cache.eval(mu, z)) for mu in new]
-        X = _interpolate(self.l, self.n, box, fns, self.params, self.seed)
-        rows = {}
-        violations = []
-        for mu, coeffs in zip(new, X):
-            row = {}
-            for nu, c in zip(box, coeffs):
-                if c == 0:
-                    continue
-                if not dominance_leq(nu, mu):
-                    violations.append((mu, nu, c))
-                row[nu] = c
-            rows[mu] = row
+        rows = _interpolate(self.l, self.n, box, new, self.params, self.seed)
+        violations = [
+            (mu, nu, c) for mu, row in rows.items() for nu, c in row.items() if not dominance_leq(nu, mu)
+        ]
         if violations:
             raise StructureError(
                 "dual integral acts non-triangularly on the monomial basis: "
@@ -499,14 +436,14 @@ def apply_Hhat_l(l, p, params, seed=0):
 
 
 def matrix_in_monomial_basis(l, root, params, seed=0):
-    """Matrix of Hhat_l on the monomial basis of the ideal of root.
+    """Dense matrix of Hhat_l on the monomial basis of the ideal of root.
 
-    Read from the shared dual_matrix(l, n, params, seed), whose rows are
-    fitted over whole weight boxes and checked for triangularity there.
+    Entry [i][j] is the coefficient of m_nu in Hhat_l m_mu for the i-th
+    mu and j-th nu of ideal(root), in graded-lex order.  Read from the
+    shared dual_matrix(l, n, params, seed), grown to |root| in one step.
     """
     root = check_partition(root)
-    basis = ideal(root)
     mat = dual_matrix(l, len(root), params, seed)
     mat.grow(sum(root))
-    entries = {(mu, nu): c for mu in basis.members for nu, c in mat.rows[mu].items()}
-    return TriangularMatrix(root=root, basis=basis, entries=entries)
+    basis = ideal(root)
+    return [[mat.rows[mu].get(nu, Fraction(0)) for nu in basis] for mu in basis]

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import (
+    _Lazy,
     check_partition,
     cosines_from_point,
     eval_Ehat_l,
     ideal,
-    total_order_key,
+    monomial_eval,
 )
-from .dualop import InvariantPolynomial, MonomialCache, dual_matrix
+from .dualop import InvariantPolynomial, dual_matrix
 from .errors import DegeneracyError
 from .latticeop import hop_terms
 from .qcore import qpoch_finite
@@ -78,7 +79,8 @@ class PolynomialFamily:
     params: object
     seed: int = 0
     _polys: dict = field(default_factory=dict, repr=False)
-    _cache: MonomialCache = field(default_factory=MonomialCache, repr=False)
+    # m_mu(z) memo, read as _monomials[mu, z]
+    _monomials: dict = field(default_factory=lambda: _Lazy(monomial_eval), repr=False)
 
     def row(self, mu):
         """Row {nu: coefficient} of the Hhat_1 monomial matrix at mu."""
@@ -91,9 +93,6 @@ class PolynomialFamily:
             got = build_P(lam, self.params, family=self)
             self._polys[lam] = got
         return got
-
-    def monomial_cache(self):
-        return self._cache
 
 
 def build_P(lam, params, family=None, seed=0):
@@ -108,7 +107,7 @@ def build_P(lam, params, family=None, seed=0):
     if family is None:
         family = PolynomialFamily(params=params, seed=seed)
     # lam comes first, so its row grows the shared matrix to |lam| in one fit
-    members = sorted(ideal(lam).members, key=total_order_key, reverse=True)
+    members = ideal(lam)[::-1]
     rows = {mu: family.row(mu) for mu in members}
     energy = rows[lam].get(lam, Fraction(0))
     coeffs = {lam: Fraction(1)}
@@ -143,7 +142,7 @@ def pieri_residual(l, lam, z, family):
     """
     lam = check_partition(lam)
     params = family.params
-    cache = family.monomial_cache()
+    cache = family._monomials
     total = 0
     for term in hop_terms(l, lam, params):
         total += term.coefficient * family.P(term.target).evaluate(z, cache)

@@ -168,6 +168,26 @@ class TestConfigHandling:
         assert code == 0
         assert [s["time"] for s in json.loads(out)["series"]] == [0.0, 0.25, 0.5]
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_evolve_rejects_csv(self, capsys, tmp_path, monkeypatch, route):
+        # evolve writes JSON only; refused before any evolution starts
+        def no_work(*args, **kwargs):
+            raise AssertionError("evolve ran")
+
+        monkeypatch.setattr("rsmorse.cli.evolve", no_work)
+        argv = ["evolve", "--n", "1", "--max-weight", "4"]
+        if route == "flag":
+            argv += ["--format", "csv"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("format = csv\n")
+            argv += ["--config", str(cfg)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "configuration error" in err
+
 
 class TestPoly:
     def test_trivial_table(self, capsys):
@@ -196,6 +216,23 @@ class TestPoly:
         lines = out.strip().splitlines()
         assert lines[0] == "lambda,mu,value"
         assert len(lines) >= 3
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["verify", "balance", "--n", "1", "--max-weight", "1"], "case,pass,detail"),
+        (["ortho", "--n", "1", "--max-weight", "1"], "lambda,mu,value,target,abs_err,rel_err,warn"),
+        (["scatter", "--n", "1"], "xi,re,im,arg,abs_dev,branch_dev"),
+    ],
+    ids=["verify-balance", "ortho", "scatter"],
+)
+def test_csv_header(capsys, argv, header):
+    code, out, _ = run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == header
+    assert len(lines) >= 2
 
 
 class TestOrtho:

@@ -93,27 +93,27 @@ class TestDominance:
 
 class TestIdeal:
     def test_singleton(self):
-        assert ideal((0, 0)).members == ((0, 0),)
+        assert ideal((0, 0)) == ((0, 0),)
 
     def test_small_examples(self):
-        assert set(ideal((1, 0)).members) == {(0, 0), (1, 0)}
-        assert set(ideal((2, 0)).members) == {(0, 0), (1, 0), (1, 1), (2, 0)}
+        assert set(ideal((1, 0))) == {(0, 0), (1, 0)}
+        assert set(ideal((2, 0))) == {(0, 0), (1, 0), (1, 1), (2, 0)}
 
     def test_downward_closed(self):
         basis = ideal((2, 1, 0))
-        members = set(basis.members)
+        members = set(basis)
         for mu in members:
             for nu in partitions_max_weight(3, sum(mu)):
                 if dominance_leq(nu, mu):
                     assert nu in members
 
     def test_ordering(self):
-        members = ideal((3, 1)).members
+        members = ideal((3, 1))
         assert list(members) == sorted(members, key=total_order_key)
 
     def test_merged_ideal(self):
         got = merged_ideal([(2, 0), (1, 1)])
-        assert set(got) == set(ideal((2, 0)).members) | set(ideal((1, 1)).members)
+        assert set(got) == set(ideal((2, 0))) | set(ideal((1, 1)))
         assert list(got) == sorted(got, key=total_order_key)
 
 
@@ -347,3 +347,40 @@ class TestSpectralEigenvalues:
 
     def test_cosines_from_point(self):
         assert cosines_from_point((Fraction(2),)) == (Fraction(5, 4),)
+
+
+class TestStaySumMemo:
+    """Each U_{K,p} of one factor table is summed once, not once per sign pattern."""
+
+    @staticmethod
+    def _count_sums(monkeypatch):
+        import rsmorse.combinatorics as comb
+
+        real = comb._stay_sum
+        keys = []
+
+        def spy(K, p, F):
+            if p:
+                keys.append((K, p))
+            return real(K, p, F)
+
+        monkeypatch.setattr(comb, "_stay_sum", spy)
+        return keys
+
+    def test_dual_point(self, monkeypatch):
+        from rsmorse.dualop import dual_terms_at_point
+
+        keys = self._count_sums(monkeypatch)
+        z = (Fraction(2, 3), Fraction(5, 7), Fraction(11, 13))
+        dual_terms_at_point(3, z, PARAM_SETS[0])
+        # (1, 2, 3) at p = 3, three pairs at p = 2, three singletons at p = 1
+        assert len(keys) == 7
+        assert len(set(keys)) == 7
+
+    def test_lattice_table(self, monkeypatch):
+        from rsmorse.latticeop import _hop_table
+
+        keys = self._count_sums(monkeypatch)
+        _hop_table.__wrapped__(3, (2, 1, 0), PARAM_SETS[0])
+        assert len(keys) == 7
+        assert len(set(keys)) == 7

@@ -4,11 +4,10 @@ from fractions import Fraction
 import pytest
 
 import rsmorse.dualop as dualop
-from rsmorse.combinatorics import dominance_leq, eval_E_l, ideal, monomial_eval, partitions_max_weight
+from rsmorse.combinatorics import _Lazy, dominance_leq, eval_E_l, ideal, monomial_eval, partitions_max_weight
 from rsmorse.dualop import (
     DualMatrix,
     InvariantPolynomial,
-    MonomialCache,
     apply_Hhat_l,
     apply_dual_h_pointwise,
     dual_hl_pointwise,
@@ -65,7 +64,7 @@ class TestInvariantPolynomial:
         z = (Fraction(2), Fraction(3))
         expected = 2 * monomial_eval((1, 0), z) - 1
         assert poly.evaluate(z) == expected
-        assert poly.evaluate(z, MonomialCache()) == expected
+        assert poly.evaluate(z, _Lazy(monomial_eval)) == expected
 
     def test_json_roundtrip(self):
         poly = InvariantPolynomial(2, {(2, 1): Fraction(-7, 3), (0, 0): Fraction(1, 2)})
@@ -264,33 +263,47 @@ class TestMatrix:
     def test_trivial_root(self):
         p = PARAM_SETS[0]
         mat = matrix_in_monomial_basis(1, (0,), p)
-        assert mat.dense() == [[0]]
-        assert mat.diagonal((0,)) == 0
+        assert mat == [[0]]
 
     def test_single_variable_diagonal(self):
         p = PARAM_SETS[0]
         mat = matrix_in_monomial_basis(1, (2,), p)
-        assert mat.diagonal((0,)) == 0
-        assert mat.diagonal((1,)) == 1 / p.q - 1
-        assert mat.diagonal((2,)) == p.q**-2 - 1
+        # ideal((2,)) is (0,), (1,), (2,)
+        assert mat[0][0] == 0
+        assert mat[1][1] == 1 / p.q - 1
+        assert mat[2][2] == p.q**-2 - 1
 
     def test_triangular_support(self):
         p = PARAM_SETS[1]
+        basis = ideal((2, 1))
         mat = matrix_in_monomial_basis(1, (2, 1), p)
-        for (mu, nu), c in mat.entries.items():
-            assert c != 0
-            assert dominance_leq(nu, mu)
+        for mu, row in zip(basis, mat):
+            for nu, c in zip(basis, row):
+                if not dominance_leq(nu, mu):
+                    assert c == 0
+        # the shared rows hold nonzero entries only
+        assert all(c != 0 for row in dual_matrix(1, 2, p, 0).rows.values() for c in row.values())
 
     def test_top_level_diagonal(self):
         p = PARAM_SETS[0]
         mat = matrix_in_monomial_basis(2, (1, 1), p)
-        for mu in ideal((1, 1)).members:
-            assert mat.diagonal(mu) == eval_E_l(mu, 2, p)
+        for i, mu in enumerate(ideal((1, 1))):
+            assert mat[i][i] == eval_E_l(mu, 2, p)
 
-    def test_json_shape(self):
+    def test_one_fit_per_matrix(self, monkeypatch):
+        # the matrix grows to |root| at once, not one weight per label
         p = PARAM_SETS[0]
-        rows = matrix_in_monomial_basis(1, (1,), p).to_json()
-        assert all(set(r) == {"mu", "nu", "value"} for r in rows)
+        calls = []
+        real = dualop.solve_exact
+
+        def spy(A, B):
+            calls.append(len(A))
+            return real(A, B)
+
+        monkeypatch.setattr(dualop, "solve_exact", spy)
+        dual_matrix.cache_clear()
+        matrix_in_monomial_basis(1, (2, 1), p)
+        assert calls == [len(partitions_max_weight(2, 3))]
 
 
 class TestDualMatrix:
@@ -331,13 +344,12 @@ class TestDualMatrix:
         # the same rows, fitted over one ideal at points of another seed
         for p in PARAM_SETS:
             for l, root in [(1, (3, 1)), (2, (2, 1)), (2, (2, 1, 0))]:
-                members = ideal(root).members
-                fns = [(lambda z, cache, mu=mu: cache.eval(mu, z)) for mu in members]
-                X = dualop._interpolate(l, len(root), members, fns, p, seed=12345)
+                members = ideal(root)
+                rows = dualop._interpolate(l, len(root), members, members, p, seed=12345)
                 mat = dual_matrix(l, len(root), p, 0)
-                for mu, coeffs in zip(members, X):
-                    expected = {nu: c for nu, c in zip(members, coeffs) if c != 0}
-                    assert mat.row(mu) == expected
+                assert list(rows) == list(members)
+                for mu in members:
+                    assert mat.row(mu) == rows[mu]
 
     def test_level_out_of_range(self):
         with pytest.raises(ParamDomainError):

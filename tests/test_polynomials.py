@@ -65,7 +65,7 @@ class TestBuildP:
     def test_support_in_ideal(self):
         p = PARAM_SETS[0]
         poly = family_for(p).P((2, 1))
-        members = set(ideal((2, 1)).members)
+        members = set(ideal((2, 1)))
         assert set(poly.support()) <= members
 
     def test_real_even_on_torus(self):
