@@ -132,12 +132,12 @@ class RunConfig:
 def _emit(payload, config, rows=None):
     """Write the report; CSV only for row-shaped payloads.
 
-    rows is a list of dicts with the same keys: the keys of the first
-    row are the CSV header, each row one line.
+    rows is a non-empty list of dicts with the same keys: the keys of
+    the first row are the CSV header, each row one line.
     """
     if config.format == "csv" and rows is not None:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else [])
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()

@@ -281,8 +281,13 @@ class TestMatrix:
             for nu, c in zip(basis, row):
                 if not dominance_leq(nu, mu):
                     assert c == 0
-        # the shared rows hold nonzero entries only
-        assert all(c != 0 for row in dual_matrix(1, 2, p, 0).rows.values() for c in row.values())
+        # every entry the shared rows hold, also outside the ideal, is
+        # nonzero and dominated by its row label
+        rows = dual_matrix(1, 2, p, 0).rows
+        for mu in basis:
+            for nu, c in rows[mu].items():
+                assert c != 0
+                assert dominance_leq(nu, mu)
 
     def test_top_level_diagonal(self):
         p = PARAM_SETS[0]
