@@ -15,8 +15,11 @@ the action is computed by evaluation-interpolation:
 
 The coefficients at a point come from the signed-hop engine shared with
 the lattice integrals (combinatorics._hop_coefficient), over one factor
-table of the point built per call; this module only says how the
-factors are built and how a hop moves the point.
+table per point, shared by every level and every growth step that reads
+the point; this module only says how the factors are built and how a hop
+moves the point.  The same per-point record keeps the term lists of each
+level and the monomial values at the point and its shifts, so a growth
+step evaluates nothing at the points of the step before.
 
 The matrix of Hhat_l on the monomial basis is built once per
 (l, n, params, seed) and shared: dual_matrix returns a cached DualMatrix
@@ -70,6 +73,9 @@ MAX_RESAMPLE_ATTEMPTS = 32
 
 # Dual-operator matrices kept, one per (l, n, params, seed).
 DUAL_CACHE_SIZE = 64
+
+# Interpolation-point records kept (factor table, term lists, monomial values).
+POINT_CACHE_SIZE = 32
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
@@ -180,6 +186,31 @@ def _point_factors(z, params):
     return _Factors(len(z), _Lazy(one), _Lazy(mixed), _Lazy(pair))
 
 
+class _Point:
+    """What every fit reads at one interpolation point z.
+
+    factors: the factor table of z; terms: {l: term list of Hhat_l at z};
+    mono: m_mu at z and at its shifted points, keyed (mu, point).
+    """
+
+    __slots__ = ("factors", "terms", "mono")
+
+    def __init__(self, z, params):
+        self.factors = _point_factors(z, params)
+        self.terms = {}
+        self.mono = _Lazy(monomial_eval)
+
+
+@functools.lru_cache(maxsize=POINT_CACHE_SIZE)
+def _point(z, params):
+    return _Point(z, params)
+
+
+def _check_sites(sites, n):
+    if len(set(sites)) != len(sites) or not all(1 <= j <= n for j in sites):
+        raise ParamDomainError(f"sites {sites} must be distinct and in 1..{n}")
+
+
 def vhat(j, z, params):
     """One-variable dual hop coefficient vhat_j(z) (1-based j).
 
@@ -232,8 +263,12 @@ def vhat_signed(J, eps, z, params):
     """
     z = tuple(z)
     J = tuple(J)
+    eps = tuple(eps)
+    _check_sites(J, len(z))
+    if len(eps) != len(J) or not all(s in (1, -1) for s in eps):
+        raise ParamDomainError(f"signs {eps} must be one of +-1 per site of {J}")
     outside = [k for k in range(1, len(z) + 1) if k not in J]
-    return _hop_product(J, tuple(eps), outside, _point_factors(z, params), False)
+    return _hop_product(J, eps, outside, _point_factors(z, params), False)
 
 
 def uhat_coeff(K, p, z, params):
@@ -245,6 +280,7 @@ def uhat_coeff(K, p, z, params):
     """
     z = tuple(z)
     K = tuple(sorted(K))
+    _check_sites(K, len(z))
     if p < 0:
         raise ParamDomainError(f"order p must be >= 0, got {p}")
     return _stay_sum(K, p, _point_factors(z, params))
@@ -255,13 +291,14 @@ def dual_terms_at_point(l, z, params):
 
     The operator acts as sum over subsets J with signs eps of
     Uhat_{J^c, l-|J|}(z) Vhat_{eps J}(z) shifting z_j -> q^(eps_j) z_j
-    for j in J; all coefficients read one factor table of z.
+    for j in J; all coefficients read the factor table of z that every
+    level shares.  Returns a new list.
     """
     z = tuple(z)
     n = len(z)
     if not 1 <= l <= n:
         raise ParamDomainError(f"level l must satisfy 1 <= l <= {n}, got {l}")
-    F = _point_factors(z, params)
+    F = _point(z, params).factors
     out = []
     for J, eps in _signed_hops(n, l):
         shifted = list(z)
@@ -327,22 +364,26 @@ def _interpolate(l, n, support, new, params, seed):
     Hhat_l m_mu is evaluated at len(support) + 1 generic points: the
     first len(support) fix its coefficients on support by an exact
     solve, the last re-checks the fit.  Returns {mu: {nu: coefficient}}
-    with zero coefficients dropped.
+    with zero coefficients dropped.  Term lists and monomial values are
+    read from the shared record of each point, so a point still held from
+    another level or an earlier growth step is not evaluated again.
     """
-    cache = _Lazy(monomial_eval)
     for attempt in range(MAX_RESAMPLE_ATTEMPTS):
         try:
             pts = generic_points(n, len(support) + 1, params, seed + 1009 * attempt)
+            recs = [_point(z, params) for z in pts]
             images = []
-            for z in pts:
-                terms = dual_terms_at_point(l, z, params)
-                images.append([sum(c * cache[mu, zz] for zz, c in terms) for mu in new])
-            A = [[cache[nu, z] for nu in support] for z in pts[:-1]]
+            for z, rec in zip(pts, recs):
+                terms = rec.terms.get(l)
+                if terms is None:
+                    terms = rec.terms[l] = dual_terms_at_point(l, z, params)
+                images.append([sum(c * rec.mono[mu, zz] for zz, c in terms) for mu in new])
+            A = [[rec.mono[nu, z] for nu in support] for z, rec in zip(pts[:-1], recs)]
             X = solve_exact(A, images[:-1])
         except (PoleError, SingularMatrixError):
             continue
         # held-out exactness check at the last point
-        basis_at_check = [cache[nu, pts[-1]] for nu in support]
+        basis_at_check = [recs[-1].mono[nu, pts[-1]] for nu in support]
         for k, direct in enumerate(images[-1]):
             if sum(X[i][k] * basis_at_check[i] for i in range(len(support))) != direct:
                 raise StructureError(
@@ -415,9 +456,15 @@ def _dual_matrix(l, n, params, seed):
     return DualMatrix(l, n, params, seed)
 
 
+def _cache_clear():
+    """Forget every held matrix and every point record."""
+    _dual_matrix.cache_clear()
+    _point.cache_clear()
+
+
 # hit and miss counts of the dual-matrix memo
 dual_matrix.cache_info = _dual_matrix.cache_info
-dual_matrix.cache_clear = _dual_matrix.cache_clear
+dual_matrix.cache_clear = _cache_clear
 
 
 def apply_Hhat_l(l, p, params, seed=0):

@@ -126,6 +126,26 @@ class TestPointwiseRoutes:
             uhat_coeff((1,), -1, z, p)
 
 
+class TestSiteValidation:
+    """Bad sites or signs are refused before any factor is read."""
+
+    Z = (Fraction(2), Fraction(3))
+
+    @pytest.mark.parametrize(
+        "J, eps",
+        [((0,), (1,)), ((3,), (1,)), ((1,), (5,)), ((1, 1), (1, 1)), ((1,), (1, -1)), ((1, 2), (1,))],
+        ids=["site-0", "site-above-n", "sign-5", "repeated-site", "extra-sign", "missing-sign"],
+    )
+    def test_vhat_signed_rejects(self, J, eps):
+        with pytest.raises(ParamDomainError):
+            vhat_signed(J, eps, self.Z, PARAM_SETS[0])
+
+    @pytest.mark.parametrize("K", [(0, 1), (1, 3), (2, 2)], ids=["site-0", "site-above-n", "repeated-site"])
+    def test_uhat_coeff_rejects(self, K):
+        with pytest.raises(ParamDomainError):
+            uhat_coeff(K, 1, self.Z, PARAM_SETS[0])
+
+
 class TestClosedForms:
     """Coefficients with two moved coordinates against formulas written out here."""
 
@@ -177,6 +197,8 @@ class TestFactorTable:
                 return real(*args)
 
             monkeypatch.setattr(dualop, name, counting)
+        # count from a cold table, whatever an earlier test evaluated here
+        dual_matrix.cache_clear()
         p = PARAM_SETS[0]
         z = generic_points(3, 1, p, seed=5)[0]
         terms = dualop.dual_terms_at_point(3, z, p)
@@ -196,6 +218,14 @@ class TestGenericPoints:
         assert a == b
         assert len(a) == 4
         assert len(set(a)) == 4
+
+    def test_points_are_prefixes(self):
+        # a growth step reuses the points of the step before
+        for p in PARAM_SETS:
+            for n in (1, 2, 3):
+                for seed in (0, 1, 7, 1009):
+                    for k in (1, 4, 10):
+                        assert generic_points(n, k, p, seed) == generic_points(n, k + 5, p, seed)[:k]
 
     def test_pole_conditions(self):
         p = PARAM_SETS[0]
@@ -359,3 +389,57 @@ class TestDualMatrix:
     def test_level_out_of_range(self):
         with pytest.raises(ParamDomainError):
             dual_matrix(3, 2, PARAM_SETS[0])
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(dualop, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dualop, name, spy)
+    return calls
+
+
+class TestPointMemo:
+    """One record per interpolation point, shared by growth steps and levels."""
+
+    def test_growth_evaluates_only_new_points(self, monkeypatch):
+        p = PARAM_SETS[0]
+        dual_matrix.cache_clear()
+        mat = DualMatrix(1, 2, p, seed=0)
+        mat.grow(2)
+        calls = _count_calls(monkeypatch, "dual_terms_at_point")
+        mat.grow(3)
+        assert len(calls) == len(partitions_max_weight(2, 3)) - len(partitions_max_weight(2, 2))
+
+    def test_levels_share_the_factor_table(self, monkeypatch):
+        p = PARAM_SETS[1]
+        dual_matrix.cache_clear()
+        dual_matrix(1, 2, p, 3).grow(3)
+        one_body = _count_calls(monkeypatch, "_one_body")
+        terms = _count_calls(monkeypatch, "dual_terms_at_point")
+        dual_matrix(2, 2, p, 3).grow(3)
+        assert len(terms) == len(partitions_max_weight(2, 3)) + 1
+        assert one_body == []
+
+    def test_cache_clear_forgets_patched_terms(self, monkeypatch):
+        p = PARAM_SETS[0]
+        dual_matrix.cache_clear()
+        before = dict(dual_matrix(1, 1, p, 0).row((1,)))
+        real = dualop.dual_terms_at_point
+
+        def crooked(l, z, params):
+            return [(zz, 2 * c) for zz, c in real(l, z, params)]
+
+        monkeypatch.setattr(dualop, "dual_terms_at_point", crooked)
+        dual_matrix.cache_clear()
+        try:
+            assert dual_matrix(1, 1, p, 0).row((1,)) != before
+        finally:
+            monkeypatch.undo()
+            dual_matrix.cache_clear()
+        assert matrix_in_monomial_basis(1, (0,), p) == [[0]]
+        assert dual_matrix(1, 1, p, 0).row((1,)) == before
