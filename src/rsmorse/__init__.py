@@ -15,7 +15,6 @@ from .combinatorics import (
     eval_Ehat_l,
     eval_Eln,
     ideal,
-    merged_ideal,
     monomial_eval,
     orbit,
     partitions_max_weight,

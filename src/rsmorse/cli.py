@@ -20,12 +20,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .combinatorics import (
-    eval_E_l,
-    eval_E_l_via_Eln,
-    partitions_max_weight,
-    total_order_key,
-)
+from .combinatorics import eval_E_l, eval_E_l_via_Eln, partitions_max_weight
 from .dualop import apply_Hhat_l, generic_points, matrix_in_monomial_basis
 from .errors import DegeneracyError, ParamDomainError, PoleError, RSMorseError
 from .latticeop import (
@@ -155,7 +150,7 @@ def _emit(payload, config, rows=None):
 
 
 def _labels(config):
-    return sorted(partitions_max_weight(config.n, config.max_weight), key=total_order_key)
+    return partitions_max_weight(config.n, config.max_weight)
 
 
 def _family(config):
@@ -369,16 +364,14 @@ def cmd_ortho(config):
 
 def cmd_scatter(config):
     rng = random.Random(config.seed)
+    # a looser q-product truncation changes S itself, which abs_dev and branch_dev cannot see
+    tol = min(config.tol, 1e-10)
     rows = []
     for _ in range(100):
         xi = sorted((rng.uniform(1e-3, math.pi - 1e-3) for _ in range(config.n)), reverse=True)
-        val = S_hat(xi, config.params, config.tol)
-        b2 = sqrt_branch_s(xi[0], config.params, config.tol) ** 2 - s_pair(
-            xi[0], config.params, config.tol
-        )
-        b02 = sqrt_branch_s0(xi[0], config.params, config.tol) ** 2 - s_one(
-            xi[0], config.params, config.tol
-        )
+        val = S_hat(xi, config.params, tol)
+        b2 = sqrt_branch_s(xi[0], config.params, tol) ** 2 - s_pair(xi[0], config.params, tol)
+        b02 = sqrt_branch_s0(xi[0], config.params, tol) ** 2 - s_one(xi[0], config.params, tol)
         rows.append(
             {
                 "xi": list(xi),

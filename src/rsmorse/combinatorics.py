@@ -43,7 +43,13 @@ __all__ = [
 
 def check_partition(lam, n=None):
     """Validate and normalize a partition to a tuple of ints."""
-    lam = tuple(int(p) for p in lam)
+    raw = tuple(lam)
+    try:
+        lam = tuple(int(p) for p in raw)
+    except (ValueError, OverflowError):  # nan, inf
+        lam = None  # fails the check below
+    if lam != raw:
+        raise ParamDomainError(f"partition {raw} has a non-integral part")
     if n is not None and len(lam) != n:
         raise ParamDomainError(f"partition {lam} has length {len(lam)}, expected {n}")
     if any(p < 0 for p in lam):
@@ -104,20 +110,6 @@ def ideal(lam):
     """Dominance ideal {mu : mu <= lam} as a tuple in graded-lex order."""
     lam = check_partition(lam)
     return tuple(mu for mu in partitions_max_weight(len(lam), sum(lam)) if dominance_leq(mu, lam))
-
-
-def merged_ideal(roots):
-    """Union of the dominance ideals of several roots, graded-lex ordered."""
-    roots = [check_partition(r) for r in roots]
-    if not roots:
-        return ()
-    n = len(roots[0])
-    seen = set()
-    for r in roots:
-        check_partition(r, n)
-        for mu in ideal(r):
-            seen.add(mu)
-    return tuple(sorted(seen, key=total_order_key))
 
 
 def _perm_parity(sigma):

@@ -15,11 +15,12 @@ the action is computed by evaluation-interpolation:
 
 The coefficients at a point come from the signed-hop engine shared with
 the lattice integrals (combinatorics._hop_coefficient), over one factor
-table per point, shared by every level and every growth step that reads
-the point; this module only says how the factors are built and how a hop
-moves the point.  The same per-point record keeps the term lists of each
-level and the monomial values at the point and its shifts, so a growth
-step evaluates nothing at the points of the step before.
+table per point, shared by every level, every growth step and every
+coefficient helper (vhat_signed, uhat_coeff) that reads the point; this
+module only says how the factors are built and how a hop moves the
+point.  The same per-point record keeps the term lists of each level and
+the monomial values at the point and its shifts, so a growth step
+evaluates nothing at the points of the step before.
 
 The matrix of Hhat_l on the monomial basis is built once per
 (l, n, params, seed) and shared: dual_matrix returns a cached DualMatrix
@@ -132,10 +133,6 @@ class InvariantPolynomial:
             for mu, c in sorted(self.coeffs.items(), key=lambda kv: total_order_key(kv[0]))
         ]
 
-    @classmethod
-    def from_json(cls, n, rows):
-        return cls(n=n, coeffs={tuple(r["mu"]): Fraction(r["value"]) for r in rows})
-
 
 def _one_body(u, params):
     den = (1 - u * u) * (1 - params.q * u * u)
@@ -161,42 +158,35 @@ def _pair_tq(w, stay, params):
     return ((params.t - qw) if stay else (1 - params.t * qw)) / (1 - qw)
 
 
-def _point_factors(z, params):
-    """The factor table of the dual hop coefficients at the point z.
-
-    With u_j = z_j^s: one[j, s] is the one-body factor at u_j;
-    mixed[j, s, k] the t-pair factors of u_j z_k and u_j/z_k; and
-    pair[j, s, k, r, stay] the t-pair factor of w = u_j z_k^r times the
-    in-pair q-factor of w, whose numerator is (t - q w) if stay, else
-    (1 - t q w).  Every entry is built on first use, so a pole surfaces
-    only at a factor a coefficient reads.
-    """
-
-    def one(j, s):
-        return _one_body(z[j - 1] ** s, params)
-
-    def mixed(j, s, k):
-        u = z[j - 1] ** s
-        return _pair_t(u * z[k - 1], params) * _pair_t(u / z[k - 1], params)
-
-    def pair(j, s, k, r, stay):
-        w = z[j - 1] ** s * z[k - 1] ** r
-        return _pair_t(w, params) * _pair_tq(w, stay, params)
-
-    return _Factors(len(z), _Lazy(one), _Lazy(mixed), _Lazy(pair))
-
-
 class _Point:
-    """What every fit reads at one interpolation point z.
+    """What every fit and coefficient helper reads at one point z.
 
     factors: the factor table of z; terms: {l: term list of Hhat_l at z};
     mono: m_mu at z and at its shifted points, keyed (mu, point).
+
+    With u_j = z_j^s, factors.one[j, s] is the one-body factor at u_j;
+    factors.mixed[j, s, k] the t-pair factors of u_j z_k and u_j/z_k; and
+    factors.pair[j, s, k, r, stay] the t-pair factor of w = u_j z_k^r
+    times the in-pair q-factor of w, whose numerator is (t - q w) if stay,
+    else (1 - t q w).  Every entry is built on first use, so a pole
+    surfaces only at a factor a coefficient reads.
     """
 
     __slots__ = ("factors", "terms", "mono")
 
     def __init__(self, z, params):
-        self.factors = _point_factors(z, params)
+        def one(j, s):
+            return _one_body(z[j - 1] ** s, params)
+
+        def mixed(j, s, k):
+            u = z[j - 1] ** s
+            return _pair_t(u * z[k - 1], params) * _pair_t(u / z[k - 1], params)
+
+        def pair(j, s, k, r, stay):
+            w = z[j - 1] ** s * z[k - 1] ** r
+            return _pair_t(w, params) * _pair_tq(w, stay, params)
+
+        self.factors = _Factors(len(z), _Lazy(one), _Lazy(mixed), _Lazy(pair))
         self.terms = {}
         self.mono = _Lazy(monomial_eval)
 
@@ -268,7 +258,7 @@ def vhat_signed(J, eps, z, params):
     if len(eps) != len(J) or not all(s in (1, -1) for s in eps):
         raise ParamDomainError(f"signs {eps} must be one of +-1 per site of {J}")
     outside = [k for k in range(1, len(z) + 1) if k not in J]
-    return _hop_product(J, eps, outside, _point_factors(z, params), False)
+    return _hop_product(J, eps, outside, _point(z, params).factors, False)
 
 
 def uhat_coeff(K, p, z, params):
@@ -283,7 +273,7 @@ def uhat_coeff(K, p, z, params):
     _check_sites(K, len(z))
     if p < 0:
         raise ParamDomainError(f"order p must be >= 0, got {p}")
-    return _stay_sum(K, p, _point_factors(z, params))
+    return _stay_sum(K, p, _point(z, params).factors)
 
 
 def dual_terms_at_point(l, z, params):

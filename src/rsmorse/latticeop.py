@@ -78,9 +78,9 @@ class LatticeFunction:
         self.values = clean
 
     @classmethod
-    def delta(cls, lam, value=Fraction(1)):
+    def delta(cls, lam):
         lam = check_partition(lam)
-        return cls(n=len(lam), values={lam: value})
+        return cls(n=len(lam), values={lam: Fraction(1)})
 
     def __getitem__(self, lam):
         return self.values.get(tuple(lam), 0)
@@ -104,19 +104,6 @@ class LatticeFunction:
 
     def minus(self, other):
         return self.plus(other.scaled(-1))
-
-    def to_json(self):
-        return [
-            {"lambda": list(k), "value": str(v)}
-            for k, v in sorted(self.values.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        ]
-
-    @classmethod
-    def from_json(cls, n, rows):
-        vals = {}
-        for row in rows:
-            vals[tuple(row["lambda"])] = Fraction(row["value"])
-        return cls(n=n, values=vals)
 
 
 def _site_power(lam, j, params):
@@ -479,7 +466,7 @@ def w_pair_generic(qx, q, t0, t1, t2, t3):
     return wp, wm
 
 
-def ruijsenaars_limit_check(n, params, eps_values=(1e-4, 1e-6)):
+def ruijsenaars_limit_check(n, params):
     """Degenerate the Morse coupling: t0 = eps t^(n-1)/q, t1 = t2 = t3 = eps.
 
     As eps -> 0 the one-body weights converge to the constants
@@ -492,6 +479,7 @@ def ruijsenaars_limit_check(n, params, eps_values=(1e-4, 1e-6)):
     t = float(params.t)
     target_p = t ** ((n - 1) / 2)
     target_m = t ** (-(n - 1) / 2)
+    eps_values = (1e-4, 1e-6)
     errors = []
     for eps in eps_values:
         t0 = eps * t ** (n - 1) / q

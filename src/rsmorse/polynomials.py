@@ -68,12 +68,13 @@ def normalization_point(n, params):
 
 @dataclass
 class PolynomialFamily:
-    """Cache of eigenpolynomials for fixed parameters.
+    """Cache of eigenpolynomials for fixed parameters and seed.
 
-    The Hhat_1 rows they are solved from live in the shared
-    dual_matrix(1, n, params, seed), so every family and every dual
-    operator call with the same parameters and seed reuse one
-    interpolation per weight box.
+    Each P_lambda is built once by build_P from the Hhat_1 rows of the
+    shared dual_matrix(1, n, params, seed), so every family and every
+    dual operator call with the same parameters and seed reuse one
+    interpolation per weight box.  The m_mu(z) memo serves repeated
+    evaluations at the same points (pieri_residual).
     """
 
     params: object
@@ -82,36 +83,31 @@ class PolynomialFamily:
     # m_mu(z) memo, read as _monomials[mu, z]
     _monomials: dict = field(default_factory=lambda: _Lazy(monomial_eval), repr=False)
 
-    def row(self, mu):
-        """Row {nu: coefficient} of the Hhat_1 monomial matrix at mu."""
-        return dual_matrix(1, len(mu), self.params, self.seed).row(mu)
-
     def P(self, lam):
         lam = check_partition(lam)
         got = self._polys.get(lam)
         if got is None:
-            got = build_P(lam, self.params, family=self)
+            got = build_P(lam, self.params, self.seed)
             self._polys[lam] = got
         return got
 
 
-def build_P(lam, params, family=None, seed=0):
+def build_P(lam, params, seed=0):
     """Construct the normalized eigenpolynomial with label lam.
 
     Solves (Hhat_1 - E) P = 0 triangularly over the dominance ideal of
-    lam, where E is the diagonal matrix entry at lam; a vanishing gap
+    lam, where E is the diagonal matrix entry at lam, reading the rows of
+    dual_matrix(1, n, params, seed) grown to |lam|; a vanishing gap
     E - Hhat_1[mu, mu] for mu below lam raises DegeneracyError naming
     the colliding pair.
     """
     lam = check_partition(lam)
-    if family is None:
-        family = PolynomialFamily(params=params, seed=seed)
-    # lam comes first, so its row grows the shared matrix to |lam| in one fit
-    members = ideal(lam)[::-1]
-    rows = {mu: family.row(mu) for mu in members}
+    mat = dual_matrix(1, len(lam), params, seed)
+    mat.grow(sum(lam))
+    rows = mat.rows
     energy = rows[lam].get(lam, Fraction(0))
     coeffs = {lam: Fraction(1)}
-    for nu in members:
+    for nu in ideal(lam)[::-1]:
         if nu == lam:
             continue
         acc = Fraction(0)

@@ -25,7 +25,6 @@ from fractions import Fraction
 from .errors import ParamDomainError, TruncationCapError
 
 __all__ = [
-    "Rational",
     "parse_rational",
     "qpoch_finite",
     "qpoch_infinite",
@@ -33,8 +32,6 @@ __all__ = [
     "ParamSet",
     "params_from_hat",
 ]
-
-Rational = Fraction
 
 #: hard cap on the number of factors kept in an infinite q-product
 MAX_QPOCH_FACTORS = 10**6
@@ -79,7 +76,12 @@ def qpoch_finite(x, m, q):
 
 
 def truncation_order(x, q, tol):
-    """Smallest N with |x| |q|^N < tol (N = 0 when |x| < tol already)."""
+    """Smallest N with |x| |q|^N < tol (N = 0 when |x| < tol already).
+
+    tol must be a finite number > 0.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParamDomainError(f"truncation tolerance must be a finite number > 0, got {tol}")
     ax = abs(x)
     if ax < tol:
         return 0
@@ -94,7 +96,7 @@ def truncation_order(x, q, tol):
     return n
 
 
-def qpoch_infinite(x, q, tol=1e-16, max_factors=MAX_QPOCH_FACTORS):
+def qpoch_infinite(x, q, tol=1e-16):
     """Infinite q-Pochhammer symbol (x; q)_inf, truncated.
 
     The product prod_{l>=0} (1 - x q^l) is cut at the smallest N with
@@ -104,7 +106,7 @@ def qpoch_infinite(x, q, tol=1e-16, max_factors=MAX_QPOCH_FACTORS):
     once tol <= 1/2, which is the documented accuracy of this routine.
 
     Requires |q| < 1; raises TruncationCapError when the needed number of
-    factors exceeds ``max_factors`` (q extremely close to 1).
+    factors exceeds ``MAX_QPOCH_FACTORS`` (q extremely close to 1).
     """
     aq = abs(q)
     if aq >= 1:
@@ -112,9 +114,9 @@ def qpoch_infinite(x, q, tol=1e-16, max_factors=MAX_QPOCH_FACTORS):
     xf = complex(x) if isinstance(x, complex) else float(x)
     qf = complex(q) if isinstance(q, complex) else float(q)
     n = truncation_order(xf, qf, tol)
-    if n > max_factors:
+    if n > MAX_QPOCH_FACTORS:
         raise TruncationCapError(
-            f"(x; q)_inf needs {n} factors for tol={tol} at |q|={aq}; cap is {max_factors}"
+            f"(x; q)_inf needs {n} factors for tol={tol} at |q|={aq}; cap is {MAX_QPOCH_FACTORS}"
         )
     out = 1.0
     term = xf

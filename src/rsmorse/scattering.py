@@ -34,6 +34,9 @@ __all__ = [
     "S_hat_sorted",
 ]
 
+# below this, a gradient component or a gap between two of them counts as zero
+SORT_TOL = 1e-12
+
 
 def _phase(value):
     mod = abs(value)
@@ -177,13 +180,13 @@ class ScatterPoint:
     w: Optional[SignedPermutation]
 
 
-def sorting_permutation(xi, tol=1e-12):
+def sorting_permutation(xi):
     xi = tuple(float(v) for v in xi)
     grad = [-2.0 * math.sin(v) for v in xi]
     mags = [abs(g) for g in grad]
     n = len(xi)
-    regular = all(m > tol for m in mags) and all(
-        abs(mags[a] - mags[b]) > tol for a in range(n) for b in range(a + 1, n)
+    regular = all(m > SORT_TOL for m in mags) and all(
+        abs(mags[a] - mags[b]) > SORT_TOL for a in range(n) for b in range(a + 1, n)
     )
     if not regular:
         return ScatterPoint(xi=xi, regular=False, w=None)
@@ -199,9 +202,9 @@ def sorting_permutation(xi, tol=1e-12):
     return ScatterPoint(xi=xi, regular=True, w=w)
 
 
-def S_hat_sorted(xi, params, tol=1e-14, sort_tol=1e-12):
+def S_hat_sorted(xi, params, tol=1e-14):
     """Scattering matrix evaluated at w_xi xi, defined on regular points only."""
-    point = sorting_permutation(xi, sort_tol)
+    point = sorting_permutation(xi)
     if not point.regular:
         raise IrregularPointError(
             f"point {tuple(xi)} has a vanishing or tied gradient component"

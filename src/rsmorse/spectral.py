@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import check_partition, orbit, partitions_max_weight, total_order_key
+from .combinatorics import check_partition, orbit, partitions_max_weight
 from .errors import DegeneracyError, ParamDomainError, StructureError
 from .latticeop import LatticeFunction, epsilon0, hop_terms, v_minus, v_plus
 from .qcore import qpoch_finite, qpoch_infinite, truncation_order
@@ -81,17 +82,15 @@ def weight_grid(points, params, tol=1e-12):
     return total
 
 
-def weight(xi, params, tol=1e-12, extended=False):
+def weight(xi, params, tol=1e-12):
     """Weight at a single point of the open alcove pi > xi_1 > ... > xi_n > 0.
 
-    extended=True skips the alcove check and evaluates the same
-    W-invariant product at arbitrary real angles.
+    Off-alcove angles go through weight_grid.
     """
     xi = tuple(float(v) for v in xi)
-    if not extended:
-        bounds = (math.pi,) + xi + (0.0,)
-        if any(a >= b for a, b in zip(bounds[1:], bounds)):
-            raise ParamDomainError(f"point {xi} is not in the open alcove")
+    bounds = (math.pi,) + xi + (0.0,)
+    if any(a >= b for a, b in zip(bounds[1:], bounds)):
+        raise ParamDomainError(f"point {xi} is not in the open alcove")
     return float(weight_grid([xi], params, tol)[0])
 
 
@@ -146,16 +145,19 @@ def detailed_balance_residual(lam, j, params):
     return norm_ratio_step(lam, j, params) * v_minus(up, j, params) - v_plus(lam, j, params)
 
 
+# truncation tolerance of the infinite q-products in the lattice norms
+NORM_TOL = 1e-14
+
 _DELTA0_CACHE = {}
 
 
-def norm_delta0_n(n, params, tol=1e-14):
+def norm_delta0_n(n, params):
     """Transcendental prefactor of the lattice norms.
 
     prod_j ( (q)_inf (t^j)_inf / (t)_inf * prod_{r<s} (that_r that_s t^(n-j))_inf );
     depends on the rank, so the cache key includes n.
     """
-    key = (n, params, tol)
+    key = (n, params)
     got = _DELTA0_CACHE.get(key)
     if got is not None:
         return got
@@ -164,10 +166,14 @@ def norm_delta0_n(n, params, tol=1e-14):
     th = [float(v) for v in params.that]
     out = 1.0
     for j in range(1, n + 1):
-        out *= qpoch_infinite(q, q, tol) * qpoch_infinite(t**j, q, tol) / qpoch_infinite(t, q, tol)
+        out *= (
+            qpoch_infinite(q, q, NORM_TOL)
+            * qpoch_infinite(t**j, q, NORM_TOL)
+            / qpoch_infinite(t, q, NORM_TOL)
+        )
         for r in range(3):
             for s in range(r + 1, 3):
-                out *= qpoch_infinite(th[r] * th[s] * t ** (n - j), q, tol)
+                out *= qpoch_infinite(th[r] * th[s] * t ** (n - j), q, NORM_TOL)
     _DELTA0_CACHE[key] = out
     return out
 
@@ -184,9 +190,9 @@ class NormValue:
         return self.delta0 * float(self.ratio)
 
 
-def norm_Delta(lam, params, tol=1e-14):
+def norm_Delta(lam, params):
     lam = check_partition(lam)
-    return NormValue(ratio=norm_ratio(lam, params), delta0=norm_delta0_n(len(lam), params, tol))
+    return NormValue(ratio=norm_ratio(lam, params), delta0=norm_delta0_n(len(lam), params))
 
 
 @dataclass(frozen=True)
@@ -195,6 +201,10 @@ class QuadSpec:
 
     nodes: int
     tol: float = 1e-12
+
+    def __post_init__(self):
+        if not isinstance(self.nodes, numbers.Integral) or self.nodes < 1:
+            raise ParamDomainError(f"quadrature nodes must be an integer >= 1, got {self.nodes!r}")
 
     @functools.cached_property
     def _rule(self):
@@ -272,7 +282,7 @@ def gram(lam, mu, family, quad):
     return float(_gram_table([check_partition(lam), check_partition(mu)], family, quad)[0, 1])
 
 
-def gram_report(labels, family, quad, tol=1e-14):
+def gram_report(labels, family, quad):
     """Orthogonality table rows: lambda, mu, value, target, abs_err, rel_err.
 
     The whole table is one product over one quadrature grid: the weight,
@@ -286,7 +296,7 @@ def gram_report(labels, family, quad, tol=1e-14):
     if not labels:
         return []
     table = _gram_table(labels, family, quad)
-    norms = [norm_Delta(lam, family.params, tol).value for lam in labels]
+    norms = [norm_Delta(lam, family.params).value for lam in labels]
     rows = []
     for a, lam in enumerate(labels):
         for b in range(a, len(labels)):
@@ -307,7 +317,7 @@ def gram_report(labels, family, quad, tol=1e-14):
     return rows
 
 
-def fourier_forward(f, points, family, tol=1e-14):
+def fourier_forward(f, points, family):
     """Transform of a finitely supported lattice function, sampled on angles.
 
     (F f)(xi) = sum_lam f(lam) conj(P_lam(xi)) Delta_lam; P_lam is real
@@ -317,7 +327,7 @@ def fourier_forward(f, points, family, tol=1e-14):
     params = family.params
     out = np.zeros(points.shape[0], dtype=float)
     for lam, val in f.values.items():
-        dl = norm_Delta(lam, params, tol).value
+        dl = norm_Delta(lam, params).value
         out = out + float(val) * dl * evaluate_P_grid(family.P(lam), points)
     return out
 
@@ -353,10 +363,8 @@ class ConjugatedMatrix:
     dropped: list
 
 
-def conjugated_H_matrix(l, cutoff, params, n=None):
-    if n is None:
-        raise ParamDomainError("rank n is required")
-    labels = sorted(partitions_max_weight(n, cutoff), key=total_order_key)
+def conjugated_H_matrix(l, cutoff, params, n):
+    labels = partitions_max_weight(n, cutoff)
     index = {lam: i for i, lam in enumerate(labels)}
     eps = epsilon0(params, n) if l == 1 else Fraction(0)
     size = len(labels)
@@ -396,24 +404,21 @@ def conjugated_H_matrix(l, cutoff, params, n=None):
     return ConjugatedMatrix(labels=labels, matrix=mat, dropped=dropped)
 
 
-def evolve(initial, time, cutoff, params, n=None, l=1):
-    """Unitary evolution exp(i conjugated_H time) of a truncated state.
+def evolve(initial, time, cutoff, params, n):
+    """Unitary evolution exp(i C time) of a truncated state.
 
-    initial: LatticeFunction or mapping partition -> value; values may be
-    complex.  Returns a dict partition -> complex amplitude.  Support at
-    the cutoff boundary triggers a leakage warning estimated from the
-    dropped hop coefficients acting on the initial state.
+    C is conjugated_H_matrix(1, cutoff, params, n).  initial:
+    LatticeFunction or mapping partition -> value; values may be complex.
+    Returns a dict partition -> complex amplitude.  Support at the cutoff
+    boundary triggers a leakage warning estimated from the dropped hop
+    coefficients acting on the initial state.
     """
     values = initial.values if isinstance(initial, LatticeFunction) else dict(initial)
     values = {check_partition(k): complex(v) for k, v in values.items() if v != 0}
-    if n is None:
-        if not values:
-            raise ParamDomainError("cannot infer rank from an empty state")
-        n = len(next(iter(values)))
     for lam in values:
         if len(lam) != n:
             raise ParamDomainError(f"initial support {lam} has rank {len(lam)}, not the rank n={n}")
-    conj = conjugated_H_matrix(l, cutoff, params, n=n)
+    conj = conjugated_H_matrix(1, cutoff, params, n)
     index = {lam: i for i, lam in enumerate(conj.labels)}
     for lam in values:
         if lam not in index:

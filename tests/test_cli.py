@@ -280,6 +280,15 @@ class TestScatter:
         assert max(r["abs_dev"] for r in rows) < 1e-8
         assert max(r["branch_dev"] for r in rows) < 1e-8
 
+    def test_loose_tol_keeps_the_products(self, capsys):
+        # --tol 1 would cut every q-product to zero factors and report S = 1
+        rows = {}
+        for tol in ("1", "1e-10"):
+            code, out, _ = run(capsys, ["scatter", "--n", "2", "--tol", tol])
+            assert code == 0
+            rows[tol] = json.loads(out)["rows"]
+        assert rows["1"] == rows["1e-10"]
+
 
 class TestEvolve:
     def test_series(self, capsys):

@@ -22,7 +22,6 @@ from rsmorse.combinatorics import (
     eval_Eln,
     ideal,
     is_partition,
-    merged_ideal,
     monomial_eval,
     orbit,
     partitions_max_weight,
@@ -37,12 +36,20 @@ from conftest import PARAM_SETS
 class TestPartitions:
     def test_check_partition(self):
         assert check_partition([2, 1, 0]) == (2, 1, 0)
+        got = check_partition((2.0, Fraction(1), np.int64(0)))
+        assert got == (2, 1, 0) and all(type(p) is int for p in got)
         with pytest.raises(ParamDomainError):
             check_partition((1, 2))
         with pytest.raises(ParamDomainError):
             check_partition((1, -1))
         with pytest.raises(ParamDomainError):
             check_partition((1, 0), n=3)
+
+    @pytest.mark.parametrize("part", [1.5, float("nan"), float("inf")])
+    def test_non_integral_part_rejected(self, part):
+        # truncating 1.5 to 1 would silently relabel the input
+        with pytest.raises(ParamDomainError, match="non-integral"):
+            check_partition((part, 0))
 
     def test_is_partition(self):
         assert is_partition((3, 3, 1))
@@ -110,11 +117,6 @@ class TestIdeal:
     def test_ordering(self):
         members = ideal((3, 1))
         assert list(members) == sorted(members, key=total_order_key)
-
-    def test_merged_ideal(self):
-        got = merged_ideal([(2, 0), (1, 1)])
-        assert set(got) == set(ideal((2, 0))) | set(ideal((1, 1)))
-        assert list(got) == sorted(got, key=total_order_key)
 
 
 class TestSignedPermutation:

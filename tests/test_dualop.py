@@ -66,10 +66,17 @@ class TestInvariantPolynomial:
         assert poly.evaluate(z) == expected
         assert poly.evaluate(z, _Lazy(monomial_eval)) == expected
 
-    def test_json_roundtrip(self):
-        poly = InvariantPolynomial(2, {(2, 1): Fraction(-7, 3), (0, 0): Fraction(1, 2)})
-        back = InvariantPolynomial.from_json(2, poly.to_json())
-        assert back.coeffs == poly.coeffs
+    def test_to_json_rows(self):
+        # the coefficient rows `rsmorse poly` writes: graded-lex order, exact strings
+        poly = InvariantPolynomial(
+            2, {(2, 1): Fraction(-7, 3), (2, 0): Fraction(5), (0, 0): Fraction(1, 2), (1, 1): Fraction(-1)}
+        )
+        assert poly.to_json() == [
+            {"mu": [0, 0], "value": "1/2"},
+            {"mu": [1, 1], "value": "-1"},
+            {"mu": [2, 0], "value": "5"},
+            {"mu": [2, 1], "value": "-7/3"},
+        ]
 
     def test_invalid_label(self):
         with pytest.raises(ParamDomainError):
@@ -423,6 +430,16 @@ class TestPointMemo:
         terms = _count_calls(monkeypatch, "dual_terms_at_point")
         dual_matrix(2, 2, p, 3).grow(3)
         assert len(terms) == len(partitions_max_weight(2, 3)) + 1
+        assert one_body == []
+
+    def test_coefficient_helpers_read_the_point_record(self, monkeypatch):
+        p = PARAM_SETS[0]
+        dual_matrix.cache_clear()
+        z = generic_points(3, 1, p, seed=5)[0]
+        dualop.dual_terms_at_point(3, z, p)
+        one_body = _count_calls(monkeypatch, "_one_body")
+        vhat_signed((1, 2), (1, -1), z, p)
+        uhat_coeff((1, 2, 3), 1, z, p)
         assert one_body == []
 
     def test_cache_clear_forgets_patched_terms(self, monkeypatch):

@@ -51,14 +51,13 @@ class TestLatticeFunction:
         with pytest.raises(ParamDomainError):
             LatticeFunction.delta((1, 0)).plus(LatticeFunction.delta((1, 0, 0)))
 
-    def test_json_roundtrip(self):
-        f = LatticeFunction(2, {(2, 1): Fraction(-7, 3), (1, 0): Fraction(1, 2)})
-        back = LatticeFunction.from_json(2, f.to_json())
-        assert back.values == f.values
-
     def test_invalid_key(self):
         with pytest.raises(ParamDomainError):
             LatticeFunction(2, {(0, 1): Fraction(1)})
+
+    def test_non_integral_key_rejected(self):
+        with pytest.raises(ParamDomainError, match="non-integral"):
+            LatticeFunction(2, {(1.7, 0): 1})
 
 
 class TestHopCoefficients:

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import rsmorse.dualop as dualop
 import rsmorse.polynomials as polynomials
-from rsmorse.combinatorics import eval_E, ideal, partitions_max_weight
+from rsmorse.combinatorics import eval_E, ideal
 from rsmorse.dualop import apply_Hhat_l, dual_matrix, generic_points
 from rsmorse.errors import DegeneracyError
 from rsmorse.polynomials import PolynomialFamily, build_P, leading_coeff, normalization_point, pieri_residual
@@ -78,19 +79,19 @@ class TestBuildP:
             assert abs(val.imag) < 1e-12
             assert abs(val - poly.evaluate(zbar)) < 1e-12
 
-    def test_eigenvalue_collision_reported(self):
-        class FakeFamily:
-            params = PARAM_SETS[0]
+    def test_eigenvalue_collision_reported(self, monkeypatch):
+        class FakeMatrix:
             rows = {
                 (1,): {(1,): Fraction(5), (0,): Fraction(3)},
                 (0,): {(0,): Fraction(5)},
             }
 
-            def row(self, mu):
-                return self.rows[mu]
+            def grow(self, weight):
+                pass
 
+        monkeypatch.setattr(polynomials, "dual_matrix", lambda l, n, params, seed: FakeMatrix())
         with pytest.raises(DegeneracyError, match="collision"):
-            build_P((1,), PARAM_SETS[0], family=FakeFamily())
+            build_P((1,), PARAM_SETS[0])
 
 
 class TestPieri:
@@ -122,19 +123,20 @@ class TestPieri:
         assert pieri_residual(2, (1, 0), z, fam) != 0
 
 
-def test_family_rows_are_shared():
+def test_family_rows_are_shared(monkeypatch):
     p = PARAM_SETS[0]
     fam = family_for(p)
     fam.P((2, 1))
-    mat = dual_matrix(1, 2, p, fam.seed)
-    for mu in partitions_max_weight(2, 3):
-        assert fam.row(mu) is mat.rows[mu]
+    dual_matrix(1, 2, p, fam.seed).grow(3)
     other = PolynomialFamily(params=p, seed=fam.seed)
+    fits = []
+    monkeypatch.setattr(dualop, "_interpolate", lambda *args: fits.append(args))
     before = dual_matrix.cache_info()
     assert other.P((2, 1)).coeffs == fam.P((2, 1)).coeffs
     after = dual_matrix.cache_info()
     assert after.misses == before.misses
-    assert other.row((2, 1)) is mat.rows[(2, 1)]
+    # the second family reads the rows the first one grew, with no fit of its own
+    assert fits == []
 
 
 def test_check_seed_is_its_own_matrix():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import rsmorse.qcore as qcore
 from rsmorse.dualop import dual_matrix
 from rsmorse.errors import ParamDomainError, TruncationCapError
 from rsmorse.latticeop import hop_terms
@@ -99,16 +100,25 @@ class TestQpochInfinite:
             rhs = (1 - x) * qpoch_infinite(x * q, q, tol=1e-16)
             assert abs(lhs - rhs) < 1e-12
 
-    def test_domain_and_cap(self):
+    def test_domain_and_cap(self, monkeypatch):
         with pytest.raises(ParamDomainError):
             qpoch_infinite(0.5, 1.0)
+        monkeypatch.setattr(qcore, "MAX_QPOCH_FACTORS", 10)
         with pytest.raises(TruncationCapError):
-            qpoch_infinite(0.5, 0.99, tol=1e-16, max_factors=10)
+            qpoch_infinite(0.5, 0.99, tol=1e-16)
 
 
 class TestTruncationOrder:
     def test_below_tol(self):
         assert truncation_order(1e-20, 0.5, 1e-16) == 0
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_tol_rejected(self, tol):
+        # inf would truncate every product to the empty product 1.0
+        with pytest.raises(ParamDomainError, match="tolerance"):
+            truncation_order(0.5, 0.5, tol)
+        with pytest.raises(ParamDomainError, match="tolerance"):
+            qpoch_infinite(0.5, 0.5, tol)
 
     def test_minimality(self):
         rng = random.Random(3)

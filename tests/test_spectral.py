@@ -94,9 +94,7 @@ class TestWeight:
 
     def test_even_under_reflection(self):
         p = PARAM_SETS[1]
-        a = weight((2.0, 1.0), p, extended=True)
-        b = weight((-2.0, 1.0), p, extended=True)
-        c = weight((1.0, 2.0), p, extended=True)
+        a, b, c = weight_grid([(2.0, 1.0), (-2.0, 1.0), (1.0, 2.0)], p)
         assert abs(a - b) < 1e-13
         assert abs(a - c) < 1e-13
 
@@ -105,6 +103,11 @@ class TestWeight:
         for xi in [(1.0, 1.0), (math.pi, 1.0), (2.0, 0.0), (1.0, 2.0)]:
             with pytest.raises(ParamDomainError):
                 weight(xi, p)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ParamDomainError, match="tolerance"):
+            weight_grid([(2.0, 1.0)], PARAM_SETS[0], tol)
 
 
 class TestNorms:
@@ -177,6 +180,14 @@ class TestQuadSpec:
         assert np.array_equal(points, again)
         assert abs(wgt2.sum() - math.pi**2) < 1e-12
         assert quad == QuadSpec(nodes=17) and hash(quad) == hash(QuadSpec(nodes=17))
+
+    @pytest.mark.parametrize("nodes", [0, 2.5])
+    def test_bad_node_count_rejected(self, nodes):
+        with pytest.raises(ParamDomainError, match="nodes"):
+            QuadSpec(nodes=nodes)
+
+    def test_integral_node_types_pass(self):
+        assert QuadSpec(nodes=np.int64(3)).grid(1)[0].shape == (3, 1)
 
 
 class TestOrthogonality:
@@ -346,10 +357,6 @@ class TestConjugated:
         monkeypatch.setattr(spectral, "hop_terms", scaled)
         with pytest.raises(StructureError, match=r"detailed balance fails on hop \(1, 0\) -> \(2, 0\)"):
             conjugated_H_matrix(1, 4, PARAM_SETS[0], n=2)
-
-    def test_rank_required(self):
-        with pytest.raises(ParamDomainError):
-            conjugated_H_matrix(1, 3, PARAM_SETS[0])
 
     def test_spectrum_in_multiplier_range(self):
         # the conjugated operator is unitarily a multiplication by
