@@ -62,7 +62,10 @@ def _read_config_file(path):
             if "=" not in line:
                 raise ParamDomainError(f"config line is not key=value: {raw.strip()!r}")
             key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+            name = key.strip().replace("-", "_")
+            if name not in DEFAULTS:
+                raise ParamDomainError(f"unknown config key {key.strip()!r} in {path}")
+            out[name] = val.strip()
     return out
 
 

@@ -69,6 +69,20 @@ def is_partition(vec):
     return True
 
 
+def _cone_steps(lam):
+    """Nearest-neighbour steps of a tuple lam inside the partition cone.
+
+    Yields (j, s, lam + s e_j) for the 1-based sites j ascending and
+    s = +1 then -1, wherever the moved tuple is still a partition.  The
+    float sums of the free Laplacian are taken in this order.
+    """
+    for j in range(1, len(lam) + 1):
+        for s in (1, -1):
+            nb = lam[: j - 1] + (lam[j - 1] + s,) + lam[j:]
+            if is_partition(nb):
+                yield j, s, nb
+
+
 def dominance_leq(mu, lam):
     """mu <= lam in dominance order (partial sums, weights may differ)."""
     if len(mu) != len(lam):

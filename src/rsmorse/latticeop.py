@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import (
+    _cone_steps,
     _Factors,
     _hop_coefficient,
     _Lazy,
@@ -117,6 +118,24 @@ def _check_index(lam, j):
         raise ParamDomainError(f"index j={j} out of range 1..{len(lam)}")
 
 
+def _one_site(lam, j, params, s):
+    """v_plus (s = 1) or v_minus (s = -1) at site j, from its closed form."""
+    lam = check_partition(lam)
+    _check_index(lam, j)
+    t = params.t
+    aj = _site_power(lam, j, params)
+    if s > 0:
+        out = (1 / params.that0) * (1 - params.t1 * aj) * (1 - params.t2 * aj)
+    else:
+        out = params.that0 * (1 - params.t0 * aj) * (1 - aj)
+    head = 1 / t if s > 0 else t
+    for k in range(1, len(lam) + 1):
+        if k != j:
+            ratio = aj / _site_power(lam, k, params)
+            out *= (head - ratio) / (1 - ratio)
+    return out
+
+
 def v_plus(lam, j, params):
     """Up-hop coefficient at site j (1-based).
 
@@ -125,18 +144,7 @@ def v_plus(lam, j, params):
 
     Vanishes exactly when lam + e_j leaves the partition cone.
     """
-    lam = check_partition(lam)
-    _check_index(lam, j)
-    n = len(lam)
-    t = params.t
-    aj = _site_power(lam, j, params)
-    out = (1 / params.that0) * (1 - params.t1 * aj) * (1 - params.t2 * aj)
-    for k in range(1, n + 1):
-        if k == j:
-            continue
-        ratio = aj / _site_power(lam, k, params)
-        out *= (1 / t - ratio) / (1 - ratio)
-    return out
+    return _one_site(lam, j, params, 1)
 
 
 def v_minus(lam, j, params):
@@ -147,18 +155,7 @@ def v_minus(lam, j, params):
 
     Vanishes exactly when lam - e_j leaves the partition cone.
     """
-    lam = check_partition(lam)
-    _check_index(lam, j)
-    n = len(lam)
-    t = params.t
-    aj = _site_power(lam, j, params)
-    out = params.that0 * (1 - params.t0 * aj) * (1 - aj)
-    for k in range(1, n + 1):
-        if k == j:
-            continue
-        ratio = aj / _site_power(lam, k, params)
-        out *= (t - ratio) / (1 - ratio)
-    return out
+    return _one_site(lam, j, params, -1)
 
 
 def _shift(lam, J, eps, sign=1):
@@ -175,26 +172,17 @@ def apply_H(f, params):
     (Hf)(lam) = sum_{j: lam+e_j admissible} v_plus(lam,j) (f(lam+e_j) - f(lam))
               + sum_{j: lam-e_j admissible} v_minus(lam,j) (f(lam-e_j) - f(lam)).
     """
-    n = f.n
     candidates = set(f.values)
     for lam in f.values:
-        for j in range(1, n + 1):
-            for tgt in (_shift(lam, (j,), (1,)), _shift(lam, (j,), (-1,))):
-                if is_partition(tgt):
-                    candidates.add(tgt)
+        candidates.update(nb for _, _, nb in _cone_steps(lam))
     out = {}
     for lam in candidates:
         acc = 0
-        for j in range(1, n + 1):
-            up = _shift(lam, (j,), (1,))
-            if is_partition(up):
-                acc += v_plus(lam, j, params) * (f[up] - f[lam])
-            dn = _shift(lam, (j,), (-1,))
-            if is_partition(dn):
-                acc += v_minus(lam, j, params) * (f[dn] - f[lam])
+        for j, s, nb in _cone_steps(lam):
+            acc += _one_site(lam, j, params, s) * (f[nb] - f[lam])
         if acc != 0:
             out[lam] = acc
-    return LatticeFunction(n, out)
+    return LatticeFunction(f.n, out)
 
 
 # Hop tables kept, one per (l, lam, params).
@@ -454,18 +442,6 @@ def morse_vanishing_limit_check(params, n, max_weight):
     return LimitReport(checked=checked, mismatches=mismatches)
 
 
-def w_pair_generic(qx, q, t0, t1, t2, t3):
-    """Generic four-parameter one-body weights (floating path).
-
-    w_plus = sqrt(q t0 t3/(t1 t2)) (1 - t1 q^x)(1 - t2 q^x)
-    w_minus = sqrt(t1 t2/(q t0 t3)) (1 - t0 q^x)(1 - t3 q^x)
-    """
-    s = math.sqrt((q * t0 * t3) / (t1 * t2))
-    wp = s * (1 - t1 * qx) * (1 - t2 * qx)
-    wm = (1 - t0 * qx) * (1 - t3 * qx) / s
-    return wp, wm
-
-
 def ruijsenaars_limit_check(n, params):
     """Degenerate the Morse coupling: t0 = eps t^(n-1)/q, t1 = t2 = t3 = eps.
 
@@ -482,11 +458,16 @@ def ruijsenaars_limit_check(n, params):
     eps_values = (1e-4, 1e-6)
     errors = []
     for eps in eps_values:
+        # the generic four-parameter one-body weights at t1 = t2 = t3 = eps:
+        # w_plus = s (1 - t1 q^x)(1 - t2 q^x), w_minus = (1 - t0 q^x)(1 - t3 q^x)/s
+        # with s = sqrt(q t0 t3/(t1 t2))
         t0 = eps * t ** (n - 1) / q
+        s = math.sqrt((q * t0 * eps) / (eps * eps))
         worst = 0.0
         for j in range(1, n + 1):
             qx = t ** (n - j)
-            wp, wm = w_pair_generic(qx, q, t0, eps, eps, eps)
+            wp = s * (1 - eps * qx) * (1 - eps * qx)
+            wm = (1 - t0 * qx) * (1 - eps * qx) / s
             worst = max(worst, abs(wp - target_p), abs(wm - target_m))
         errors.append(worst)
     ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .combinatorics import SignedPermutation, check_partition, is_partition
+from .combinatorics import SignedPermutation, _cone_steps, check_partition
 from .errors import IrregularPointError, PoleError
 from .latticeop import LatticeFunction
 from .qcore import qpoch_infinite
@@ -133,20 +133,9 @@ def apply_H0(f):
     candidates = set()
     for lam in f.values:
         candidates.add(lam)
-        for j in range(f.n):
-            for step in (1, -1):
-                nb = list(lam)
-                nb[j] += step
-                if is_partition(nb):
-                    candidates.add(tuple(nb))
+        candidates.update(nb for _, _, nb in _cone_steps(lam))
     for lam in candidates:
-        acc = 0
-        for j in range(f.n):
-            for step in (1, -1):
-                nb = list(lam)
-                nb[j] += step
-                if is_partition(nb):
-                    acc += f[tuple(nb)]
+        acc = sum(f[nb] for _, _, nb in _cone_steps(lam))
         if acc != 0:
             out[lam] = acc
     return LatticeFunction(f.n, out)
@@ -155,14 +144,7 @@ def apply_H0(f):
 def free_eigen_residual(xi, lam):
     """(H0 chi_xi)(lam) - (sum_j 2 cos xi_j) chi_xi(lam); zero also at boundary sites."""
     lam = check_partition(lam)
-    n = len(lam)
-    acc = complex(0)
-    for j in range(n):
-        for step in (1, -1):
-            nb = list(lam)
-            nb[j] += step
-            if is_partition(nb):
-                acc += chi(xi, tuple(nb))
+    acc = sum(chi(xi, nb) for _, _, nb in _cone_steps(lam))
     return acc - sum(2 * math.cos(float(v)) for v in xi) * chi(xi, lam)
 
 

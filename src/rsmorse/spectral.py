@@ -27,7 +27,6 @@ __all__ = [
     "weight",
     "weight_grid",
     "norm_ratio",
-    "norm_ratio_step",
     "norm_delta0_n",
     "NormValue",
     "norm_Delta",
@@ -127,40 +126,27 @@ def norm_ratio(lam, params):
     return out
 
 
-def norm_ratio_step(lam, j, params):
-    """Exact ratio norm(lam + e_j)/norm(lam)."""
-    lam = check_partition(lam)
-    up = list(lam)
-    up[j - 1] += 1
-    up = check_partition(up)
-    return norm_ratio(up, params) / norm_ratio(lam, params)
-
-
 def detailed_balance_residual(lam, j, params):
     """ratio(lam+e_j)/ratio(lam) * v_minus(lam+e_j, j) - v_plus(lam, j); zero exactly."""
     lam = check_partition(lam)
     up = list(lam)
     up[j - 1] += 1
-    up = tuple(up)
-    return norm_ratio_step(lam, j, params) * v_minus(up, j, params) - v_plus(lam, j, params)
+    up = check_partition(up)
+    ratio = norm_ratio(up, params) / norm_ratio(lam, params)
+    return ratio * v_minus(up, j, params) - v_plus(lam, j, params)
 
 
 # truncation tolerance of the infinite q-products in the lattice norms
 NORM_TOL = 1e-14
 
-_DELTA0_CACHE = {}
 
-
+@functools.cache
 def norm_delta0_n(n, params):
     """Transcendental prefactor of the lattice norms.
 
     prod_j ( (q)_inf (t^j)_inf / (t)_inf * prod_{r<s} (that_r that_s t^(n-j))_inf );
     depends on the rank, so the cache key includes n.
     """
-    key = (n, params)
-    got = _DELTA0_CACHE.get(key)
-    if got is not None:
-        return got
     q = float(params.q)
     t = float(params.t)
     th = [float(v) for v in params.that]
@@ -174,7 +160,6 @@ def norm_delta0_n(n, params):
         for r in range(3):
             for s in range(r + 1, 3):
                 out *= qpoch_infinite(th[r] * th[s] * t ** (n - j), q, NORM_TOL)
-    _DELTA0_CACHE[key] = out
     return out
 
 

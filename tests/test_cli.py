@@ -128,6 +128,16 @@ class TestConfigHandling:
         assert code == 2
         assert "configuration error" in err
 
+    @pytest.mark.parametrize("key", ["max-wieght", "force"])
+    def test_config_file_unknown_key_exits_two(self, capsys, tmp_path, key):
+        # a typo must not fall back to the default, and force stays a flag only
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"q = 1/5\n{key} = 5\n")
+        code, out, err = run(capsys, ["poly", "--n", "1", "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert err == f"configuration error: unknown config key '{key}' in {cfg}\n"
+
     def test_missing_config_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, ["poly", "--config", str(tmp_path / "absent.cfg")])
         assert code == 2

@@ -7,11 +7,11 @@ import pytest
 
 import rsmorse.dualop as dualop
 import rsmorse.polynomials as polynomials
-from rsmorse.combinatorics import eval_E, ideal
+from rsmorse.combinatorics import eval_E, ideal, partitions_max_weight
 from rsmorse.dualop import apply_Hhat_l, dual_matrix, generic_points
 from rsmorse.errors import DegeneracyError
 from rsmorse.polynomials import PolynomialFamily, build_P, leading_coeff, normalization_point, pieri_residual
-from rsmorse.qcore import qpoch_finite
+from rsmorse.qcore import params_from_hat, qpoch_finite
 
 from conftest import PARAM_SETS, family_for
 
@@ -92,6 +92,68 @@ class TestBuildP:
         monkeypatch.setattr(polynomials, "dual_matrix", lambda l, n, params, seed: FakeMatrix())
         with pytest.raises(DegeneracyError, match="collision"):
             build_P((1,), PARAM_SETS[0])
+
+
+def _dual_q_hahn(m, z, p):
+    """3phi2(q^-m, a z, a/z; a b, a c; q, q) with (a, b, c) = (that0, that1, that2).
+
+    The continuous dual q-Hahn polynomial of degree m, scaled to 1 at
+    z = 1/a (Koekoek, Lesky & Swarttouw, Hypergeometric Orthogonal
+    Polynomials and Their q-Analogues, section 14.3).
+    """
+    a, b, c = p.that
+    q = p.q
+    return sum(
+        qpoch_finite(q**-m, k, q) * qpoch_finite(a * z, k, q) * qpoch_finite(a / z, k, q)
+        / (qpoch_finite(a * b, k, q) * qpoch_finite(a * c, k, q) * qpoch_finite(q, k, q))
+        * q**k
+        for k in range(m + 1)
+    )
+
+
+def _det(rows):
+    """Determinant by expansion along the first row (n <= 3 here)."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** c * rows[0][c] * _det([r[:c] + r[c + 1 :] for r in rows[1:]]) for c in range(len(rows))
+    )
+
+
+def _bialternant(lam, z, p):
+    """det[p_{lam_j + n - j}(z_k)] / det[p_{n - j}(z_k)] over the n = 1 polynomials p_m."""
+    n = len(lam)
+    top = _det([[_dual_q_hahn(lam[j] + n - 1 - j, zk, p) for zk in z] for j in range(n)])
+    bottom = _det([[_dual_q_hahn(n - 1 - j, zk, p) for zk in z] for j in range(n)])
+    return top / bottom
+
+
+class TestClosedForms:
+    """P_lambda against formulas that do not go through the dual-operator fit."""
+
+    # each test draws its points at a seed no other check uses
+    def test_single_variable_is_dual_q_hahn(self):
+        for p in PARAM_SETS:
+            points = generic_points(1, 4, p, seed=4241)
+            for m in range(9):
+                poly = build_P((m,), p)
+                for (z,) in points:
+                    assert poly.evaluate((z,)) == _dual_q_hahn(m, z, p)
+
+    def test_q_equal_t_is_a_determinant(self):
+        # at t = q, P_lambda(z) = R_lambda(z) / R_lambda(z*) with R_lambda the bialternant:
+        # the determinant form of Koornwinder-type polynomials at t = q (Koornwinder,
+        # Contemp. Math. 138, 1992), a slice no identity check of the lattice side reaches
+        for base in PARAM_SETS:
+            p = params_from_hat(base.q, base.q, base.that)
+            for n, cap in ((2, 4), (3, 3)):
+                points = generic_points(n, 3, p, seed=4243)
+                star = normalization_point(n, p)
+                for lam in partitions_max_weight(n, cap):
+                    poly = build_P(lam, p)
+                    at_star = _bialternant(lam, star, p)
+                    for z in points:
+                        assert poly.evaluate(z) == _bialternant(lam, z, p) / at_star
 
 
 class TestPieri:

@@ -24,7 +24,6 @@ from rsmorse.spectral import (
     norm_Delta,
     norm_delta0_n,
     norm_ratio,
-    norm_ratio_step,
     weight,
     weight_grid,
 )
@@ -121,10 +120,6 @@ class TestNorms:
             q = p.q
             expected = ((1 - a0 * a1) * (1 - a0 * a2)) / (a0**2 * (1 - q) * (1 - a1 * a2))
             assert norm_ratio((1,), p) == expected
-
-    def test_step_consistency(self):
-        p = PARAM_SETS[1]
-        assert norm_ratio_step((1, 0), 1, p) == norm_ratio((2, 0), p) / norm_ratio((1, 0), p)
 
     def test_detailed_balance_exact(self):
         for p in PARAM_SETS:
