@@ -42,8 +42,12 @@ for mu, val in sorted(image.values.items()):
 print()
 
 print("level-2 hop terms at (1, 1):")
-for term in hop_terms(2, (1, 1), params):
-    print(f"  J+={term.Jplus} J-={term.Jminus} -> {term.target}  coeff {term.coefficient}")
+for target, coeff in hop_terms(2, (1, 1), params):
+    # J+ and J- are the sites the hop moves up and down
+    step = [b - a for a, b in zip((1, 1), target)]
+    Jp = tuple(j for j, d in enumerate(step, 1) if d > 0)
+    Jm = tuple(j for j, d in enumerate(step, 1) if d < 0)
+    print(f"  J+={Jp} J-={Jm} -> {target}  coeff {coeff}")
 print()
 
 # the integrals commute exactly, checked on delta functions

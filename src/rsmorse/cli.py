@@ -5,8 +5,9 @@ ortho, scatter, evolve.  The verify suites and the acceptance criteria
 run the same public case functions (pieri_cases, qdiff_cases,
 commute_cases, nonneg_violations, balance_cases).  Configuration comes
 from flags, optionally seeded by a key=value config file (flags win).
-Exit codes: 0 success, 1 verification failure, 2 configuration error or
-a pole of an operator at the chosen parameters.
+Exit codes: 0 success, 1 verification failure, 2 configuration error
+(also a q-product past its factor cap) or a pole of an operator at the
+chosen parameters.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 from .combinatorics import eval_E_l, eval_E_l_via_Eln, partitions_max_weight
 from .dualop import apply_Hhat_l, generic_points, matrix_in_monomial_basis
-from .errors import DegeneracyError, ParamDomainError, PoleError, RSMorseError
+from .errors import DegeneracyError, ParamDomainError, PoleError, RSMorseError, TruncationCapError
 from .latticeop import (
     LatticeFunction,
     commutator_on_delta,
@@ -459,7 +460,7 @@ def main(argv=None):
             return cmd_scatter(config)
         if args.command == "evolve":
             return cmd_evolve(config)
-    except ParamDomainError as exc:
+    except (ParamDomainError, TruncationCapError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except PoleError as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParamDomainError
@@ -27,6 +27,7 @@ __all__ = [
     "total_order_key",
     "ideal",
     "partitions_max_weight",
+    "PartitionMap",
     "SignedPermutation",
     "orbit",
     "monomial_eval",
@@ -57,6 +58,16 @@ def check_partition(lam, n=None):
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ParamDomainError(f"partition {lam} is not weakly decreasing")
     return lam
+
+
+def _check_level(l, n):
+    if not 1 <= l <= n:
+        raise ParamDomainError(f"level l must satisfy 1 <= l <= {n}, got {l}")
+
+
+def _check_sites(sites, n):
+    if len(set(sites)) != len(sites) or not all(1 <= j <= n for j in sites):
+        raise ParamDomainError(f"sites {sites} must be distinct and in 1..{n}")
 
 
 def is_partition(vec):
@@ -124,6 +135,49 @@ def ideal(lam):
     """Dominance ideal {mu : mu <= lam} as a tuple in graded-lex order."""
     lam = check_partition(lam)
     return tuple(mu for mu in partitions_max_weight(len(lam), sum(lam)) if dominance_leq(mu, lam))
+
+
+@dataclass
+class PartitionMap:
+    """Finitely supported map from length-n partitions to values.
+
+    The lattice functions and the invariant polynomials (coefficients on
+    the monomials m_mu) share this body.  Values may be Fractions (exact
+    path) or floats/complex.  Zero values are pruned so that equality of
+    supports is meaningful.  Every method returns the caller's class.
+    """
+
+    n: int
+    values: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        clean = {}
+        for lam, v in self.values.items():
+            lam = check_partition(lam, self.n)
+            if v != 0:
+                clean[lam] = v
+        self.values = clean
+
+    def support(self):
+        """The keys in graded-lex order."""
+        return sorted(self.values, key=total_order_key)
+
+    def is_zero(self):
+        return not self.values
+
+    def scaled(self, c):
+        return type(self)(self.n, {k: c * v for k, v in self.values.items()})
+
+    def plus(self, other):
+        if other.n != self.n:
+            raise ParamDomainError(f"cannot add maps of ranks {self.n} and {other.n}")
+        out = dict(self.values)
+        for k, v in other.values.items():
+            out[k] = out.get(k, 0) + v
+        return type(self)(self.n, out)
+
+    def minus(self, other):
+        return self.plus(other.scaled(-1))
 
 
 def _perm_parity(sigma):
@@ -287,7 +341,8 @@ def _monomial_eval_rational(mu, z):
 # Both families of integrals read  sum over sites J with signs eps, |J| <= l,
 # of U_{J^c, l-|J|} V_{eps J} T_{eps J}  (van Diejen's form).  Each side
 # supplies a _Factors table of its own and a way to move a label or a
-# point; how a coefficient is assembled from the table lives only here.
+# point; how a coefficient is assembled from the table, and the order of
+# the terms, live only here.
 
 
 def _signed_hops(n, l):
@@ -375,6 +430,19 @@ def _hop_coefficient(J, eps, l, F):
     return u * _hop_product(J, eps, rest, F, False)
 
 
+def _terms(l, F, move):
+    """(target, coefficient) of each signed hop of the l-th integral over F.
+
+    move(J, eps) returns the label or point the hop reaches, or None to
+    skip the hop; a skipped hop's coefficient is never formed, since an
+    inadmissible lattice hop can sit on a pole.
+    """
+    for J, eps in _signed_hops(F.n, l):
+        target = move(J, eps)
+        if target is not None:
+            yield target, _hop_coefficient(J, eps, l, F)
+
+
 def elem_sym(k, z):
     """Elementary symmetric polynomial e_k(z); e_0 = 1, 0 for k > len(z)."""
     if k < 0:
@@ -430,8 +498,7 @@ def eval_E_l(lam, l, params):
     """
     lam = check_partition(lam)
     n = len(lam)
-    if not 1 <= l <= n:
-        raise ParamDomainError(f"level l must satisfy 1 <= l <= {n}, got {l}")
+    _check_level(l, n)
     q, t = params.q, params.t
     zpow = [t ** (j - 1) * q ** (-lam[j - 1]) for j in range(1, n + 1)]
     total = 0
@@ -506,8 +573,7 @@ def eval_Ehat_l(l, cos_xi, params):
     """
     cos_xi = tuple(cos_xi)
     n = len(cos_xi)
-    if not 1 <= l <= n:
-        raise ParamDomainError(f"level l must satisfy 1 <= l <= {n}, got {l}")
+    _check_level(l, n)
     t, a = params.t, params.that0
     total = 0
     for combo in itertools.combinations(range(1, n + 1), l):

@@ -13,8 +13,8 @@ the action is computed by evaluation-interpolation:
 * one held-out point re-checks the interpolated image exactly, so a
   support violation cannot pass silently.
 
-The coefficients at a point come from the signed-hop engine shared with
-the lattice integrals (combinatorics._hop_coefficient), over one factor
+The terms at a point come from the signed-hop engine shared with the
+lattice integrals (combinatorics._terms), over one factor
 table per point, shared by every level, every growth step and every
 coefficient helper (vhat_signed, uhat_coeff) that reads the point; this
 module only says how the factors are built and how a hop moves the
@@ -36,22 +36,22 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import (
+    PartitionMap,
+    _check_level,
+    _check_sites,
     _Factors,
-    _hop_coefficient,
     _hop_product,
     _Lazy,
-    _signed_hops,
     _stay_sum,
+    _terms,
     check_partition,
     dominance_leq,
     ideal,
     monomial_eval,
     partitions_max_weight,
-    total_order_key,
 )
 from .errors import ParamDomainError, PoleError, SingularMatrixError, StructureError
 from .linalg import solve_exact
@@ -81,57 +81,29 @@ POINT_CACHE_SIZE = 32
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 
-@dataclass
-class InvariantPolynomial:
+class InvariantPolynomial(PartitionMap):
     """W-invariant Laurent polynomial sum_mu c_mu m_mu in the monomial basis."""
 
-    n: int
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for mu, c in self.coeffs.items():
-            mu = check_partition(mu, self.n)
-            if c != 0:
-                clean[mu] = c
-        self.coeffs = clean
+    @property
+    def coeffs(self):
+        """{mu: c_mu}, the map's values."""
+        return self.values
 
     @classmethod
     def monomial(cls, mu, coeff=Fraction(1)):
         mu = check_partition(mu)
-        return cls(n=len(mu), coeffs={mu: coeff})
-
-    def support(self):
-        return sorted(self.coeffs, key=total_order_key)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def scaled(self, c):
-        return InvariantPolynomial(self.n, {k: c * v for k, v in self.coeffs.items()})
-
-    def plus(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return InvariantPolynomial(self.n, out)
-
-    def minus(self, other):
-        return self.plus(other.scaled(-1))
+        return cls(len(mu), {mu: coeff})
 
     def evaluate(self, z, cache=None):
         """p(z); cache, if given, is an m_mu(z) memo read as cache[mu, z]."""
         total = 0
-        for mu, c in self.coeffs.items():
+        for mu, c in self.values.items():
             m = cache[mu, z] if cache is not None else monomial_eval(mu, z)
             total = total + c * m
         return total
 
     def to_json(self):
-        return [
-            {"mu": list(mu), "value": str(c)}
-            for mu, c in sorted(self.coeffs.items(), key=lambda kv: total_order_key(kv[0]))
-        ]
+        return [{"mu": list(mu), "value": str(self.values[mu])} for mu in self.support()]
 
 
 def _one_body(u, params):
@@ -196,11 +168,6 @@ def _point(z, params):
     return _Point(z, params)
 
 
-def _check_sites(sites, n):
-    if len(set(sites)) != len(sites) or not all(1 <= j <= n for j in sites):
-        raise ParamDomainError(f"sites {sites} must be distinct and in 1..{n}")
-
-
 def vhat(j, z, params):
     """One-variable dual hop coefficient vhat_j(z) (1-based j).
 
@@ -210,8 +177,7 @@ def vhat(j, z, params):
     """
     z = tuple(z)
     n = len(z)
-    if not 1 <= j <= n:
-        raise ParamDomainError(f"index j={j} out of range 1..{n}")
+    _check_sites((j,), n)
     out = _one_body(z[j - 1], params)
     for k in range(1, n + 1):
         if k == j:
@@ -285,17 +251,15 @@ def dual_terms_at_point(l, z, params):
     level shares.  Returns a new list.
     """
     z = tuple(z)
-    n = len(z)
-    if not 1 <= l <= n:
-        raise ParamDomainError(f"level l must satisfy 1 <= l <= {n}, got {l}")
-    F = _point(z, params).factors
-    out = []
-    for J, eps in _signed_hops(n, l):
+    _check_level(l, len(z))
+
+    def move(J, eps):
         shifted = list(z)
         for j, s in zip(J, eps):
             shifted[j - 1] = shifted[j - 1] * params.q**s
-        out.append((tuple(shifted), _hop_coefficient(J, eps, l, F)))
-    return out
+        return tuple(shifted)
+
+    return list(_terms(l, _point(z, params).factors, move))
 
 
 def dual_hl_pointwise(l, peval, z, params):
@@ -436,8 +400,7 @@ class DualMatrix:
 
 def dual_matrix(l, n, params, seed=0):
     """The shared matrix of Hhat_l on length-n labels, fitted with seed."""
-    if not 1 <= l <= n:
-        raise ParamDomainError(f"level l must satisfy 1 <= l <= {n}, got {l}")
+    _check_level(l, n)
     return _dual_matrix(l, n, params, seed)
 
 
@@ -463,10 +426,10 @@ def apply_Hhat_l(l, p, params, seed=0):
     Sums the rows of the shared dual_matrix(l, n, params, seed).
     """
     mat = dual_matrix(l, p.n, params, seed)
-    if p.coeffs:
-        mat.grow(max(sum(mu) for mu in p.coeffs))
+    if p.values:
+        mat.grow(max(sum(mu) for mu in p.values))
     out = {}
-    for mu, c in p.coeffs.items():
+    for mu, c in p.values.items():
         for nu, v in mat.rows[mu].items():
             out[nu] = out.get(nu, 0) + c * v
     return InvariantPolynomial(p.n, out)

@@ -10,12 +10,12 @@ shape check on the shifted tuple; the corresponding coefficients vanish
 anyway, and tests pin down that consistency.
 
 Hop tables are built once per (l, lam, params) and shared by every
-caller: hop_terms returns a cached tuple of frozen HopTerms.  Each table
-build, like each U_coeff and V_coeff call, first computes one factor
-table of (lam, params) holding the one-body and pair factors of that
-label.  The coefficients come from the signed-hop engine shared with the
-dual integrals (combinatorics._hop_coefficient) over that table; this
-module only says how the factors are built and how a hop moves lam.
+caller: hop_terms returns a cached tuple of (target, coefficient) pairs.
+Each table build, like each U_coeff and V_coeff call, first computes one
+factor table of (lam, params) holding the one-body and pair factors of
+that label.  The terms come from the signed-hop engine shared with the
+dual integrals (combinatorics._terms) over that table; this module only
+says how the factors are built and how a hop moves lam.
 
 Sign convention for the square-root prefactors of the hop coefficients:
 sqrt(q*t0/(t1*t2)) = 1/that0 and sqrt(t1*t2/(q*t0)) = that0, which is an
@@ -26,16 +26,20 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import (
+    PartitionMap,
+    _check_level,
+    _check_sites,
     _cone_steps,
     _Factors,
     _hop_coefficient,
     _Lazy,
     _signed_hops,
     _stay_sum,
+    _terms,
     check_partition,
     is_partition,
 )
@@ -43,7 +47,6 @@ from .errors import ParamDomainError, PoleError
 
 __all__ = [
     "LatticeFunction",
-    "HopTerm",
     "v_plus",
     "v_minus",
     "apply_H",
@@ -59,52 +62,16 @@ __all__ = [
 ]
 
 
-@dataclass
-class LatticeFunction:
-    """Finitely supported function on length-n partitions.
-
-    Values may be Fractions (exact path) or floats/complex.  Zero values
-    are pruned so that equality of supports is meaningful.
-    """
-
-    n: int
-    values: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for lam, v in self.values.items():
-            lam = check_partition(lam, self.n)
-            if v != 0:
-                clean[lam] = v
-        self.values = clean
+class LatticeFunction(PartitionMap):
+    """Finitely supported function on length-n partitions, values in .values."""
 
     @classmethod
     def delta(cls, lam):
         lam = check_partition(lam)
-        return cls(n=len(lam), values={lam: Fraction(1)})
+        return cls(len(lam), {lam: Fraction(1)})
 
     def __getitem__(self, lam):
         return self.values.get(tuple(lam), 0)
-
-    def support(self):
-        return sorted(self.values.keys())
-
-    def is_zero(self):
-        return not self.values
-
-    def scaled(self, c):
-        return LatticeFunction(self.n, {k: c * v for k, v in self.values.items()})
-
-    def plus(self, other):
-        if other.n != self.n:
-            raise ParamDomainError("cannot add lattice functions of different ranks")
-        out = dict(self.values)
-        for k, v in other.values.items():
-            out[k] = out.get(k, 0) + v
-        return LatticeFunction(self.n, out)
-
-    def minus(self, other):
-        return self.plus(other.scaled(-1))
 
 
 def _site_power(lam, j, params):
@@ -113,15 +80,10 @@ def _site_power(lam, j, params):
     return params.t ** (n - j) * params.q ** lam[j - 1]
 
 
-def _check_index(lam, j):
-    if not 1 <= j <= len(lam):
-        raise ParamDomainError(f"index j={j} out of range 1..{len(lam)}")
-
-
 def _one_site(lam, j, params, s):
     """v_plus (s = 1) or v_minus (s = -1) at site j, from its closed form."""
     lam = check_partition(lam)
-    _check_index(lam, j)
+    _check_sites((j,), len(lam))
     t = params.t
     aj = _site_power(lam, j, params)
     if s > 0:
@@ -239,10 +201,7 @@ def V_coeff(Jplus, Jminus, lam, params):
     lam = check_partition(lam)
     Jp = tuple(sorted(set(Jplus)))
     Jm = tuple(sorted(set(Jminus)))
-    if set(Jp) & set(Jm):
-        raise ParamDomainError(f"J+ and J- must be disjoint, got {Jp} and {Jm}")
-    for j in Jp + Jm:
-        _check_index(lam, j)
+    _check_sites(Jp + Jm, len(lam))
     # U_{rest, 0} = 1, so the coefficient at level |J+| + |J-| is V alone
     signs = (1,) * len(Jp) + (-1,) * len(Jm)
     return _hop_coefficient(Jp + Jm, signs, len(signs), _factors(lam, params))
@@ -258,48 +217,31 @@ def U_coeff(K, p, lam, params):
     if p < 0:
         raise ParamDomainError(f"order p must be >= 0, got {p}")
     K = tuple(sorted(set(K)))
-    for j in K:
-        _check_index(lam, j)
+    _check_sites(K, len(lam))
     return _stay_sum(K, p, _factors(lam, params))
 
 
-@dataclass(frozen=True)
-class HopTerm:
-    """One admissible hop of H_l: target = lam + e_{J+} - e_{J-}."""
-
-    Jplus: tuple
-    Jminus: tuple
-    target: tuple
-    coefficient: Fraction
-
-
 def hop_terms(l, lam, params):
-    """All admissible hop terms of H_l at lam, with coefficients.
+    """All admissible hops of H_l at lam, as (target, coefficient) pairs.
 
-    Coefficient = U_{(J+ u J-)^c, l - |J+| - |J-|}(lam) * V_{J+,J-}(lam).
-    Admissibility is the explicit shape check on the shifted tuple, not a
-    reliance on coefficient zeros.  Returns a shared, cached tuple.
+    target = lam + e_{J+} - e_{J-} and coefficient =
+    U_{(J+ u J-)^c, l - |J+| - |J-|}(lam) * V_{J+,J-}(lam); J+ and J- are
+    the sites where target - lam is +1 and -1.  Admissibility is the
+    explicit shape check on the shifted tuple, not a reliance on
+    coefficient zeros.  Returns a shared, cached tuple.
     """
     lam = check_partition(lam)
-    n = len(lam)
-    if not 1 <= l <= n:
-        raise ParamDomainError(f"level l must satisfy 1 <= l <= {n}, got {l}")
+    _check_level(l, len(lam))
     return _hop_table(l, lam, params)
 
 
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)
 def _hop_table(l, lam, params):
-    F = _factors(lam, params)
-    out = []
-    for J, eps in _signed_hops(len(lam), l):
+    def move(J, eps):
         target = _shift(lam, J, eps)
-        if not is_partition(target):
-            continue
-        Jp = tuple(j for j, s in zip(J, eps) if s > 0)
-        Jm = tuple(j for j, s in zip(J, eps) if s < 0)
-        coeff = _hop_coefficient(J, eps, l, F)
-        out.append(HopTerm(Jplus=Jp, Jminus=Jm, target=target, coefficient=coeff))
-    return tuple(out)
+        return target if is_partition(target) else None
+
+    return tuple(_terms(l, _factors(lam, params), move))
 
 
 # hit and miss counts of the hop-table memo
@@ -309,8 +251,7 @@ hop_terms.cache_info = _hop_table.cache_info
 def apply_Hl(l, f, params):
     """Apply the l-th commuting integral H_l to a lattice function."""
     n = f.n
-    if not 1 <= l <= n:
-        raise ParamDomainError(f"level l must satisfy 1 <= l <= {n}, got {l}")
+    _check_level(l, n)
     hops = list(_signed_hops(n, l))
     candidates = set()
     for nu in f.values:
@@ -322,10 +263,10 @@ def apply_Hl(l, f, params):
     out = {}
     for lam in sorted(candidates):
         acc = 0
-        for term in hop_terms(l, lam, params):
-            fv = f[term.target]
+        for target, c in hop_terms(l, lam, params):
+            fv = f[target]
             if fv != 0:
-                acc += term.coefficient * fv
+                acc += c * fv
         if acc != 0:
             out[lam] = acc
     return LatticeFunction(n, out)

@@ -140,8 +140,8 @@ def pieri_residual(l, lam, z, family):
     params = family.params
     cache = family._monomials
     total = 0
-    for term in hop_terms(l, lam, params):
-        total += term.coefficient * family.P(term.target).evaluate(z, cache)
+    for target, c in hop_terms(l, lam, params):
+        total += c * family.P(target).evaluate(z, cache)
     x = cosines_from_point(z)
     lhs = eval_Ehat_l(l, x, params) * family.P(lam).evaluate(z, cache)
     return total - lhs

@@ -60,8 +60,9 @@ def parse_rational(text):
 def qpoch_finite(x, m, q):
     """Finite q-Pochhammer symbol (x; q)_m = prod_{l=0}^{m-1} (1 - x q^l).
 
-    Exact when ``x`` and ``q`` are Fractions.  ``m`` must be a
-    nonnegative integer; (x; q)_0 = 1.
+    Exact when ``x`` and ``q`` are Fractions; a numpy array ``x`` gives
+    the product elementwise, as the spectral weight grid uses it.  ``m``
+    must be a nonnegative integer; (x; q)_0 = 1.
     """
     if m < 0 or m != int(m):
         raise ParamDomainError(f"q-Pochhammer order m must be a nonnegative integer, got {m!r}")
@@ -78,21 +79,26 @@ def qpoch_finite(x, m, q):
 def truncation_order(x, q, tol):
     """Smallest N with |x| |q|^N < tol (N = 0 when |x| < tol already).
 
-    tol must be a finite number > 0.
+    Computed in floats, also for exact x and q.  tol must be a finite
+    number > 0; raises TruncationCapError when N exceeds
+    ``MAX_QPOCH_FACTORS`` (q extremely close to 1, or rounding to 1).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ParamDomainError(f"truncation tolerance must be a finite number > 0, got {tol}")
-    ax = abs(x)
+    ax = float(abs(x))
     if ax < tol:
         return 0
-    aq = abs(q)
+    aq = float(abs(q))
     if aq == 0:
         return 1
     # ceil of log(tol/|x|)/log|q|, computed defensively against rounding
-    n = int(math.ceil((math.log(tol) - math.log(ax)) / math.log(aq)))
-    n = max(n, 0)
-    while ax * aq**n >= tol:
+    n = max(math.ceil((math.log(tol) - math.log(ax)) / math.log(aq)), 0) if aq < 1 else math.inf
+    while n <= MAX_QPOCH_FACTORS and ax * aq**n >= tol:
         n += 1
+    if n > MAX_QPOCH_FACTORS:
+        raise TruncationCapError(
+            f"(x; q)_inf needs {n} factors for tol={tol} at |q|={aq}; cap is {MAX_QPOCH_FACTORS}"
+        )
     return n
 
 
@@ -106,7 +112,7 @@ def qpoch_infinite(x, q, tol=1e-16):
     once tol <= 1/2, which is the documented accuracy of this routine.
 
     Requires |q| < 1; raises TruncationCapError when the needed number of
-    factors exceeds ``MAX_QPOCH_FACTORS`` (q extremely close to 1).
+    factors exceeds ``MAX_QPOCH_FACTORS`` (see truncation_order).
     """
     aq = abs(q)
     if aq >= 1:
@@ -114,10 +120,6 @@ def qpoch_infinite(x, q, tol=1e-16):
     xf = complex(x) if isinstance(x, complex) else float(x)
     qf = complex(q) if isinstance(q, complex) else float(q)
     n = truncation_order(xf, qf, tol)
-    if n > MAX_QPOCH_FACTORS:
-        raise TruncationCapError(
-            f"(x; q)_inf needs {n} factors for tol={tol} at |q|={aq}; cap is {MAX_QPOCH_FACTORS}"
-        )
     out = 1.0
     term = xf
     for _ in range(n):

@@ -12,13 +12,14 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import check_partition, orbit, partitions_max_weight
+from .combinatorics import _check_sites, check_partition, orbit, partitions_max_weight
 from .errors import DegeneracyError, ParamDomainError, StructureError
 from .latticeop import LatticeFunction, epsilon0, hop_terms, v_minus, v_plus
 from .qcore import qpoch_finite, qpoch_infinite, truncation_order
@@ -43,15 +44,6 @@ __all__ = [
 ]
 
 
-def _qpoch_array(x, q, nfactors):
-    out = np.ones_like(x)
-    qp = 1.0
-    for _ in range(nfactors):
-        out = out * (1.0 - qp * x)
-        qp *= q
-    return out
-
-
 def weight_grid(points, params, tol=1e-12):
     """Spectral weight evaluated on an (m, n) array of angle vectors.
 
@@ -65,18 +57,18 @@ def weight_grid(points, params, tol=1e-12):
     total = np.full(m, (2.0 * math.pi) ** (-n))
     for j in range(n):
         zj = np.exp(1j * points[:, j])
-        num = _qpoch_array(zj * zj, q, nfac)
+        num = qpoch_finite(zj * zj, nfac, q)
         den = np.ones(m, dtype=complex)
         for th in params.that:
-            den = den * _qpoch_array(float(th) * zj, q, nfac)
+            den = den * qpoch_finite(float(th) * zj, nfac, q)
         total = total * np.abs(num / den) ** 2
     t = float(params.t)
     for j in range(n):
         for k in range(j + 1, n):
             zsum = np.exp(1j * (points[:, j] + points[:, k]))
             zdif = np.exp(1j * (points[:, j] - points[:, k]))
-            num = _qpoch_array(zsum, q, nfac) * _qpoch_array(zdif, q, nfac)
-            den = _qpoch_array(t * zsum, q, nfac) * _qpoch_array(t * zdif, q, nfac)
+            num = qpoch_finite(zsum, nfac, q) * qpoch_finite(zdif, nfac, q)
+            den = qpoch_finite(t * zsum, nfac, q) * qpoch_finite(t * zdif, nfac, q)
             total = total * np.abs(num / den) ** 2
     return total
 
@@ -129,6 +121,7 @@ def norm_ratio(lam, params):
 def detailed_balance_residual(lam, j, params):
     """ratio(lam+e_j)/ratio(lam) * v_minus(lam+e_j, j) - v_plus(lam, j); zero exactly."""
     lam = check_partition(lam)
+    _check_sites((j,), len(lam))
     up = list(lam)
     up[j - 1] += 1
     up = check_partition(up)
@@ -145,7 +138,9 @@ def norm_delta0_n(n, params):
     """Transcendental prefactor of the lattice norms.
 
     prod_j ( (q)_inf (t^j)_inf / (t)_inf * prod_{r<s} (that_r that_s t^(n-j))_inf );
-    depends on the rank, so the cache key includes n.
+    depends on the rank, so the cache key includes n.  Raises
+    ParamDomainError when the value leaves double precision (0 or not
+    finite), as it does for q near 1.
     """
     q = float(params.q)
     t = float(params.t)
@@ -160,6 +155,8 @@ def norm_delta0_n(n, params):
         for r in range(3):
             for s in range(r + 1, 3):
                 out *= qpoch_infinite(th[r] * th[s] * t ** (n - j), q, NORM_TOL)
+    if out == 0 or not math.isfinite(out):
+        raise ParamDomainError(f"lattice norm prefactor at n={n}, q={params.q} is {out} in floats")
     return out
 
 
@@ -218,7 +215,7 @@ def evaluate_P_grid(poly, points):
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     total = np.zeros(points.shape[0], dtype=complex)
-    for mu, c in poly.coeffs.items():
+    for mu, c in poly.values.items():
         mono = np.zeros(points.shape[0], dtype=complex)
         for nu in orbit(mu):
             mono = mono + np.exp(1j * (points @ np.asarray(nu, dtype=float)))
@@ -275,13 +272,16 @@ def gram_report(labels, family, quad):
     lam of the product is P_lam sqrt(w rho) with w the Gauss weight and
     rho the spectral weight.  rel_err is normalized by
     Delta_lam^(-1/2) Delta_mu^(-1/2), which on the diagonal reduces to the
-    plain relative error.  Labels must share one rank.
+    plain relative error; the square roots are taken one by one where
+    the product Delta_lam Delta_mu underflows.  The norms come first, so
+    a norm outside double precision fails before the quadrature.  Labels
+    must share one rank.
     """
     labels = [check_partition(l) for l in labels]
     if not labels:
         return []
-    table = _gram_table(labels, family, quad)
     norms = [norm_Delta(lam, family.params).value for lam in labels]
+    table = _gram_table(labels, family, quad)
     rows = []
     for a, lam in enumerate(labels):
         for b in range(a, len(labels)):
@@ -289,6 +289,8 @@ def gram_report(labels, family, quad):
             val = float(table[a, b])
             target = 1.0 / norms[a] if lam == mu else 0.0
             abs_err = abs(val - target)
+            na, nb = norms[a], norms[b]
+            scale = math.sqrt(na * nb) if na * nb >= sys.float_info.min else math.sqrt(na) * math.sqrt(nb)
             rows.append(
                 {
                     "lambda": list(lam),
@@ -296,7 +298,7 @@ def gram_report(labels, family, quad):
                     "value": val,
                     "target": target,
                     "abs_err": abs_err,
-                    "rel_err": abs_err * math.sqrt(norms[a] * norms[b]),
+                    "rel_err": abs_err * scale,
                 }
             )
     return rows
@@ -357,15 +359,13 @@ def conjugated_H_matrix(l, cutoff, params, n):
     hops = {}
     dropped = []
     for lam in labels:
-        for term in hop_terms(l, lam, params):
-            if term.target == lam:
-                mat[index[lam], index[lam]] = float(term.coefficient + eps)
-            elif term.target in index:
-                hops[(lam, term.target)] = term.coefficient
+        for target, c in hop_terms(l, lam, params):
+            if target == lam:
+                mat[index[lam], index[lam]] = float(c + eps)
+            elif target in index:
+                hops[(lam, target)] = c
             else:
-                dropped.append(
-                    {"source": list(lam), "target": list(term.target), "coeff": float(term.coefficient)}
-                )
+                dropped.append({"source": list(lam), "target": list(target), "coeff": float(c)})
     ratios = {lam: norm_ratio(lam, params) for lam in labels}
     done = set()
     for (lam, mu), c in hops.items():
@@ -389,10 +389,18 @@ def conjugated_H_matrix(l, cutoff, params, n):
     return ConjugatedMatrix(labels=labels, matrix=mat, dropped=dropped)
 
 
+@functools.cache
+def _evolution_basis(cutoff, params, n):
+    """conjugated_H_matrix(1, cutoff, params, n) and the eigh of its matrix."""
+    conj = conjugated_H_matrix(1, cutoff, params, n)
+    return conj, np.linalg.eigh(conj.matrix)
+
+
 def evolve(initial, time, cutoff, params, n):
     """Unitary evolution exp(i C time) of a truncated state.
 
-    C is conjugated_H_matrix(1, cutoff, params, n).  initial:
+    C is conjugated_H_matrix(1, cutoff, params, n), built and
+    diagonalized once per (cutoff, params, n) and shared.  initial:
     LatticeFunction or mapping partition -> value; values may be complex.
     Returns a dict partition -> complex amplitude.  Support at the cutoff
     boundary triggers a leakage warning estimated from the dropped hop
@@ -403,7 +411,7 @@ def evolve(initial, time, cutoff, params, n):
     for lam in values:
         if len(lam) != n:
             raise ParamDomainError(f"initial support {lam} has rank {len(lam)}, not the rank n={n}")
-    conj = conjugated_H_matrix(1, cutoff, params, n)
+    conj, (evals, evecs) = _evolution_basis(cutoff, params, n)
     index = {lam: i for i, lam in enumerate(conj.labels)}
     for lam in values:
         if lam not in index:
@@ -420,7 +428,6 @@ def evolve(initial, time, cutoff, params, n):
     v0 = np.zeros(len(conj.labels), dtype=complex)
     for lam, val in values.items():
         v0[index[lam]] = val
-    evals, evecs = np.linalg.eigh(conj.matrix)
     phases = np.exp(1j * evals * float(time))
     vt = evecs @ (phases * (evecs.T @ v0))
     return {lam: complex(vt[i]) for lam, i in index.items() if vt[i] != 0}

@@ -1,19 +1,23 @@
 """End-to-end command-line tests running main() in process."""
 
 import json
+import math
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import in_domain_params
+from rsmorse import spectral
 from rsmorse.cli import balance_cases, main, pieri_cases, qdiff_cases
 from rsmorse.combinatorics import partitions_max_weight
 from rsmorse.dualop import dual_matrix, generic_points
 from rsmorse.errors import DegeneracyError, PoleError
 from rsmorse.latticeop import LatticeFunction
 from rsmorse.polynomials import PolynomialFamily
+from rsmorse.qcore import params_from_hat
 
 
 def run(capsys, argv):
@@ -320,6 +324,58 @@ class TestEvolve:
         series = json.loads(out)["series"]
         assert [s["time"] for s in series] == [0.0, 0.0, 0.0]
         assert all(s["state"] == series[0]["state"] for s in series)
+
+    def test_one_matrix_per_command(self, capsys, monkeypatch):
+        # the three reported times share one truncation and one eigendecomposition
+        calls = []
+        real = spectral.conjugated_H_matrix
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(spectral, "conjugated_H_matrix", counting)
+        spectral._evolution_basis.cache_clear()
+        code, _, _ = run(capsys, ["evolve", "--n", "1", "--max-weight", "5", "--time", "0.3"])
+        assert code == 0
+        assert len(calls) == 1
+
+
+class TestNearOne:
+    """q close to 1 on the float side: a q-product past its factor cap or a
+    norm outside double precision exits 2 with one line, before any quadrature."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ortho", "--n", "1", "--max-weight", "1", "--q", "9999999/10000000"],
+            ["scatter", "--n", "1", "--q", "9999999/10000000"],
+            ["ortho", "--n", "1", "--max-weight", "2", "--q", "999/1000"],
+            ["ortho", "--n", "1", "--max-weight", "2", "--q", "9999/10000"],
+        ],
+        ids=["ortho-cap", "scatter-cap", "ortho-underflow", "ortho-overflow"],
+    )
+    def test_exits_two_quickly(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("configuration error: ")
+
+    def test_rel_err_survives_norm_underflow(self, capsys):
+        # at n = 2 the norms are near 1e-246, so their product underflows to 0.0
+        argv = ["ortho", "--n", "2", "--max-weight", "1", "--q", "995/1000", "--quad-nodes", "20"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        params = params_from_hat("995/1000", "1/3", ("1/2", "-1/3", "1/5"))  # the CLI defaults but q
+        for row in json.loads(out)["rows"]:
+            dl = spectral.norm_Delta(row["lambda"], params).value
+            dm = spectral.norm_Delta(row["mu"], params).value
+            assert dl * dm == 0.0
+            assert row["rel_err"] == row["abs_err"] * (math.sqrt(dl) * math.sqrt(dm)) > 0
+            assert row["warn"] is True
 
 
 class TestPoles:

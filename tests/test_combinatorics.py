@@ -27,7 +27,9 @@ from rsmorse.combinatorics import (
     partitions_max_weight,
     total_order_key,
 )
+from rsmorse.dualop import InvariantPolynomial
 from rsmorse.errors import ParamDomainError
+from rsmorse.latticeop import LatticeFunction
 from rsmorse.qcore import params_from_hat
 
 from conftest import PARAM_SETS
@@ -62,6 +64,32 @@ class TestPartitions:
 
     def test_partitions_max_weight_n1(self):
         assert partitions_max_weight(1, 4) == [(k,) for k in range(5)]
+
+
+@pytest.mark.parametrize("cls", [LatticeFunction, InvariantPolynomial], ids=lambda c: c.__name__)
+class TestPartitionMap:
+    """The lattice functions and the invariant polynomials share one map body."""
+
+    def test_algebra_keeps_the_class(self, cls):
+        f = cls(2, {(1, 0): Fraction(2), (2, 1): Fraction(0)})
+        g = cls(2, {(1, 0): Fraction(-1), (1, 1): Fraction(1, 3)})
+        for out in (f.scaled(3), f.plus(g), f.minus(g), f.minus(f)):
+            assert type(out) is cls
+        assert f.scaled(3).values == {(1, 0): 6}
+        assert f.plus(g).values == {(1, 0): 1, (1, 1): Fraction(1, 3)}
+        assert f.minus(g).values == {(1, 0): 3, (1, 1): Fraction(-1, 3)}
+        assert f.minus(f).is_zero()
+
+    def test_support_is_graded_lex(self, cls):
+        # weight first: (3, 0) comes before (2, 2), against plain lex order
+        f = cls(2, {(2, 2): 1, (3, 0): 1, (1, 0): 1})
+        assert f.support() == [(1, 0), (3, 0), (2, 2)]
+
+    def test_rank_mismatch_raises(self, cls):
+        with pytest.raises(ParamDomainError, match="ranks 2 and 3"):
+            cls(2, {(1, 0): 1}).plus(cls(3, {(1, 0, 0): 1}))
+        with pytest.raises(ParamDomainError, match="ranks 2 and 1"):
+            cls(2, {(1, 0): 1}).minus(cls(1, {(1,): 1}))
 
 
 class TestDominance:

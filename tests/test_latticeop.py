@@ -155,10 +155,12 @@ class TestHigherIntegrals:
         for lam in [(2, 0), (1, 1), (3, 2, 1)]:
             n = len(lam)
             for l in range(1, n + 1):
-                for term in hop_terms(l, lam, p):
-                    assert is_partition(term.target)
-                    assert len(term.Jplus) + len(term.Jminus) <= l
-                    assert not set(term.Jplus) & set(term.Jminus)
+                for target, _ in hop_terms(l, lam, p):
+                    assert is_partition(target)
+                    step = [b - a for a, b in zip(lam, target)]
+                    # each site moves by at most one, so J+ and J- are disjoint
+                    assert set(step) <= {-1, 0, 1}
+                    assert sum(map(abs, step)) <= l
 
     def test_support_growth_bound(self):
         p = PARAM_SETS[0]
@@ -272,14 +274,14 @@ class TestHopTableMemo:
         for p in PARAM_SETS:
             hop_terms(1, lam, p)
         tables = [hop_terms(1, lam, p) for p in PARAM_SETS]
-        coeffs = [tuple(term.coefficient for term in table) for table in tables]
+        coeffs = [tuple(c for _, c in table) for table in tables]
         assert len(set(coeffs)) == len(PARAM_SETS)
         for p, table in zip(PARAM_SETS, tables):
-            for term in table:
-                if term.Jplus:
-                    assert term.coefficient == v_plus(lam, term.Jplus[0], p)
-                elif term.Jminus:
-                    assert term.coefficient == v_minus(lam, term.Jminus[0], p)
+            for target, c in table:
+                # a level-1 hop moves one site j by s = target_j - lam_j
+                for j, s in enumerate((b - a for a, b in zip(lam, target)), 1):
+                    if s:
+                        assert c == (v_plus if s > 0 else v_minus)(lam, j, p)
 
     def test_pole_is_named(self):
         p = params_from_hat("1/2", "1/2", ("1/2", "-1/3", "1/5"))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -10,7 +9,7 @@ from rsmorse.combinatorics import is_partition, partitions_max_weight
 from rsmorse.errors import ParamDomainError, StructureError
 from rsmorse.latticeop import LatticeFunction, epsilon0, v_minus, v_plus
 from rsmorse import spectral
-from rsmorse.qcore import qpoch_infinite
+from rsmorse.qcore import params_from_hat, qpoch_infinite
 from rsmorse.spectral import (
     QuadSpec,
     conjugated_H_matrix,
@@ -133,6 +132,18 @@ class TestNorms:
                         r = detailed_balance_residual(lam, j, p)
                         assert isinstance(r, Fraction)
                         assert r == 0
+
+    @pytest.mark.parametrize("j", [0, 4])
+    def test_balance_site_out_of_range(self, j):
+        # j = 0 used to move the last part through up[-1], j = n + 1 raised IndexError
+        with pytest.raises(ParamDomainError, match=r"sites \(%d,\) must be distinct and in 1..3" % j):
+            detailed_balance_residual((1, 0, 0), j, PARAM_SETS[0])
+
+    def test_delta0_outside_double_precision(self):
+        # at q = 999/1000 the prefactor underflows to 0.0, which gram_report divided by
+        p = params_from_hat("999/1000", "1/3", ("1/2", "-1/3", "1/5"))
+        with pytest.raises(ParamDomainError, match="prefactor at n=1"):
+            norm_delta0_n(1, p)
 
     def test_delta0_positive_and_cached(self):
         p = PARAM_SETS[0]
@@ -344,10 +355,7 @@ class TestConjugated:
             terms = real(l, lam, params)
             if lam != (1, 0):
                 return terms
-            return tuple(
-                dataclasses.replace(t, coefficient=2 * t.coefficient) if t.target == (2, 0) else t
-                for t in terms
-            )
+            return tuple((target, 2 * c if target == (2, 0) else c) for target, c in terms)
 
         monkeypatch.setattr(spectral, "hop_terms", scaled)
         with pytest.raises(StructureError, match=r"detailed balance fails on hop \(1, 0\) -> \(2, 0\)"):
