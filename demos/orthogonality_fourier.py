@@ -46,4 +46,4 @@ print("Fourier roundtrip of delta_(2,):")
 for mu in [(0,), (1,), (2,), (3,)]:
     print(f"  inverse at {mu}: {fourier_inverse(fhat, mu, family, quad): .3e}")
 print()
-print("norm of the ground delta in the spectral measure:", norm_Delta((0,), params).value)
+print("norm of the ground delta in the spectral measure:", norm_Delta((0,), params))

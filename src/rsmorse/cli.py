@@ -21,8 +21,8 @@ import random
 import sys
 from fractions import Fraction
 
-from .combinatorics import eval_E_l, eval_E_l_via_Eln, partitions_max_weight
-from .dualop import apply_Hhat_l, generic_points, matrix_in_monomial_basis
+from .combinatorics import eval_E_l, eval_E_l_via_Eln, ideal, partitions_max_weight
+from .dualop import apply_Hhat_l, commutator_on_monomial, dual_matrix, generic_points
 from .errors import DegeneracyError, ParamDomainError, PoleError, RSMorseError, TruncationCapError
 from .latticeop import (
     LatticeFunction,
@@ -212,17 +212,12 @@ def qdiff_cases(family, labels):
     return cases
 
 
-def _matmul(A, B):
-    size = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(size)) for j in range(size)] for i in range(size)]
-
-
 def commute_cases(params, labels, root, seed):
     """Commutators of the lattice and of the dual integrals.
 
     Lattice [H_l, H_m] (l <= m) on the delta at each label, then dual
-    [Hhat_l, Hhat_m] (l < m) on the monomial basis of the ideal of root,
-    fitted with seed.
+    [Hhat_l, Hhat_m] (l < m) on each monomial of the ideal of root, fitted
+    with seed.
     """
     cases = []
     for lam0 in labels:
@@ -232,12 +227,14 @@ def commute_cases(params, labels, root, seed):
                 detail = "exact zero" if comm.is_zero() else f"support {comm.support()}"
                 cases.append(_case(f"lattice [H_{l},H_{m}] at {lam0}", comm.is_zero(), detail))
     n = len(root)
-    if n < 2:  # no pair l < m, so no matrix to build
-        return cases
-    mats = {l: matrix_in_monomial_basis(l, root, params, seed) for l in range(1, n + 1)}
+    # fit each level's whole box once up front, not one weight per monomial;
+    # at n = 1 there is no pair l < m, so nothing is fitted
+    if n > 1:
+        for l in range(1, n + 1):
+            dual_matrix(l, n, params, seed).grow(sum(root))
     for l in range(1, n + 1):
         for m in range(l + 1, n + 1):
-            ok = _matmul(mats[l], mats[m]) == _matmul(mats[m], mats[l])
+            ok = all(commutator_on_monomial(l, m, mu, params, seed).is_zero() for mu in ideal(root))
             cases.append(_case(f"dual [Hhat_{l},Hhat_{m}] on ideal({root})", ok))
     return cases
 

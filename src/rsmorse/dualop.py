@@ -49,7 +49,6 @@ from .combinatorics import (
     _terms,
     check_partition,
     dominance_leq,
-    ideal,
     monomial_eval,
     partitions_max_weight,
 )
@@ -60,14 +59,13 @@ __all__ = [
     "InvariantPolynomial",
     "vhat",
     "apply_dual_h_pointwise",
-    "dual_hl_pointwise",
     "uhat_coeff",
     "vhat_signed",
     "generic_points",
     "DualMatrix",
     "dual_matrix",
     "apply_Hhat_l",
-    "matrix_in_monomial_basis",
+    "commutator_on_monomial",
 ]
 
 MAX_RESAMPLE_ATTEMPTS = 32
@@ -94,11 +92,11 @@ class InvariantPolynomial(PartitionMap):
         mu = check_partition(mu)
         return cls(len(mu), {mu: coeff})
 
-    def evaluate(self, z, cache=None):
-        """p(z); cache, if given, is an m_mu(z) memo read as cache[mu, z]."""
+    def evaluate(self, z, mono=None):
+        """p(z); mono, if given, holds m_mu(z) for z and is read as mono[mu]."""
         total = 0
         for mu, c in self.values.items():
-            m = cache[mu, z] if cache is not None else monomial_eval(mu, z)
+            m = mono[mu] if mono is not None else monomial_eval(mu, z)
             total = total + c * m
         return total
 
@@ -133,8 +131,10 @@ def _pair_tq(w, stay, params):
 class _Point:
     """What every fit and coefficient helper reads at one point z.
 
-    factors: the factor table of z; terms: {l: term list of Hhat_l at z};
-    mono: m_mu at z and at its shifted points, keyed (mu, point).
+    factors: the factor table of z; at: at[w][mu] = m_mu(w) for w = z or
+    one of its shifted points; terms: {l: (at[w], coefficient) pairs of
+    Hhat_l at z}, so each shifted point is hashed once per level, not
+    once per term and label.
 
     With u_j = z_j^s, factors.one[j, s] is the one-body factor at u_j;
     factors.mixed[j, s, k] the t-pair factors of u_j z_k and u_j/z_k; and
@@ -144,7 +144,7 @@ class _Point:
     surfaces only at a factor a coefficient reads.
     """
 
-    __slots__ = ("factors", "terms", "mono")
+    __slots__ = ("factors", "terms", "at")
 
     def __init__(self, z, params):
         def one(j, s):
@@ -160,7 +160,7 @@ class _Point:
 
         self.factors = _Factors(len(z), _Lazy(one), _Lazy(mixed), _Lazy(pair))
         self.terms = {}
-        self.mono = _Lazy(monomial_eval)
+        self.at = _Lazy(lambda *w: _Lazy(lambda *mu: monomial_eval(mu, w)))
 
 
 @functools.lru_cache(maxsize=POINT_CACHE_SIZE)
@@ -262,14 +262,6 @@ def dual_terms_at_point(l, z, params):
     return list(_terms(l, _point(z, params).factors, move))
 
 
-def dual_hl_pointwise(l, peval, z, params):
-    """(Hhat_l p)(z) by direct term summation."""
-    total = 0
-    for shifted, coeff in dual_terms_at_point(l, z, params):
-        total += coeff * peval(shifted)
-    return total
-
-
 def generic_points(n, count, params, seed):
     """Deterministic generic rational points for interpolation.
 
@@ -330,14 +322,14 @@ def _interpolate(l, n, support, new, params, seed):
             for z, rec in zip(pts, recs):
                 terms = rec.terms.get(l)
                 if terms is None:
-                    terms = rec.terms[l] = dual_terms_at_point(l, z, params)
-                images.append([sum(c * rec.mono[mu, zz] for zz, c in terms) for mu in new])
-            A = [[rec.mono[nu, z] for nu in support] for z, rec in zip(pts[:-1], recs)]
+                    terms = rec.terms[l] = [(rec.at[zz], c) for zz, c in dual_terms_at_point(l, z, params)]
+                images.append([sum(c * m[mu] for m, c in terms) for mu in new])
+            A = [[rec.at[z][nu] for nu in support] for z, rec in zip(pts[:-1], recs)]
             X = solve_exact(A, images[:-1])
         except (PoleError, SingularMatrixError):
             continue
         # held-out exactness check at the last point
-        basis_at_check = [recs[-1].mono[nu, pts[-1]] for nu in support]
+        basis_at_check = [recs[-1].at[pts[-1]][nu] for nu in support]
         for k, direct in enumerate(images[-1]):
             if sum(X[i][k] * basis_at_check[i] for i in range(len(support))) != direct:
                 raise StructureError(
@@ -391,12 +383,6 @@ class DualMatrix:
         self.rows.update(rows)
         self.weight = weight
 
-    def row(self, mu):
-        """{nu: coefficient of m_nu in Hhat_l m_mu}, growing the box if needed."""
-        mu = check_partition(mu, self.n)
-        self.grow(sum(mu))
-        return self.rows[mu]
-
 
 def dual_matrix(l, n, params, seed=0):
     """The shared matrix of Hhat_l on length-n labels, fitted with seed."""
@@ -435,15 +421,14 @@ def apply_Hhat_l(l, p, params, seed=0):
     return InvariantPolynomial(p.n, out)
 
 
-def matrix_in_monomial_basis(l, root, params, seed=0):
-    """Dense matrix of Hhat_l on the monomial basis of the ideal of root.
+def commutator_on_monomial(l, m, mu, params, seed=0):
+    """(Hhat_l Hhat_m - Hhat_m Hhat_l) applied to the monomial m_mu.
 
-    Entry [i][j] is the coefficient of m_nu in Hhat_l m_mu for the i-th
-    mu and j-th nu of ideal(root), in graded-lex order.  Read from the
-    shared dual_matrix(l, n, params, seed), grown to |root| in one step.
+    The dual twin of latticeop.commutator_on_delta, read from the shared
+    rows of dual_matrix(l, n, params, seed) and dual_matrix(m, ...);
+    exact commutativity means the result is the zero polynomial.
     """
-    root = check_partition(root)
-    mat = dual_matrix(l, len(root), params, seed)
-    mat.grow(sum(root))
-    basis = ideal(root)
-    return [[mat.rows[mu].get(nu, Fraction(0)) for nu in basis] for mu in basis]
+    p = InvariantPolynomial.monomial(mu)
+    ab = apply_Hhat_l(l, apply_Hhat_l(m, p, params, seed), params, seed)
+    ba = apply_Hhat_l(m, apply_Hhat_l(l, p, params, seed), params, seed)
+    return ab.minus(ba)

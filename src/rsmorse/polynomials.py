@@ -14,15 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .combinatorics import (
-    _Lazy,
-    check_partition,
-    cosines_from_point,
-    eval_Ehat_l,
-    ideal,
-    monomial_eval,
-)
-from .dualop import InvariantPolynomial, dual_matrix
+from .combinatorics import check_partition, cosines_from_point, eval_Ehat_l, ideal
+from .dualop import InvariantPolynomial, _point, dual_matrix
 from .errors import DegeneracyError
 from .latticeop import hop_terms
 from .qcore import qpoch_finite
@@ -73,15 +66,12 @@ class PolynomialFamily:
     Each P_lambda is built once by build_P from the Hhat_1 rows of the
     shared dual_matrix(1, n, params, seed), so every family and every
     dual operator call with the same parameters and seed reuse one
-    interpolation per weight box.  The m_mu(z) memo serves repeated
-    evaluations at the same points (pieri_residual).
+    interpolation per weight box.
     """
 
     params: object
     seed: int = 0
     _polys: dict = field(default_factory=dict, repr=False)
-    # m_mu(z) memo, read as _monomials[mu, z]
-    _monomials: dict = field(default_factory=lambda: _Lazy(monomial_eval), repr=False)
 
     def P(self, lam):
         lam = check_partition(lam)
@@ -134,14 +124,17 @@ def pieri_residual(l, lam, z, family):
 
     sum over the level-l hop terms at lam of coeff * P_target(z)
     minus Ehat_l(z) * P_lam(z); identically zero when the polynomials
-    diagonalize the lattice integrals in the label variable.
+    diagonalize the lattice integrals in the label variable.  The
+    monomial values at z are read from the shared point record of
+    dualop.
     """
     lam = check_partition(lam)
+    z = tuple(z)
     params = family.params
-    cache = family._monomials
+    mono = _point(z, params).at[z]
     total = 0
     for target, c in hop_terms(l, lam, params):
-        total += c * family.P(target).evaluate(z, cache)
+        total += c * family.P(target).evaluate(z, mono)
     x = cosines_from_point(z)
-    lhs = eval_Ehat_l(l, x, params) * family.P(lam).evaluate(z, cache)
+    lhs = eval_Ehat_l(l, x, params) * family.P(lam).evaluate(z, mono)
     return total - lhs

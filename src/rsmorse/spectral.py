@@ -25,16 +25,13 @@ from .latticeop import LatticeFunction, epsilon0, hop_terms, v_minus, v_plus
 from .qcore import qpoch_finite, qpoch_infinite, truncation_order
 
 __all__ = [
-    "weight",
     "weight_grid",
     "norm_ratio",
     "norm_delta0_n",
-    "NormValue",
     "norm_Delta",
     "detailed_balance_residual",
     "QuadSpec",
     "evaluate_P_grid",
-    "gram",
     "gram_report",
     "fourier_forward",
     "fourier_inverse",
@@ -71,18 +68,6 @@ def weight_grid(points, params, tol=1e-12):
             den = qpoch_finite(t * zsum, nfac, q) * qpoch_finite(t * zdif, nfac, q)
             total = total * np.abs(num / den) ** 2
     return total
-
-
-def weight(xi, params, tol=1e-12):
-    """Weight at a single point of the open alcove pi > xi_1 > ... > xi_n > 0.
-
-    Off-alcove angles go through weight_grid.
-    """
-    xi = tuple(float(v) for v in xi)
-    bounds = (math.pi,) + xi + (0.0,)
-    if any(a >= b for a, b in zip(bounds[1:], bounds)):
-        raise ParamDomainError(f"point {xi} is not in the open alcove")
-    return float(weight_grid([xi], params, tol)[0])
 
 
 def norm_ratio(lam, params):
@@ -160,21 +145,10 @@ def norm_delta0_n(n, params):
     return out
 
 
-@dataclass(frozen=True)
-class NormValue:
-    """Lattice norm split as delta0 (float) times an exact rational ratio."""
-
-    ratio: Fraction
-    delta0: float
-
-    @property
-    def value(self):
-        return self.delta0 * float(self.ratio)
-
-
 def norm_Delta(lam, params):
+    """Lattice norm Delta_lam as a float: norm_delta0_n times the exact norm_ratio."""
     lam = check_partition(lam)
-    return NormValue(ratio=norm_ratio(lam, params), delta0=norm_delta0_n(len(lam), params))
+    return norm_delta0_n(len(lam), params) * float(norm_ratio(lam, params))
 
 
 @dataclass(frozen=True)
@@ -252,18 +226,6 @@ def _gram_table(labels, family, quad):
     return np.array([[np.dot(a, b) for b in table] for a in table]) / math.factorial(n)
 
 
-def gram(lam, mu, family, quad):
-    """Quadrature approximation of the alcove inner product of P_lam, P_mu.
-
-    Symmetrized: (1/n!) integral over [0, pi]^n of the W-invariant
-    integrand P_lam P_mu weight; compares against delta_{lam mu} / Delta_lam.
-    Entry [0, 1] of the Gram table of [lam, mu]: one product over one
-    grid, with each row P scaled by sqrt(w rho), where w is the Gauss
-    weight and rho the spectral weight.
-    """
-    return float(_gram_table([check_partition(lam), check_partition(mu)], family, quad)[0, 1])
-
-
 def gram_report(labels, family, quad):
     """Orthogonality table rows: lambda, mu, value, target, abs_err, rel_err.
 
@@ -280,7 +242,7 @@ def gram_report(labels, family, quad):
     labels = [check_partition(l) for l in labels]
     if not labels:
         return []
-    norms = [norm_Delta(lam, family.params).value for lam in labels]
+    norms = [norm_Delta(lam, family.params) for lam in labels]
     table = _gram_table(labels, family, quad)
     rows = []
     for a, lam in enumerate(labels):
@@ -314,7 +276,7 @@ def fourier_forward(f, points, family):
     params = family.params
     out = np.zeros(points.shape[0], dtype=float)
     for lam, val in f.values.items():
-        dl = norm_Delta(lam, params).value
+        dl = norm_Delta(lam, params)
         out = out + float(val) * dl * evaluate_P_grid(family.P(lam), points)
     return out
 

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import in_domain_params
-from rsmorse import spectral
-from rsmorse.cli import balance_cases, main, pieri_cases, qdiff_cases
+from conftest import PARAM_SETS, in_domain_params
+from rsmorse import dualop, spectral
+from rsmorse.cli import balance_cases, commute_cases, main, pieri_cases, qdiff_cases
 from rsmorse.combinatorics import partitions_max_weight
 from rsmorse.dualop import dual_matrix, generic_points
 from rsmorse.errors import DegeneracyError, PoleError
@@ -59,6 +59,21 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["passed"] == 4
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_dual_commute_fits_once_per_level(self, monkeypatch):
+        # each level's box is fitted at |root| up front, not one weight per monomial
+        calls = []
+        real = dualop.solve_exact
+
+        def spy(A, B):
+            calls.append(len(A))
+            return real(A, B)
+
+        monkeypatch.setattr(dualop, "solve_exact", spy)
+        dual_matrix.cache_clear()
+        cases = commute_cases(PARAM_SETS[0], [(1, 0, 0)], (2, 1, 0), seed=0)
+        assert all(c["pass"] for c in cases)
+        assert calls == [len(partitions_max_weight(3, 3))] * 3
 
 
 # a label or an index pair, as the engine's errors print them: (1, 0), (0,), (2,1)
@@ -371,8 +386,8 @@ class TestNearOne:
         assert code == 0
         params = params_from_hat("995/1000", "1/3", ("1/2", "-1/3", "1/5"))  # the CLI defaults but q
         for row in json.loads(out)["rows"]:
-            dl = spectral.norm_Delta(row["lambda"], params).value
-            dm = spectral.norm_Delta(row["mu"], params).value
+            dl = spectral.norm_Delta(row["lambda"], params)
+            dm = spectral.norm_Delta(row["mu"], params)
             assert dl * dm == 0.0
             assert row["rel_err"] == row["abs_err"] * (math.sqrt(dl) * math.sqrt(dm)) > 0
             assert row["warn"] is True

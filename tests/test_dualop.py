@@ -10,10 +10,9 @@ from rsmorse.dualop import (
     InvariantPolynomial,
     apply_Hhat_l,
     apply_dual_h_pointwise,
-    dual_hl_pointwise,
+    commutator_on_monomial,
     dual_matrix,
     generic_points,
-    matrix_in_monomial_basis,
     uhat_coeff,
     vhat,
     vhat_signed,
@@ -43,6 +42,26 @@ def _vhat_literal(j, z, p):
     return out
 
 
+def _pointwise_sum(l, peval, z, p):
+    """(Hhat_l p)(z), summed term by term over dual_terms_at_point."""
+    return sum(c * peval(zz) for zz, c in dualop.dual_terms_at_point(l, z, p))
+
+
+def _dense(l, root, p, seed=0):
+    """Matrix of Hhat_l on the monomials of ideal(root), read off the shared rows."""
+    mat = dual_matrix(l, len(root), p, seed)
+    mat.grow(sum(root))
+    basis = ideal(root)
+    return [[mat.rows[mu].get(nu, 0) for nu in basis] for mu in basis]
+
+
+def _row(mu, p):
+    """Row mu of the shared Hhat_1 matrix at seed 0."""
+    mat = dual_matrix(1, len(mu), p, 0)
+    mat.grow(sum(mu))
+    return mat.rows[mu]
+
+
 class TestInvariantPolynomial:
     def test_monomial_and_pruning(self):
         p = InvariantPolynomial(2, {(1, 0): Fraction(2), (1, 1): Fraction(0)})
@@ -64,7 +83,7 @@ class TestInvariantPolynomial:
         z = (Fraction(2), Fraction(3))
         expected = 2 * monomial_eval((1, 0), z) - 1
         assert poly.evaluate(z) == expected
-        assert poly.evaluate(z, _Lazy(monomial_eval)) == expected
+        assert poly.evaluate(z, _Lazy(lambda *mu: monomial_eval(mu, z))) == expected
 
     def test_to_json_rows(self):
         # the coefficient rows `rsmorse poly` writes: graded-lex order, exact strings
@@ -122,7 +141,7 @@ class TestPointwiseRoutes:
         for p in PARAM_SETS:
             z = generic_points(2, 1, p, seed=5)[0]
             lhs = apply_dual_h_pointwise(peval, z, p)
-            rhs = dual_hl_pointwise(1, lambda zz: peval(zz), z, p)
+            rhs = _pointwise_sum(1, peval, z, p)
             assert lhs == rhs
 
     def test_uhat_conventions(self):
@@ -272,7 +291,7 @@ class TestApplyHhat:
         poly = InvariantPolynomial(2, {(2, 0): Fraction(1)})
         img = apply_Hhat_l(1, poly, p)
         z = generic_points(2, 9, p, seed=99)[-1]
-        direct = dual_hl_pointwise(1, lambda zz: poly.evaluate(zz), z, p)
+        direct = _pointwise_sum(1, poly.evaluate, z, p)
         assert img.evaluate(z) == direct
 
     def test_corrupted_operator_is_caught(self, monkeypatch):
@@ -299,12 +318,12 @@ class TestApplyHhat:
 class TestMatrix:
     def test_trivial_root(self):
         p = PARAM_SETS[0]
-        mat = matrix_in_monomial_basis(1, (0,), p)
+        mat = _dense(1, (0,), p)
         assert mat == [[0]]
 
     def test_single_variable_diagonal(self):
         p = PARAM_SETS[0]
-        mat = matrix_in_monomial_basis(1, (2,), p)
+        mat = _dense(1, (2,), p)
         # ideal((2,)) is (0,), (1,), (2,)
         assert mat[0][0] == 0
         assert mat[1][1] == 1 / p.q - 1
@@ -313,7 +332,7 @@ class TestMatrix:
     def test_triangular_support(self):
         p = PARAM_SETS[1]
         basis = ideal((2, 1))
-        mat = matrix_in_monomial_basis(1, (2, 1), p)
+        mat = _dense(1, (2, 1), p)
         for mu, row in zip(basis, mat):
             for nu, c in zip(basis, row):
                 if not dominance_leq(nu, mu):
@@ -328,7 +347,7 @@ class TestMatrix:
 
     def test_top_level_diagonal(self):
         p = PARAM_SETS[0]
-        mat = matrix_in_monomial_basis(2, (1, 1), p)
+        mat = _dense(2, (1, 1), p)
         for i, mu in enumerate(ideal((1, 1))):
             assert mat[i][i] == eval_E_l(mu, 2, p)
 
@@ -344,8 +363,30 @@ class TestMatrix:
 
         monkeypatch.setattr(dualop, "solve_exact", spy)
         dual_matrix.cache_clear()
-        matrix_in_monomial_basis(1, (2, 1), p)
+        _dense(1, (2, 1), p)
         assert calls == [len(partitions_max_weight(2, 3))]
+
+
+class TestCommutator:
+    def test_levels_commute_on_monomials(self):
+        for p in PARAM_SETS:
+            for l, m in [(1, 2), (1, 3), (2, 3)]:
+                for mu in ideal((2, 1, 0)):
+                    assert commutator_on_monomial(l, m, mu, p).is_zero(), (p, l, m, mu)
+
+    def test_scaled_row_is_caught(self):
+        # a wrong row of Hhat_2 must show in the commutator, so the check is not vacuous
+        p = PARAM_SETS[0]
+        mu = (2, 1, 0)
+        dual_matrix.cache_clear()
+        try:
+            mat = dual_matrix(2, 3, p, 0)
+            mat.grow(sum(mu))
+            mat.rows[mu] = {nu: 2 * c for nu, c in mat.rows[mu].items()}
+            assert not commutator_on_monomial(1, 2, mu, p).is_zero()
+        finally:
+            # the scaled row must not reach other tests
+            dual_matrix.cache_clear()
 
 
 class TestDualMatrix:
@@ -375,7 +416,6 @@ class TestDualMatrix:
         monkeypatch.setattr(dualop, "solve_exact", spy)
         mat.grow(3)
         mat.grow(3)
-        mat.row((2, 1))
         box = partitions_max_weight(2, 3)
         new = [mu for mu in box if sum(mu) == 3]
         assert shapes == [(len(box), len(new))]
@@ -389,9 +429,10 @@ class TestDualMatrix:
                 members = ideal(root)
                 rows = dualop._interpolate(l, len(root), members, members, p, seed=12345)
                 mat = dual_matrix(l, len(root), p, 0)
+                mat.grow(sum(root))
                 assert list(rows) == list(members)
                 for mu in members:
-                    assert mat.row(mu) == rows[mu]
+                    assert mat.rows[mu] == rows[mu]
 
     def test_level_out_of_range(self):
         with pytest.raises(ParamDomainError):
@@ -445,7 +486,7 @@ class TestPointMemo:
     def test_cache_clear_forgets_patched_terms(self, monkeypatch):
         p = PARAM_SETS[0]
         dual_matrix.cache_clear()
-        before = dict(dual_matrix(1, 1, p, 0).row((1,)))
+        before = dict(_row((1,), p))
         real = dualop.dual_terms_at_point
 
         def crooked(l, z, params):
@@ -454,9 +495,9 @@ class TestPointMemo:
         monkeypatch.setattr(dualop, "dual_terms_at_point", crooked)
         dual_matrix.cache_clear()
         try:
-            assert dual_matrix(1, 1, p, 0).row((1,)) != before
+            assert _row((1,), p) != before
         finally:
             monkeypatch.undo()
             dual_matrix.cache_clear()
-        assert matrix_in_monomial_basis(1, (0,), p) == [[0]]
-        assert dual_matrix(1, 1, p, 0).row((1,)) == before
+        assert _dense(1, (0,), p) == [[0]]
+        assert _row((1,), p) == before

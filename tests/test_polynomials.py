@@ -182,6 +182,13 @@ class TestPieri:
         z = generic_points(2, 1, p, seed=77)[0]
         assert pieri_residual(2, (1, 0), z, fam) != 0
 
+    def test_list_point_accepted(self):
+        # a point given as a list is read like the tuple, not used as a memo key
+        p = PARAM_SETS[1]
+        fam = family_for(p)
+        z = [Fraction(2)]
+        assert pieri_residual(1, (1,), z, fam) == 0
+
 
 def test_family_rows_are_shared(monkeypatch):
     p = PARAM_SETS[0]

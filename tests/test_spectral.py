@@ -18,12 +18,10 @@ from rsmorse.spectral import (
     evolve,
     fourier_forward,
     fourier_inverse,
-    gram,
     gram_report,
     norm_Delta,
     norm_delta0_n,
     norm_ratio,
-    weight,
     weight_grid,
 )
 
@@ -88,19 +86,13 @@ class TestWeight:
     def test_matches_long_product_oracle(self):
         p = PARAM_SETS[0]
         xi = (2.0, 1.0)
-        assert abs(weight(xi, p, tol=1e-16) - _weight_oracle(xi, p)) < 1e-12
+        assert abs(weight_grid([xi], p, tol=1e-16)[0] - _weight_oracle(xi, p)) < 1e-12
 
     def test_even_under_reflection(self):
         p = PARAM_SETS[1]
         a, b, c = weight_grid([(2.0, 1.0), (-2.0, 1.0), (1.0, 2.0)], p)
         assert abs(a - b) < 1e-13
         assert abs(a - c) < 1e-13
-
-    def test_boundary_rejected(self):
-        p = PARAM_SETS[0]
-        for xi in [(1.0, 1.0), (math.pi, 1.0), (2.0, 0.0), (1.0, 2.0)]:
-            with pytest.raises(ParamDomainError):
-                weight(xi, p)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_tolerance_rejected(self, tol):
@@ -163,9 +155,8 @@ class TestNorms:
 
     def test_norm_value_split(self):
         p = PARAM_SETS[2]
-        nv = norm_Delta((2,), p)
-        assert nv.value == nv.delta0 * float(nv.ratio)
-        assert norm_Delta((0,), p).ratio == 1
+        assert norm_Delta((2,), p) == norm_delta0_n(1, p) * float(norm_ratio((2,), p))
+        assert norm_ratio((0,), p) == 1
 
 
 class TestQuadSpec:
@@ -201,17 +192,19 @@ class TestOrthogonality:
         p = PARAM_SETS[0]
         fam = family_for(p)
         quad = QuadSpec(nodes=200)
-        g = gram((0,), (0,), fam, quad)
-        target = 1.0 / norm_Delta((0,), p).value
+        g = gram_report([(0,)], fam, quad)[0]["value"]
+        target = 1.0 / norm_Delta((0,), p)
         assert abs(g - target) / target < 1e-8
 
     def test_single_variable_off_diagonal(self):
         p = PARAM_SETS[0]
         fam = family_for(p)
         quad = QuadSpec(nodes=200)
-        dl = norm_Delta((1,), p).value
-        dm = norm_Delta((3,), p).value
-        assert abs(gram((1,), (3,), fam, quad)) < 1e-8 / math.sqrt(dl * dm)
+        dl = norm_Delta((1,), p)
+        dm = norm_Delta((3,), p)
+        off = gram_report([(1,), (3,)], fam, quad)[1]
+        assert (off["lambda"], off["mu"]) == ([1], [3])
+        assert abs(off["value"]) < 1e-8 / math.sqrt(dl * dm)
 
     def test_report_shape(self):
         p = PARAM_SETS[1]
@@ -227,8 +220,8 @@ class TestOrthogonality:
         p = PARAM_SETS[0]
         fam = family_for(p)
         quad = QuadSpec(nodes=120)
-        g = gram((1, 0), (1, 0), fam, quad)
-        target = 1.0 / norm_Delta((1, 0), p).value
+        g = gram_report([(1, 0)], fam, quad)[0]["value"]
+        target = 1.0 / norm_Delta((1, 0), p)
         assert abs(g - target) / target < 1e-6
 
 
@@ -264,20 +257,10 @@ class TestGramTable:
             ref = float(np.dot(wgt, grids[lam] * grids[mu] * rho)) / math.factorial(n)
             assert abs(row["value"] - ref) <= 1e-15
 
-    def test_gram_is_a_table_entry(self):
-        p = PARAM_SETS[1]
-        fam = family_for(p)
-        quad = QuadSpec(nodes=120)
-        rows = gram_report([(1, 0), (2, 1)], fam, quad)
-        assert gram((1, 0), (2, 1), fam, quad) == rows[1]["value"]
-        assert gram((2, 1), (2, 1), fam, quad) == rows[2]["value"]
-
     def test_mixed_rank_rejected(self):
         fam = family_for(PARAM_SETS[0])
         with pytest.raises(ParamDomainError, match=r"mixed rank \[1, 2\]"):
             gram_report([(1,), (1, 0)], fam, QuadSpec(nodes=20))
-        with pytest.raises(ParamDomainError, match="mixed rank"):
-            gram((1,), (1, 0), fam, QuadSpec(nodes=20))
 
     def test_empty_labels(self):
         assert gram_report([], family_for(PARAM_SETS[0]), QuadSpec(nodes=20)) == []
@@ -289,7 +272,7 @@ class TestFourier:
         fam = family_for(p)
         pts = np.array([[0.5], [1.3], [2.9]])
         got = fourier_forward(LatticeFunction.delta((0,)), pts, fam)
-        assert np.allclose(got, norm_Delta((0,), p).value, rtol=0, atol=1e-15)
+        assert np.allclose(got, norm_Delta((0,), p), rtol=0, atol=1e-15)
 
     def test_forward_linearity(self):
         p = PARAM_SETS[1]
