@@ -342,7 +342,9 @@ def _monomial_eval_rational(mu, z):
 # of U_{J^c, l-|J|} V_{eps J} T_{eps J}  (van Diejen's form).  Each side
 # supplies a _Factors table of its own and a way to move a label or a
 # point; how a coefficient is assembled from the table, and the order of
-# the terms, live only here.
+# the terms, live only here.  The factors are reduced Fractions; the hop
+# products and the U sums run on their numerators and denominators as
+# unreduced integer pairs, and one Fraction is formed per coefficient.
 
 
 def _signed_hops(n, l):
@@ -376,7 +378,9 @@ class _Factors:
     mixed[j, s, k]: factor of a moved j against an unmoved k.
     pair[j, s, k, r, stay]: factor of j and k moved together with signs
     s and r, in its U form if stay, else in its V form.
-    stay[K, p]: U_{K,p}, filled by _hop_coefficient on first use.
+    Entries are reduced Fractions.
+    stay[K, p]: U_{K,p} as an unreduced (numerator, denominator) pair,
+    filled by _hop_coefficient on first use.
     """
 
     __slots__ = ("n", "one", "mixed", "pair", "stay")
@@ -387,18 +391,19 @@ class _Factors:
 
 
 def _hop_product(J, eps, mixed, F, stay):
-    """One-body, mixed (against the sites in mixed) and in-pair product over J."""
-    one, mix, pair = F.one, F.mixed, F.pair
-    out = 1
-    for j, s in zip(J, eps):
-        out *= one[j, s]
-    for j, s in zip(J, eps):
-        for k in mixed:
-            out *= mix[j, s, k]
-    for a in range(len(J)):
-        for b in range(a + 1, len(J)):
-            out *= pair[J[a], eps[a], J[b], eps[b], stay]
-    return out
+    """One-body, mixed (against the sites in mixed) and in-pair product over J.
+
+    Returns the product as an unreduced (numerator, denominator) pair of
+    ints, denominator > 0; the factors are read in the order named.
+    """
+    factors = [F.one[j, s] for j, s in zip(J, eps)]
+    factors += [F.mixed[j, s, k] for j, s in zip(J, eps) for k in mixed]
+    factors += [F.pair[J[a], eps[a], J[b], eps[b], stay] for a, b in itertools.combinations(range(len(J)), 2)]
+    num = den = 1
+    for f in factors:
+        num *= f.numerator
+        den *= f.denominator
+    return num, den
 
 
 def _stay_sum(K, p, F):
@@ -406,18 +411,19 @@ def _stay_sum(K, p, F):
 
     Enumerates |I+| ascending, then I+, then I-; each term is the U form
     of the hop product over I+ followed by I-, against the rest of K.
+    Returns an unreduced (numerator, denominator) pair of ints.
     """
-    if p == 0:
-        return Fraction(1)
-    total = 0
+    num, den = 0, 1
     for sp in range(p + 1):
         signs = (1,) * sp + (-1,) * (p - sp)
         for Ip in itertools.combinations(K, sp):
             restp = [k for k in K if k not in Ip]
             for Im in itertools.combinations(restp, p - sp):
                 rest = [k for k in restp if k not in Im]
-                total += _hop_product(Ip + Im, signs, rest, F, True)
-    return (-1) ** p * total
+                tn, td = _hop_product(Ip + Im, signs, rest, F, True)
+                num = num * td + tn * den
+                den *= td
+    return (-num if p % 2 else num), den
 
 
 def _hop_coefficient(J, eps, l, F):
@@ -427,7 +433,8 @@ def _hop_coefficient(J, eps, l, F):
     u = F.stay.get(key)
     if u is None:
         u = F.stay[key] = _stay_sum(rest, key[1], F)
-    return u * _hop_product(J, eps, rest, F, False)
+    vn, vd = _hop_product(J, eps, rest, F, False)
+    return Fraction(u[0] * vn, u[1] * vd)
 
 
 def _terms(l, F, move):

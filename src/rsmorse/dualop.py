@@ -224,7 +224,7 @@ def vhat_signed(J, eps, z, params):
     if len(eps) != len(J) or not all(s in (1, -1) for s in eps):
         raise ParamDomainError(f"signs {eps} must be one of +-1 per site of {J}")
     outside = [k for k in range(1, len(z) + 1) if k not in J]
-    return _hop_product(J, eps, outside, _point(z, params).factors, False)
+    return Fraction(*_hop_product(J, eps, outside, _point(z, params).factors, False))
 
 
 def uhat_coeff(K, p, z, params):
@@ -239,7 +239,7 @@ def uhat_coeff(K, p, z, params):
     _check_sites(K, len(z))
     if p < 0:
         raise ParamDomainError(f"order p must be >= 0, got {p}")
-    return _stay_sum(K, p, _point(z, params).factors)
+    return Fraction(*_stay_sum(K, p, _point(z, params).factors))
 
 
 def dual_terms_at_point(l, z, params):

@@ -17,6 +17,13 @@ that label.  The terms come from the signed-hop engine shared with the
 dual integrals (combinatorics._terms) over that table; this module only
 says how the factors are built and how a hop moves lam.
 
+The factors are reduced Fractions, each formed once from the integer
+numerators and denominators of a_j, a_j/a_k and the parameters.  The hop
+products and U sums run on unreduced integer pairs, and one Fraction is
+formed per coefficient; apply_Hl likewise sums each output entry as an
+integer pair and forms one Fraction per entry, so it takes int and
+Fraction values only.
+
 Sign convention for the square-root prefactors of the hop coefficients:
 sqrt(q*t0/(t1*t2)) = 1/that0 and sqrt(t1*t2/(q*t0)) = that0, which is an
 exact rational on the hatted parameter domain (also for negative that0).
@@ -163,35 +170,51 @@ def _factors(lam, params):
     (1 - q r/t)/(1 - q r) in U: the only factors with a pole on the
     parameter domain (1 - q r = 0, e.g. at q = t**(j-k) when
     lam_j = lam_k), raised as a PoleError naming lam and the pair.
+
+    Each entry is one Fraction formed from the integer numerators and
+    denominators of a_j, r and the parameters.
     """
     n = len(lam)
     t, q = params.t, params.q
-    t0, t1, t2, that0 = params.t0, params.t1, params.t2, params.that0
-    a = [None] + [_site_power(lam, j, params) for j in range(1, n + 1)]
+    tn, td = t.numerator, t.denominator
+    qn, qd = q.numerator, q.denominator
+    # a_j = an[j]/ad[j] = t**(n-j) q**lam_j, both parts positive
+    an = [None] + [tn ** (n - j) * qn ** lam[j - 1] for j in range(1, n + 1)]
+    ad = [None] + [td ** (n - j) * qd ** lam[j - 1] for j in range(1, n + 1)]
+    h0n, h0d = params.that0.numerator, params.that0.denominator
+    t0, t1, t2 = params.t0, params.t1, params.t2
     one, mixed = {}, {}
     for j in range(1, n + 1):
-        one[j, 1] = (1 / that0) * (1 - t1 * a[j]) * (1 - t2 * a[j])
-        one[j, -1] = that0 * (1 - t0 * a[j]) * (1 - a[j])
+        x, y = an[j], ad[j]
+        one[j, 1] = Fraction(
+            h0d * (t1.denominator * y - t1.numerator * x) * (t2.denominator * y - t2.numerator * x),
+            h0n * t1.denominator * t2.denominator * y * y,
+        )
+        one[j, -1] = Fraction(
+            h0n * (t0.denominator * y - t0.numerator * x) * (y - x),
+            h0d * t0.denominator * y * y,
+        )
         for k in range(1, n + 1):
             if k != j:
-                r = a[j] / a[k]
-                mixed[j, 1, k] = (1 / t - r) / (1 - r)
-                mixed[j, -1, k] = (t - r) / (1 - r)
+                # r = rn/rd = a_j/a_k
+                rn, rd = x * ad[k], y * an[k]
+                mixed[j, 1, k] = Fraction(td * rd - tn * rn, tn * (rd - rn))
+                mixed[j, -1, k] = Fraction(tn * rd - td * rn, td * (rd - rn))
 
     def pair(j, s, k, sk, stay):
         if s == sk:
-            return 1 if stay else t**-s
+            return Fraction(1) if stay else t**-s
         if s < 0:
             j, k = k, j
-        r = a[j] / a[k]
-        if 1 - q * r == 0:
+        rn, rd = an[j] * ad[k], ad[j] * an[k]
+        if qd * rd == qn * rn:
             factor = "(1 - q r/t)/(1 - q r)" if stay else "(1/t - q r)/(1 - q r)"
             raise PoleError(
                 f"pole of H_l at lam={lam}: the factor {factor} of the pair "
                 f"(j, k) = ({j}, {k}) divides by 1 - q a_j/a_k = 0"
             )
-        head = (1 - q * r / t) if stay else (1 / t - q * r)
-        return (1 - t * r) / (1 - r) * head / (1 - q * r)
+        head = (tn * qd * rd - td * qn * rn) if stay else (td * qd * rd - tn * qn * rn)
+        return Fraction((td * rd - tn * rn) * head, td * tn * (rd - rn) * (qd * rd - qn * rn))
 
     return _Factors(n, one, mixed, _Lazy(pair))
 
@@ -218,7 +241,7 @@ def U_coeff(K, p, lam, params):
         raise ParamDomainError(f"order p must be >= 0, got {p}")
     K = tuple(sorted(set(K)))
     _check_sites(K, len(lam))
-    return _stay_sum(K, p, _factors(lam, params))
+    return Fraction(*_stay_sum(K, p, _factors(lam, params)))
 
 
 def hop_terms(l, lam, params):
@@ -249,12 +272,23 @@ hop_terms.cache_info = _hop_table.cache_info
 
 
 def apply_Hl(l, f, params):
-    """Apply the l-th commuting integral H_l to a lattice function."""
+    """Apply the l-th commuting integral H_l to a lattice function.
+
+    Exact only: the values of f must be ints or Fractions.  Each output
+    entry is summed as an unreduced integer pair over its hops and formed
+    as one Fraction.
+    """
     n = f.n
     _check_level(l, n)
+    values = f.values
+    for lam, v in values.items():
+        if not isinstance(v, (int, Fraction)):
+            raise ParamDomainError(
+                f"apply_Hl takes int or Fraction values, got {v!r} of type {type(v).__name__} at {lam}"
+            )
     hops = list(_signed_hops(n, l))
     candidates = set()
-    for nu in f.values:
+    for nu in values:
         for J, eps in hops:
             # source lam maps to nu when lam moved by eps J is nu
             src = _shift(nu, J, eps, -1)
@@ -262,13 +296,16 @@ def apply_Hl(l, f, params):
                 candidates.add(src)
     out = {}
     for lam in sorted(candidates):
-        acc = 0
+        num, den = 0, 1
         for target, c in hop_terms(l, lam, params):
-            fv = f[target]
-            if fv != 0:
-                acc += c * fv
-        if acc != 0:
-            out[lam] = acc
+            fv = values.get(target)
+            if fv is not None:
+                cn = c.numerator * fv.numerator
+                cd = c.denominator * fv.denominator
+                num = num * cd + cn * den
+                den *= cd
+        if num != 0:
+            out[lam] = Fraction(num, den)
     return LatticeFunction(n, out)
 
 

@@ -147,7 +147,10 @@ class TestPointwiseRoutes:
     def test_uhat_conventions(self):
         p = PARAM_SETS[0]
         z = (Fraction(2), Fraction(3))
-        assert uhat_coeff((1, 2), 0, z, p) == 1
+        # U_{K,0} = 1, U_{K,p} = 0 for p > |K|, and the empty hop has V = 1, all as Fractions
+        values = [(uhat_coeff((1, 2), 0, z, p), 1), (uhat_coeff((1,), 2, z, p), 0), (vhat_signed((), (), z, p), 1)]
+        for value, expected in values:
+            assert value == expected and type(value) is Fraction
         with pytest.raises(ParamDomainError):
             uhat_coeff((1,), -1, z, p)
 

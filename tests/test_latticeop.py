@@ -120,12 +120,15 @@ class TestApplyH:
 
 class TestHigherIntegrals:
     def test_V_trivial(self):
-        assert V_coeff((), (), (1, 0), PARAM_SETS[0]) == 1
+        v = V_coeff((), (), (1, 0), PARAM_SETS[0])
+        assert v == 1 and type(v) is Fraction
 
     def test_U_trivial_and_overflow(self):
         p = PARAM_SETS[0]
-        assert U_coeff((1, 2), 0, (1, 0), p) == 1
-        assert U_coeff((1,), 2, (1, 0), p) == 0
+        cases = {((1, 2), 0): 1, ((1,), 2): 0, ((), 1): 0}
+        for (K, order), expected in cases.items():
+            u = U_coeff(K, order, (1, 0), p)
+            assert u == expected and type(u) is Fraction
 
     def test_V_singletons_match_hop_weights(self):
         for p in PARAM_SETS:
@@ -173,6 +176,18 @@ class TestHigherIntegrals:
     def test_level_out_of_range(self):
         with pytest.raises(ParamDomainError):
             apply_Hl(3, LatticeFunction.delta((1, 0)), PARAM_SETS[0])
+
+    def test_int_values_match_fraction_twin(self):
+        for p in PARAM_SETS:
+            for l in (1, 2):
+                ints = apply_Hl(l, LatticeFunction(2, {(1, 0): 1}), p)
+                fracs = apply_Hl(l, LatticeFunction(2, {(1, 0): Fraction(1)}), p)
+                assert ints.values == fracs.values
+                assert all(type(v) is Fraction for v in ints.values.values())
+
+    def test_float_values_rejected(self):
+        with pytest.raises(ParamDomainError, match=r"0\.5 of type float"):
+            apply_Hl(1, LatticeFunction(2, {(1, 0): 0.5}), PARAM_SETS[0])
 
 
 def _literal_table(lam, p):
@@ -249,6 +264,113 @@ class TestClosedForms:
                                 term *= mix_up(j, m) * mix_down(k, m)
                             second += term
                         assert U_coeff(K, 2, lam, p) == second, (lam, K)
+
+
+def _pair_literal(a, p, lam, j, s, k, sk, stay):
+    """In-pair factor of sites j, k moved with signs s, sk: U form if stay, else V form."""
+    t, q = p.t, p.q
+    if s == sk:
+        return Fraction(1) if stay else t**-s
+    if s < 0:
+        j, k = k, j
+    r = a[j] / a[k]
+    if 1 - q * r == 0:
+        factor = "(1 - q r/t)/(1 - q r)" if stay else "(1/t - q r)/(1 - q r)"
+        raise PoleError(
+            f"pole of H_l at lam={lam}: the factor {factor} of the pair "
+            f"(j, k) = ({j}, {k}) divides by 1 - q a_j/a_k = 0"
+        )
+    head = (1 - q * r / t) if stay else (1 / t - q * r)
+    return (1 - t * r) / (1 - r) * head / (1 - q * r)
+
+
+def _product_literal(lam, p, J, eps, against, stay):
+    """One-body, then mixed (against), then in-pair factors over the moved sites J."""
+    a, up, down, mix_up, mix_down = _literal_table(lam, p)
+    out = Fraction(1)
+    for j, s in zip(J, eps):
+        out *= up[j] if s > 0 else down[j]
+    for j, s in zip(J, eps):
+        for m in against:
+            out *= mix_up(j, m) if s > 0 else mix_down(j, m)
+    for (j, s), (k, sk) in itertools.combinations(zip(J, eps), 2):
+        out *= _pair_literal(a, p, lam, j, s, k, sk, stay)
+    return out
+
+
+def _U_literal(K, order, lam, p):
+    """U_{K,p} = (-1)^p sum over disjoint I+, I- in K with |I+| + |I-| = p.
+
+    |I+| ascending, then I+, then I-, each term the U-form product over
+    I+ followed by I- against the rest of K.
+    """
+    total = Fraction(0)
+    for size in range(order + 1):
+        for Ip in itertools.combinations(K, size):
+            left = [k for k in K if k not in Ip]
+            for Im in itertools.combinations(left, order - size):
+                rest = [k for k in left if k not in Im]
+                eps = (1,) * len(Ip) + (-1,) * len(Im)
+                total += _product_literal(lam, p, Ip + Im, eps, rest, True)
+    return (-1) ** order * total
+
+
+def _hop_terms_literal(l, lam, p):
+    """(lam + eps J, U_{J^c, l-|J|} V_{eps J}) for every admissible signed hop, U first."""
+    n = len(lam)
+    out = []
+    for signs in itertools.product((0, 1, -1), repeat=n):
+        J = tuple(j for j, s in enumerate(signs, 1) if s)
+        eps = tuple(s for s in signs if s)
+        target = tuple(x + s for x, s in zip(lam, signs))
+        if len(J) > l or not is_partition(target):
+            continue
+        rest = tuple(k for k in range(1, n + 1) if k not in J)
+        u = _U_literal(rest, l - len(J), lam, p)
+        out.append((target, u * _product_literal(lam, p, J, eps, rest, False)))
+    return out
+
+
+def _outcome(fn):
+    try:
+        return list(fn())
+    except PoleError as exc:
+        return f"PoleError: {exc}"
+
+
+class TestLiteralReference:
+    """hop_terms and U_coeff against plain-Fraction sums written from the formulas."""
+
+    PARAMS = PARAM_SETS + [
+        params_from_hat("1/2", "1/2", ("1/2", "-1/3", "1/5")),  # q = t
+        params_from_hat("3/7", "2/3", ("-5/6", "-1/4", "3/5")),  # that0 < 0
+    ]
+
+    def test_hop_terms_equal_reference(self):
+        poles = 0
+        for p in self.PARAMS:
+            for n in (1, 2, 3):
+                for lam in partitions_max_weight(n, 4):
+                    for l in range(1, n + 1):
+                        got = _outcome(lambda: hop_terms(l, lam, p))
+                        assert got == _outcome(lambda: _hop_terms_literal(l, lam, p)), (p, l, lam)
+                        poles += isinstance(got, str)
+        # the q = t set reaches the in-pair pole
+        assert poles > 0
+
+    def test_U_equal_reference(self):
+        for p in self.PARAMS[:3] + self.PARAMS[4:]:
+            for lam in [(2, 1, 0), (3, 1, 1), (4, 0, 0)]:
+                for size in range(4):
+                    for K in itertools.combinations((1, 2, 3), size):
+                        for order in range(size + 2):
+                            assert U_coeff(K, order, lam, p) == _U_literal(K, order, lam, p)
+
+    def test_pole_text_at_q_equal_t(self):
+        p = self.PARAMS[3]
+        expected = _outcome(lambda: _hop_terms_literal(2, (1, 1), p))
+        assert expected.startswith("PoleError: pole of H_l at lam=(1, 1)")
+        assert _outcome(lambda: hop_terms(2, (1, 1), p)) == expected
 
 
 class TestHopTableMemo:
