@@ -438,9 +438,29 @@ def build_parser():
     return parser
 
 
+# flags whose value may be negative: argparse reads a separate "-1/3" as an option
+_SIGNED_FLAGS = frozenset(("--q", "--t", "--that0", "--that1", "--that2"))
+
+
+def _join_signed_values(argv):
+    """Spell "--that1 -1/3" as "--that1=-1/3" for each flag in _SIGNED_FLAGS.
+
+    Only a value that starts with "-" and then a digit or a point is joined,
+    so a missing value followed by another flag is still refused.
+    """
+    out = []
+    for tok in argv:
+        signed_value = len(tok) > 1 and tok[0] == "-" and (tok[1].isdigit() or tok[1] == ".")
+        if signed_value and out and out[-1] in _SIGNED_FLAGS:
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         config = RunConfig(args)
     except (ParamDomainError, ValueError, OSError) as exc:

@@ -282,8 +282,8 @@ def monomial_eval(mu, z):
 
     Each orbit vector contributes once (no multiplicities).  Works for
     Fractions, floats, complex, and numpy arrays alike; exact input
-    gives exact output.  Zero coordinates are rejected because negative
-    powers appear.
+    gives exact output, through the integer kernel _Monomials.  Zero
+    coordinates are rejected because negative powers appear.
     """
     mu = tuple(mu)
     z = list(z)
@@ -293,7 +293,9 @@ def monomial_eval(mu, z):
         if isinstance(zj, (int, float, complex, Fraction)) and zj == 0:
             raise ParamDomainError(f"monomial_eval requires nonzero coordinates, z[{j}] = 0")
     if all(isinstance(zj, (int, Fraction)) for zj in z):
-        return _monomial_eval_rational(mu, z)
+        nums = _Monomials(tuple((zj.numerator, zj.denominator) for zj in z))
+        key = tuple(sorted((abs(e) for e in mu), reverse=True))
+        return Fraction(nums[key], nums.den(key[0] if key else 0))
     total = 0
     for nu in _orbit(mu):
         term = 1
@@ -304,34 +306,54 @@ def monomial_eval(mu, z):
     return total
 
 
-def _monomial_eval_rational(mu, z):
-    """m_mu(z) at a rational point, on integers with denominators cleared.
+@functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)
+def _permutations(mu):
+    """Distinct permutations of mu, sorted."""
+    return tuple(sorted(set(itertools.permutations(mu))))
 
-    With z_j = a_j/b_j and M the largest |mu_j|, every term z^nu times
-    prod_j (a_j b_j)^M is the integer prod_j a_j^(M+nu_j) b_j^(M-nu_j),
-    read from one power table per coordinate; one Fraction divides the
-    integer sum by prod_j (a_j b_j)^M at the end.
+
+class _Monomials(dict):
+    """The integer monomial kernel: cleared m_mu at one rational point.
+
+    The point is a tuple of integer pairs (a_j, b_j) with z_j = a_j/b_j,
+    reduced or not.  For a partition mu with M = mu_1, self[mu] is the
+    integer N_mu = m_mu(z) * den(M), den(M) = prod_j (a_j b_j)^M: the
+    sign orbit of each distinct permutation pi of mu folds into
+    prod_j c_j(pi_j), with c_j(0) = (a_j b_j)^M and
+    c_j(e) = a_j^(M+e) b_j^(M-e) + a_j^(M-e) b_j^(M+e) for e > 0.
+    Entries and the c_j tables (one per M) are built on first use.
     """
-    M = max((abs(e) for e in mu), default=0)
-    tables = []
-    den = 1
-    for zj in z:
-        a, b = zj.numerator, zj.denominator
-        pa = [1]
-        pb = [1]
-        for _ in range(2 * M):
-            pa.append(pa[-1] * a)
-            pb.append(pb[-1] * b)
-        # tables[j][M + e] = a^(M+e) b^(M-e), the cleared z_j^e
-        tables.append([pa[M + e] * pb[M - e] for e in range(-M, M + 1)])
-        den *= pa[M] * pb[M]
-    num = 0
-    for nu in _orbit(mu):
-        term = 1
-        for row, e in zip(tables, nu):
-            term *= row[M + e]
-        num += term
-    return Fraction(num, den)
+
+    __slots__ = ("pairs", "tables")
+
+    def __init__(self, pairs):
+        super().__init__()
+        self.pairs = pairs
+        self.tables = {}
+
+    def den(self, M):
+        """prod_j (a_j b_j)^M, the denominator of every m_mu with mu_1 = M."""
+        out = 1
+        for a, b in self.pairs:
+            out *= (a * b) ** M
+        return out
+
+    def __missing__(self, mu):
+        M = mu[0] if mu else 0
+        rows = self.tables.get(M)
+        if rows is None:
+            rows = self.tables[M] = [
+                [(a * b) ** M] + [(a * b) ** (M - e) * (a ** (2 * e) + b ** (2 * e)) for e in range(1, M + 1)]
+                for a, b in self.pairs
+            ]
+        total = 0
+        for perm in _permutations(mu):
+            term = 1
+            for row, e in zip(rows, perm):
+                term *= row[e]
+            total += term
+        self[mu] = total
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +364,11 @@ def _monomial_eval_rational(mu, z):
 # of U_{J^c, l-|J|} V_{eps J} T_{eps J}  (van Diejen's form).  Each side
 # supplies a _Factors table of its own and a way to move a label or a
 # point; how a coefficient is assembled from the table, and the order of
-# the terms, live only here.  The factors are reduced Fractions; the hop
-# products and the U sums run on their numerators and denominators as
-# unreduced integer pairs, and one Fraction is formed per coefficient.
+# the terms, live only here.  Each side builds every factor as one reduced
+# Fraction from the integer parts of its label or point and of the
+# parameters (latticeop._factors, dualop._Point); the hop products and the
+# U sums run on their numerators and denominators as unreduced integer
+# pairs, and one Fraction is formed per coefficient.
 
 
 def _signed_hops(n, l):

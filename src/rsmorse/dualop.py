@@ -22,6 +22,15 @@ point.  The same per-point record keeps the term lists of each level and
 the monomial values at the point and its shifts, so a growth step
 evaluates nothing at the points of the step before.
 
+The fit runs on integers from the point to the solve: each factor-table
+entry is one Fraction formed from the integer parts of z_j = a_j/b_j
+and of the parameters; monomials come from the integer kernel
+combinatorics._Monomials, at the point and at its shifts written
+unreduced (a_j q_n)/(b_j q_d) or (a_j q_d)/(b_j q_n); and each row of
+the linear system is a list of ints whose scale is known in closed form
+(_row).  _one_body and _pair_t stay only behind vhat and
+apply_dual_h_pointwise, the independent baseline of the l = 1 action.
+
 The matrix of Hhat_l on the monomial basis is built once per
 (l, n, params, seed) and shared: dual_matrix returns a cached DualMatrix
 that holds every row up to some weight and grows on demand, fitting only
@@ -37,6 +46,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from math import lcm
 
 from .combinatorics import (
     PartitionMap,
@@ -45,6 +55,7 @@ from .combinatorics import (
     _Factors,
     _hop_product,
     _Lazy,
+    _Monomials,
     _stay_sum,
     _terms,
     check_partition,
@@ -120,47 +131,95 @@ def _pair_t(w, params):
     return (1 - params.t * w) / (1 - w)
 
 
-def _pair_tq(w, stay, params):
-    """In-pair q-factor: (t - q w)/(1 - q w) if stay, else (1 - t q w)/(1 - q w)."""
-    qw = params.q * w
-    if qw == 1:
+def _one_factor(x, y, params):
+    """_one_body at u = x/y, built from integer parts as one Fraction."""
+    q = params.q
+    yy, xx = y * y, x * x
+    den = (yy - xx) * (q.denominator * yy - q.numerator * xx)
+    if den == 0:
+        raise PoleError(f"one-body coefficient pole at coordinate {Fraction(x, y)}")
+    num = q.denominator * yy * yy
+    for th in params.that:
+        num *= th.denominator * y - th.numerator * x
+        den *= th.denominator * y
+    return Fraction(num, den)
+
+
+def _mixed_factor(x, y, a, b, params):
+    """_pair_t(u z_k) * _pair_t(u / z_k) at u = x/y and z_k = a/b, as one Fraction."""
+    tn, td = params.t.numerator, params.t.denominator
+    # u z_k = (x a)/(y b) and u / z_k = (x b)/(y a)
+    up, down = y * b - x * a, y * a - x * b
+    if up == 0 or down == 0:
+        raise PoleError("pair coefficient pole: coordinate product equals 1")
+    return Fraction((td * y * b - tn * x * a) * (td * y * a - tn * x * b), td * td * up * down)
+
+
+def _pair_factor(wn, wd, stay, params):
+    """t-pair factor times in-pair q-factor of w = wn/wd, as one Fraction.
+
+    (1 - t w)/(1 - w) times (t - q w)/(1 - q w) if stay, else times
+    (1 - t q w)/(1 - q w).
+    """
+    tn, td = params.t.numerator, params.t.denominator
+    qn, qd = params.q.numerator, params.q.denominator
+    if wn == wd:
+        raise PoleError("pair coefficient pole: coordinate product equals 1")
+    qden = qd * wd - qn * wn
+    if qden == 0:
         raise PoleError("pair coefficient pole: q * coordinate product equals 1")
-    return ((params.t - qw) if stay else (1 - params.t * qw)) / (1 - qw)
+    head = (tn * qd * wd - td * qn * wn) if stay else (td * qd * wd - tn * qn * wn)
+    return Fraction((td * wd - tn * wn) * head, td * td * (wd - wn) * qden)
 
 
 class _Point:
     """What every fit and coefficient helper reads at one point z.
 
-    factors: the factor table of z; at: at[w][mu] = m_mu(w) for w = z or
-    one of its shifted points; terms: {l: (at[w], coefficient) pairs of
-    Hhat_l at z}, so each shifted point is hashed once per level, not
-    once per term and label.
+    pairs: the integer parts (a_j, b_j) of z_j = a_j/b_j; g: prod_j a_j b_j.
+    factors: the factor table of z.  at: at[w] = _Monomials(w), the
+    integer monomial kernel at z (w = pairs) or at one of its shifted
+    points, written unreduced as in _level.  mono: mono[mu] = m_mu(z) as
+    a Fraction.  terms: {l: what _level returns for Hhat_l at z}, so each
+    shifted point is hashed once per level, not once per term and label.
 
     With u_j = z_j^s, factors.one[j, s] is the one-body factor at u_j;
     factors.mixed[j, s, k] the t-pair factors of u_j z_k and u_j/z_k; and
     factors.pair[j, s, k, r, stay] the t-pair factor of w = u_j z_k^r
     times the in-pair q-factor of w, whose numerator is (t - q w) if stay,
-    else (1 - t q w).  Every entry is built on first use, so a pole
-    surfaces only at a factor a coefficient reads.
+    else (1 - t q w).  Each entry is one Fraction formed from the integer
+    parts of u_j, z_k and the parameters (_one_factor, _mixed_factor,
+    _pair_factor), built on first use, so a pole surfaces only at a
+    factor a coefficient reads, with the text _one_body, _pair_t or the
+    in-pair q-factor would raise.
     """
 
-    __slots__ = ("factors", "terms", "at")
+    __slots__ = ("pairs", "g", "factors", "terms", "at", "mono")
 
     def __init__(self, z, params):
+        self.pairs = tuple((v.numerator, v.denominator) for v in z)
+        self.g = 1
+        for a, b in self.pairs:
+            self.g *= a * b
+        # power[j, s]: the integer parts of z_j^s
+        power = {}
+        for j, (a, b) in enumerate(self.pairs, 1):
+            power[j, 1], power[j, -1] = (a, b), (b, a)
+
         def one(j, s):
-            return _one_body(z[j - 1] ** s, params)
+            return _one_factor(*power[j, s], params)
 
         def mixed(j, s, k):
-            u = z[j - 1] ** s
-            return _pair_t(u * z[k - 1], params) * _pair_t(u / z[k - 1], params)
+            return _mixed_factor(*power[j, s], *power[k, 1], params)
 
         def pair(j, s, k, r, stay):
-            w = z[j - 1] ** s * z[k - 1] ** r
-            return _pair_t(w, params) * _pair_tq(w, stay, params)
+            (x, y), (a, b) = power[j, s], power[k, r]
+            return _pair_factor(x * a, y * b, stay, params)
 
         self.factors = _Factors(len(z), _Lazy(one), _Lazy(mixed), _Lazy(pair))
         self.terms = {}
-        self.at = _Lazy(lambda *w: _Lazy(lambda *mu: monomial_eval(mu, w)))
+        self.at = _Lazy(lambda *w: _Monomials(w))
+        nums = self.at[self.pairs]
+        self.mono = _Lazy(lambda *mu: Fraction(nums[mu], nums.den(mu[0] if mu else 0)))
 
 
 @functools.lru_cache(maxsize=POINT_CACHE_SIZE)
@@ -271,7 +330,7 @@ def generic_points(n, count, params, seed):
     and the caller resamples with an advanced seed.
     """
     rng = random.Random(seed)
-    q = params.q
+    qn, qd = params.q.numerator, params.q.denominator
     points = []
     used = set()
     guard = 0
@@ -279,29 +338,104 @@ def generic_points(n, count, params, seed):
         guard += 1
         if guard > 400 * count:
             raise PoleError("could not draw enough admissible interpolation points")
+        # the coordinate v = a/b against each w = c/d drawn before, on integers
         coords = []
         ok = True
         for _ in range(n):
             a, b = rng.sample(_PRIMES, 2)
-            v = Fraction(a, b)
-            if v in coords or any(v * w == 1 for w in coords):
+            # v = w or v w = 1
+            if (a, b) in coords or any(a * c == b * d for c, d in coords):
                 ok = False
                 break
-            if v * v == q or q * v * v == 1:
+            # v^2 = q or q v^2 = 1
+            if a * a * qd == b * b * qn or qn * a * a == qd * b * b:
                 ok = False
                 break
-            if any(q * v * w == 1 or q * v == w or q * w == v for w in coords):
+            # q v w = 1, q v = w or q w = v
+            if any(
+                qn * a * c == qd * b * d or qn * a * d == qd * b * c or qn * c * b == qd * d * a
+                for c, d in coords
+            ):
                 ok = False
                 break
-            coords.append(v)
+            coords.append((a, b))
         if not ok:
             continue
         pt = tuple(coords)
         if pt in used:
             continue
         used.add(pt)
-        points.append(pt)
+        points.append(tuple(Fraction(a, b) for a, b in pt))
     return points
+
+
+def _level(l, z, rec, params):
+    """The terms of Hhat_l at z for the integer fit: (L, D, [(at[w], s, k)]).
+
+    Each shifted point w is written unreduced, coordinate by coordinate:
+    a_j/b_j where it stays, (a_j q_n)/(b_j q_d) where it moves up and
+    (a_j q_d)/(b_j q_n) where it moves down, with q = q_n/q_d.  s counts
+    the moved coordinates, L is the largest s, D the lcm of the
+    coefficient denominators and k = D times the coefficient, an int.
+    Hence prod_j a_j b_j of w is g (q_n q_d)^s, and m_mu(w) is
+    at[w][mu] / (g (q_n q_d)^s)^M with M = mu_1.
+    """
+    qn, qd = params.q.numerator, params.q.denominator
+    terms = []
+    for w, c in dual_terms_at_point(l, z, params):
+        if c == 0:
+            continue
+        pairs = []
+        s = 0
+        for v, (a, b) in zip(w, rec.pairs):
+            vn, vd = v.numerator, v.denominator
+            if vn * b == vd * a:
+                pairs.append((a, b))
+            elif vn * b * qd == vd * a * qn:
+                pairs.append((a * qn, b * qd))
+                s += 1
+            elif vn * b * qn == vd * a * qd:
+                pairs.append((a * qd, b * qn))
+                s += 1
+            else:
+                raise StructureError(f"dual term target {w} is not a q-shift of the point {z}")
+        terms.append((rec.at[tuple(pairs)], s, c))
+    D = lcm(*(c.denominator for _, _, c in terms))
+    L = max((s for _, s, _ in terms), default=0)
+    return L, D, [(nums, s, c.numerator * (D // c.denominator)) for nums, s, c in terms]
+
+
+def _row(l, z, support, new, params):
+    """Row of the fit at z as ints: A = [m_nu(z) R for nu in support] and
+    B = [(Hhat_l m_mu)(z) R for mu in new].
+
+    With W the largest part in support and (L, D) from _level, the row
+    scale is R = g^W (q_n q_d)^(W L) D, so the entries are
+    at[z][nu] g^(W - nu_1) (q_n q_d)^(W L) D and
+    sum over the terms of k g^(W - M) (q_n q_d)^(W L - M s) at[w][mu].
+    """
+    rec = _point(z, params)
+    level = rec.terms.get(l)
+    if level is None:
+        level = rec.terms[l] = _level(l, z, rec, params)
+    L, D, terms = level
+    W = max(nu[0] for nu in support)
+    Q = params.q.numerator * params.q.denominator
+    gpow = [1]
+    for _ in range(W):
+        gpow.append(gpow[-1] * rec.g)
+    scale = Q ** (W * L) * D
+    nums = rec.at[rec.pairs]
+    A = [nums[nu] * gpow[W - nu[0]] * scale for nu in support]
+    weights = {}
+    B = []
+    for mu in new:
+        M = mu[0]
+        ks = weights.get(M)
+        if ks is None:
+            ks = weights[M] = [(nums_w, k * gpow[W - M] * Q ** (W * L - M * s)) for nums_w, s, k in terms]
+        B.append(sum(k * nums_w[mu] for nums_w, k in ks))
+    return A, B
 
 
 def _interpolate(l, n, support, new, params, seed):
@@ -310,28 +444,24 @@ def _interpolate(l, n, support, new, params, seed):
     Hhat_l m_mu is evaluated at len(support) + 1 generic points: the
     first len(support) fix its coefficients on support by an exact
     solve, the last re-checks the fit.  Returns {mu: {nu: coefficient}}
-    with zero coefficients dropped.  Term lists and monomial values are
-    read from the shared record of each point, so a point still held from
-    another level or an earlier growth step is not evaluated again.
+    with zero coefficients dropped.  Each point gives one row of ints
+    (_row), read from the shared record of the point, so a point still
+    held from another level or an earlier growth step is not evaluated
+    again.
     """
     for attempt in range(MAX_RESAMPLE_ATTEMPTS):
         try:
             pts = generic_points(n, len(support) + 1, params, seed + 1009 * attempt)
-            recs = [_point(z, params) for z in pts]
-            images = []
-            for z, rec in zip(pts, recs):
-                terms = rec.terms.get(l)
-                if terms is None:
-                    terms = rec.terms[l] = [(rec.at[zz], c) for zz, c in dual_terms_at_point(l, z, params)]
-                images.append([sum(c * m[mu] for m, c in terms) for mu in new])
-            A = [[rec.at[z][nu] for nu in support] for z, rec in zip(pts[:-1], recs)]
-            X = solve_exact(A, images[:-1])
+            rows = [_row(l, z, support, new, params) for z in pts]
+            X = solve_exact([A for A, _ in rows[:-1]], [B for _, B in rows[:-1]])
         except (PoleError, SingularMatrixError):
             continue
-        # held-out exactness check at the last point
-        basis_at_check = [recs[-1].at[pts[-1]][nu] for nu in support]
-        for k, direct in enumerate(images[-1]):
-            if sum(X[i][k] * basis_at_check[i] for i in range(len(support))) != direct:
+        # held-out exactness check at the last point, on its integer row
+        check_A, check_B = rows[-1]
+        for k, direct in enumerate(check_B):
+            den = lcm(*(X[i][k].denominator for i in range(len(support))))
+            total = sum(X[i][k].numerator * (den // X[i][k].denominator) * a for i, a in enumerate(check_A))
+            if total != den * direct:
                 raise StructureError(
                     "interpolated image disagrees with the operator at a held-out point; "
                     "the image is not supported on the candidate dominance ideal"

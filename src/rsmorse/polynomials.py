@@ -131,7 +131,7 @@ def pieri_residual(l, lam, z, family):
     lam = check_partition(lam)
     z = tuple(z)
     params = family.params
-    mono = _point(z, params).at[z]
+    mono = _point(z, params).mono
     total = 0
     for target, c in hop_terms(l, lam, params):
         total += c * family.P(target).evaluate(z, mono)

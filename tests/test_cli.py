@@ -122,6 +122,28 @@ class TestConfigHandling:
         assert code == 2
         assert "configuration error" in err
 
+    # the parameter example of the README, with a negative coupling spelled as its own word
+    README_PARAMS = ["--q", "1/4", "--t", "1/3", "--that0", "1/2", "--that1", "-1/3", "--that2", "1/5"]
+
+    def test_negative_coupling_as_separate_value(self, capsys):
+        code, out, err = run(capsys, ["poly", "--n", "2", "--max-weight", "2", *self.README_PARAMS])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["params"]["that1"] == "-1/3"
+        joined = [f"{flag}={value}" for flag, value in zip(self.README_PARAMS[::2], self.README_PARAMS[1::2])]
+        assert run(capsys, ["poly", "--n", "2", "--max-weight", "2", *joined]) == (code, out, err)
+
+    def test_negative_q_still_refused(self, capsys):
+        code, out, err = run(capsys, ["poly", "--n", "2", "--q", "-1/2"])
+        assert (code, out) == (2, "")
+        assert err == "configuration error: parameter q must lie in (0, 1), got -1/2\n"
+
+    def test_flag_after_signed_flag_is_not_its_value(self, capsys):
+        # "--q --t 1/3" still lacks a value for --q
+        with pytest.raises(SystemExit) as exc:
+            main(["poly", "--q", "--t", "1/3"])
+        assert exc.value.code == 2
+        assert "argument --q: expected one argument" in capsys.readouterr().err
+
     def test_negative_max_weight_exits_two(self, capsys):
         code, _, err = run(capsys, ["poly", "--max-weight", "-1"])
         assert code == 2

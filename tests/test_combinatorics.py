@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rsmorse.combinatorics import (
     SignedPermutation,
+    _Monomials,
     check_partition,
     complete_sym,
     cosines_from_point,
@@ -251,16 +252,22 @@ def _monomial_cases(draw):
     n = draw(st.integers(1, 4))
     mu = draw(st.sampled_from(partitions_max_weight(n, 6)))
     z = tuple(draw(_nonzero_rationals) for _ in range(n))
-    return mu, z, draw(st.integers(0, n - 1)), draw(st.sampled_from((0, Fraction(0))))
+    # a common factor per coordinate, so a_j/b_j is written unreduced
+    scale = tuple(draw(st.integers(-6, 6).filter(lambda k: k != 0)) for _ in range(n))
+    return mu, z, scale, draw(st.integers(0, n - 1)), draw(st.sampled_from((0, Fraction(0))))
 
 
 @settings(deadline=None)
 @given(_monomial_cases())
 def test_rational_monomial_kernel_matches_orbit_sum(case):
-    mu, z, j, zero = case
+    mu, z, scale, j, zero = case
     got = monomial_eval(mu, z)
     assert isinstance(got, Fraction)
     assert got == _orbit_sum(mu, z)
+    # the kernel on unreduced integer parts: m_mu = N_mu / prod_j (a_j b_j)^mu_1
+    z = tuple(Fraction(v) for v in z)
+    nums = _Monomials(tuple((k * v.numerator, k * v.denominator) for v, k in zip(z, scale)))
+    assert Fraction(nums[mu], nums.den(mu[0])) == got
     with pytest.raises(ParamDomainError):
         monomial_eval(mu, z[:j] + (zero,) + z[j + 1 :])
 

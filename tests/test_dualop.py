@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from rsmorse.dualop import (
     vhat_signed,
 )
 from rsmorse.errors import ParamDomainError, PoleError, StructureError
+from rsmorse.qcore import params_from_hat
 
 from conftest import PARAM_SETS
 
@@ -40,6 +42,153 @@ def _vhat_literal(j, z, p):
         if k != j:
             out *= _pt_literal(zj * z[k - 1], p) * _pt_literal(zj / z[k - 1], p)
     return out
+
+
+def _pair_tq_literal(w, stay, p):
+    """In-pair q-factor: (t - q w)/(1 - q w) if stay, else (1 - t q w)/(1 - q w)."""
+    qw = p.q * w
+    if qw == 1:
+        raise PoleError("pair coefficient pole: q * coordinate product equals 1")
+    return ((p.t - qw) if stay else (1 - p.t * qw)) / (1 - qw)
+
+
+# the baseline's factor helpers, each value computed once (a pole raises on every read)
+_one_body = functools.lru_cache(maxsize=None)(dualop._one_body)
+_pair_t = functools.lru_cache(maxsize=None)(dualop._pair_t)
+
+
+def _product_literal(z, p, J, eps, rest, stay):
+    """One-body factors over J, then mixed against rest, then in-pair, from the helpers."""
+    u = {j: z[j - 1] ** s for j, s in zip(J, eps)}
+    out = Fraction(1)
+    for j in J:
+        out *= _one_body(u[j], p)
+    for j in J:
+        for k in rest:
+            out *= _pair_t(u[j] * z[k - 1], p)
+            out *= _pair_t(u[j] / z[k - 1], p)
+    for a, b in itertools.combinations(J, 2):
+        w = u[a] * u[b]
+        out *= _pair_t(w, p) * _pair_tq_literal(w, stay, p)
+    return out
+
+
+def _uhat_literal(K, order, z, p):
+    """Uhat_{K,p}: (-1)^p sum over disjoint I+, I- in K, |I+| ascending, then I+, then I-."""
+    total = Fraction(0)
+    for size in range(order + 1):
+        for Ip in itertools.combinations(K, size):
+            left = [k for k in K if k not in Ip]
+            for Im in itertools.combinations(left, order - size):
+                rest = [k for k in left if k not in Im]
+                total += _product_literal(z, p, Ip + Im, (1,) * size + (-1,) * (order - size), rest, True)
+    return (-1) ** order * total
+
+
+def _dual_terms_literal(l, z, p):
+    """(z shifted by q^eps on J, Uhat_{J^c, l-|J|} Vhat_{eps J}) for every signed hop."""
+    n = len(z)
+    out = []
+    uhat = {}  # every sign choice on J shares Uhat_{J^c, l-|J|}
+    for signs in itertools.product((0, 1, -1), repeat=n):
+        J = tuple(j for j, s in enumerate(signs, 1) if s)
+        if len(J) > l:
+            continue
+        eps = tuple(s for s in signs if s)
+        rest = tuple(k for k in range(1, n + 1) if k not in J)
+        if rest not in uhat:
+            uhat[rest] = _uhat_literal(rest, l - len(J), z, p)
+        c = uhat[rest] * _product_literal(z, p, J, eps, rest, False)
+        out.append((tuple(v * p.q**s for v, s in zip(z, signs)), c))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_literal(mu):
+    """The signed permutations of mu, each once."""
+    return {
+        tuple(s * e for s, e in zip(signs, perm))
+        for perm in itertools.permutations(mu)
+        for signs in itertools.product((1, -1), repeat=len(mu))
+    }
+
+
+def _monomials_literal(box, w, memo):
+    """[m_mu(w) for mu in box], each the sum of w^nu over the orbit of mu.
+
+    With w_j = a_j/b_j and M = mu_1, each w^nu is summed as the integer
+    prod_j a_j^(M + nu_j) b_j^(M - nu_j) over prod_j (a_j b_j)^M.
+    """
+    key = (len(box), w)
+    if key not in memo:
+        out = []
+        for mu in box:
+            M = mu[0]
+            num, den = 0, 1
+            for v in w:
+                den *= (v.numerator * v.denominator) ** M
+            for nu in _orbit_literal(mu):
+                term = 1
+                for v, e in zip(w, nu):
+                    term *= v.numerator ** (M + e) * v.denominator ** (M - e)
+                num += term
+            out.append(Fraction(num, den))
+        memo[key] = out
+    return memo[key]
+
+
+def _solve_literal(A, B):
+    """Gauss-Jordan elimination on Fractions; ZeroDivisionError when A is singular."""
+    n = len(A)
+    M = [list(a) + list(b) for a, b in zip(A, B)]
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if M[i][k] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular")
+        M[k], M[pivot] = M[pivot], M[k]
+        M[k] = [v / M[k][k] for v in M[k]]
+        for i in range(n):
+            if i != k and M[i][k] != 0:
+                f = M[i][k]
+                M[i] = [a - f * b for a, b in zip(M[i], M[k])]
+    return [row[n:] for row in M]
+
+
+def _fit_literal(n, weight, p):
+    """{l: rows of Hhat_l} over every label of weight <= weight, fitted on plain Fractions.
+
+    One solve takes the images of every level as its right-hand side.
+    """
+    box = partitions_max_weight(n, weight)
+    levels = range(1, n + 1)
+    memo = {}
+    for seed in range(40):
+        try:
+            rows_A, rows_B = [], []
+            for z in generic_points(n, len(box), p, 777 + seed):
+                rows_A.append(_monomials_literal(box, z, memo))
+                rows_B.append([])
+                for l in levels:
+                    terms = [(_monomials_literal(box, w, memo), c) for w, c in _dual_terms_literal(l, z, p)]
+                    rows_B[-1] += [sum(c * m[k] for m, c in terms) for k in range(len(box))]
+            X = _solve_literal(rows_A, rows_B)
+        except (PoleError, ZeroDivisionError):
+            continue
+        return {
+            l: {
+                mu: {nu: X[i][c] for i, nu in enumerate(box) if X[i][c] != 0}
+                for c, mu in enumerate(box, (l - 1) * len(box))
+            }
+            for l in levels
+        }
+    raise AssertionError("no admissible reference point set")
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except PoleError as exc:
+        return f"PoleError: {exc}"
 
 
 def _pointwise_sum(l, peval, z, p):
@@ -217,26 +366,81 @@ class TestClosedForms:
 
 class TestFactorTable:
     def test_each_factor_evaluated_once_per_point(self, monkeypatch):
-        counts = {"_one_body": 0, "_pair_t": 0, "_pair_tq": 0}
-        for name in counts:
-            real = getattr(dualop, name)
-
-            def counting(*args, name=name, real=real):
-                counts[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(dualop, name, counting)
+        names = ("_one_factor", "_mixed_factor", "_pair_factor")
+        builds = {name: _count_calls(monkeypatch, name) for name in names}
         # count from a cold table, whatever an earlier test evaluated here
         dual_matrix.cache_clear()
         p = PARAM_SETS[0]
         z = generic_points(3, 1, p, seed=5)[0]
         terms = dualop.dual_terms_at_point(3, z, p)
         assert len(terms) == 27
-        # 2n one-body arguments z_j^(+-1); 2n(n-1) mixed and 4 n(n-1)/2
-        # in-pair products, the latter in a U and a V form
-        assert counts["_one_body"] == 6
-        assert counts["_pair_t"] <= 48
-        assert counts["_pair_tq"] <= 24
+        table = dualop._point(z, p).factors
+        # one build per entry held: 2n one-body arguments z_j^(+-1) and
+        # 2n(n-1) mixed entries; the in-pair entries in a U and a V form
+        assert [len(builds[name]) for name in builds] == [len(table.one), len(table.mixed), len(table.pair)]
+        assert (len(table.one), len(table.mixed)) == (6, 12)
+        assert 0 < len(table.pair) <= 48
+        # reading the point again builds nothing
+        before = [len(calls) for calls in builds.values()]
+        dualop.dual_terms_at_point(3, z, p)
+        assert [len(calls) for calls in builds.values()] == before
+
+
+class TestLiteralReference:
+    """Fitted rows and coefficient helpers against plain-Fraction references."""
+
+    PARAMS = PARAM_SETS + [
+        params_from_hat("1/2", "1/2", ("1/2", "-1/3", "1/5")),  # q = t
+        params_from_hat("3/7", "2/3", ("-5/6", "-1/4", "3/5")),  # that0 < 0
+    ]
+
+    def test_fitted_rows_equal_reference(self):
+        for p in self.PARAMS:
+            for n, weight in ((1, 6), (2, 4), (3, 4)):
+                for l, expected in _fit_literal(n, weight, p).items():
+                    mat = dual_matrix(l, n, p, 0)
+                    mat.grow(weight)
+                    assert {mu: mat.rows[mu] for mu in expected} == expected, (p, l, n)
+
+    POINTS = [
+        (Fraction(5, 2), Fraction(3, 7), Fraction(-7, 11)),  # generic
+        (Fraction(1), Fraction(3), Fraction(5, 2)),  # one-body pole at z_1 = 1
+        (Fraction(-2, 3), Fraction(-1), Fraction(7, 5)),  # one-body pole at z_2 = -1
+        (Fraction(2), Fraction(3, 2), Fraction(2, 3)),  # mixed pole z_2 z_3 = 1
+        (Fraction(5, 3), Fraction(5, 3), Fraction(2, 7)),  # mixed pole z_1 / z_2 = 1
+        (Fraction(1, 2), Fraction(3), Fraction(5, 7)),  # at q = 1/4, one-body pole q u^2 = 1 at u = 1/z_1
+    ]
+
+    def _points(self, p):
+        # in-pair pole q z_1 z_3 = 1
+        return self.POINTS + [(Fraction(3, 5), Fraction(2), 5 / (3 * p.q))]
+
+    def test_helpers_equal_reference(self):
+        poles = set()
+        for p in self.PARAMS:
+            for z in self._points(p):
+                for size in range(4):
+                    for J in itertools.combinations((1, 2, 3), size):
+                        rest = [k for k in (1, 2, 3) if k not in J]
+                        for eps in itertools.product((1, -1), repeat=size):
+                            # a cold record, so the entries are built in this call's order
+                            dual_matrix.cache_clear()
+                            got = _outcome(lambda: vhat_signed(J, eps, z, p))
+                            expected = _outcome(lambda: _product_literal(z, p, J, eps, rest, False))
+                            assert got == expected, (p, z, J, eps)
+                            poles.add(got if isinstance(got, str) else None)
+                        for order in range(size + 2):
+                            got = _outcome(lambda: uhat_coeff(J, order, z, p))
+                            assert got == _outcome(lambda: _uhat_literal(J, order, z, p)), (p, z, J, order)
+                            poles.add(got if isinstance(got, str) else None)
+        assert poles == {
+            None,
+            "PoleError: one-body coefficient pole at coordinate 1",
+            "PoleError: one-body coefficient pole at coordinate -1",
+            "PoleError: one-body coefficient pole at coordinate 2",
+            "PoleError: pair coefficient pole: coordinate product equals 1",
+            "PoleError: pair coefficient pole: q * coordinate product equals 1",
+        }
 
 
 class TestGenericPoints:
@@ -315,6 +519,22 @@ class TestApplyHhat:
                 apply_Hhat_l(1, InvariantPolynomial.monomial((1,)), p)
         finally:
             # rows fitted on the crooked operator must not reach other tests
+            dual_matrix.cache_clear()
+
+    def test_target_off_the_q_lattice_is_refused(self, monkeypatch):
+        # the fit writes each target as an integer q-shift of the point
+        p = PARAM_SETS[0]
+        real = dualop.dual_terms_at_point
+
+        def crooked(l, z, params):
+            return [(tuple(2 * v for v in zz), c) for zz, c in real(l, z, params)]
+
+        monkeypatch.setattr(dualop, "dual_terms_at_point", crooked)
+        dual_matrix.cache_clear()
+        try:
+            with pytest.raises(StructureError, match="is not a q-shift of the point"):
+                apply_Hhat_l(1, InvariantPolynomial.monomial((1,)), p)
+        finally:
             dual_matrix.cache_clear()
 
 
@@ -470,21 +690,23 @@ class TestPointMemo:
         p = PARAM_SETS[1]
         dual_matrix.cache_clear()
         dual_matrix(1, 2, p, 3).grow(3)
-        one_body = _count_calls(monkeypatch, "_one_body")
+        # level 1 has read every one-body and mixed entry of its points
+        one_body = _count_calls(monkeypatch, "_one_factor")
+        mixed = _count_calls(monkeypatch, "_mixed_factor")
         terms = _count_calls(monkeypatch, "dual_terms_at_point")
         dual_matrix(2, 2, p, 3).grow(3)
         assert len(terms) == len(partitions_max_weight(2, 3)) + 1
-        assert one_body == []
+        assert one_body == [] and mixed == []
 
     def test_coefficient_helpers_read_the_point_record(self, monkeypatch):
         p = PARAM_SETS[0]
         dual_matrix.cache_clear()
         z = generic_points(3, 1, p, seed=5)[0]
         dualop.dual_terms_at_point(3, z, p)
-        one_body = _count_calls(monkeypatch, "_one_body")
+        builds = [_count_calls(monkeypatch, name) for name in ("_one_factor", "_mixed_factor", "_pair_factor")]
         vhat_signed((1, 2), (1, -1), z, p)
         uhat_coeff((1, 2, 3), 1, z, p)
-        assert one_body == []
+        assert builds == [[], [], []]
 
     def test_cache_clear_forgets_patched_terms(self, monkeypatch):
         p = PARAM_SETS[0]

@@ -56,3 +56,30 @@ def test_shape_errors():
         solve_exact([[Fraction(1), Fraction(2)]], [[Fraction(1)]])
     with pytest.raises(SingularMatrixError):
         solve_exact([[Fraction(1)]], [[Fraction(1)], [Fraction(2)]])
+
+
+def test_int_rows_and_scaled_rows_match_fraction_input():
+    # the rows are read through .numerator/.denominator and divided by their
+    # content, so ints, Fractions and a row times a large integer all agree
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(20):
+        n, m = rng.randint(2, 6), rng.randint(1, 3)
+        A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        B = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+        try:
+            X = solve_exact([list(map(Fraction, row)) for row in A], [list(map(Fraction, row)) for row in B])
+        except SingularMatrixError:
+            continue
+        checked += 1
+        assert solve_exact(A, B) == X
+        k, big = rng.randrange(n), 3**80 * 10**40
+        scaled_A = [[v * big for v in row] if i == k else row for i, row in enumerate(A)]
+        scaled_B = [[v * big for v in row] if i == k else row for i, row in enumerate(B)]
+        got = solve_exact(scaled_A, scaled_B)
+        assert got == X
+        assert all(type(v) is Fraction for row in got for v in row)
+        shrunk_A = [[Fraction(v, big) for v in row] if i == k else row for i, row in enumerate(A)]
+        shrunk_B = [[Fraction(v, big) for v in row] if i == k else row for i, row in enumerate(B)]
+        assert solve_exact(shrunk_A, shrunk_B) == X
+    assert checked > 10
