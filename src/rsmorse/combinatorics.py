@@ -294,8 +294,7 @@ def monomial_eval(mu, z):
             raise ParamDomainError(f"monomial_eval requires nonzero coordinates, z[{j}] = 0")
     if all(isinstance(zj, (int, Fraction)) for zj in z):
         nums = _Monomials(tuple((zj.numerator, zj.denominator) for zj in z))
-        key = tuple(sorted((abs(e) for e in mu), reverse=True))
-        return Fraction(nums[key], nums.den(key[0] if key else 0))
+        return nums.value(tuple(sorted((abs(e) for e in mu), reverse=True)))
     total = 0
     for nu in _orbit(mu):
         term = 1
@@ -317,26 +316,26 @@ class _Monomials(dict):
 
     The point is a tuple of integer pairs (a_j, b_j) with z_j = a_j/b_j,
     reduced or not.  For a partition mu with M = mu_1, self[mu] is the
-    integer N_mu = m_mu(z) * den(M), den(M) = prod_j (a_j b_j)^M: the
+    integer N_mu = m_mu(z) * g^M, g = prod_j a_j b_j: the
     sign orbit of each distinct permutation pi of mu folds into
     prod_j c_j(pi_j), with c_j(0) = (a_j b_j)^M and
     c_j(e) = a_j^(M+e) b_j^(M-e) + a_j^(M-e) b_j^(M+e) for e > 0.
     Entries and the c_j tables (one per M) are built on first use.
     """
 
-    __slots__ = ("pairs", "tables")
+    __slots__ = ("pairs", "g", "tables")
 
     def __init__(self, pairs):
         super().__init__()
         self.pairs = pairs
+        self.g = 1
+        for a, b in pairs:
+            self.g *= a * b
         self.tables = {}
 
-    def den(self, M):
-        """prod_j (a_j b_j)^M, the denominator of every m_mu with mu_1 = M."""
-        out = 1
-        for a, b in self.pairs:
-            out *= (a * b) ** M
-        return out
+    def value(self, mu):
+        """m_mu(z) as a Fraction: N_mu / g^M."""
+        return Fraction(self[mu], self.g ** (mu[0] if mu else 0))
 
     def __missing__(self, mu):
         M = mu[0] if mu else 0

@@ -175,8 +175,7 @@ def _pair_factor(wn, wd, stay, params):
 class _Point:
     """What every fit and coefficient helper reads at one point z.
 
-    pairs: the integer parts (a_j, b_j) of z_j = a_j/b_j; g: prod_j a_j b_j.
-    factors: the factor table of z.  at: at[w] = _Monomials(w), the
+    pairs: the integer parts (a_j, b_j) of z_j = a_j/b_j.  factors: the factor table of z.  at: at[w] = _Monomials(w), the
     integer monomial kernel at z (w = pairs) or at one of its shifted
     points, written unreduced as in _level.  mono: mono[mu] = m_mu(z) as
     a Fraction.  terms: {l: what _level returns for Hhat_l at z}, so each
@@ -193,13 +192,10 @@ class _Point:
     in-pair q-factor would raise.
     """
 
-    __slots__ = ("pairs", "g", "factors", "terms", "at", "mono")
+    __slots__ = ("pairs", "factors", "terms", "at", "mono")
 
     def __init__(self, z, params):
         self.pairs = tuple((v.numerator, v.denominator) for v in z)
-        self.g = 1
-        for a, b in self.pairs:
-            self.g *= a * b
         # power[j, s]: the integer parts of z_j^s
         power = {}
         for j, (a, b) in enumerate(self.pairs, 1):
@@ -219,7 +215,7 @@ class _Point:
         self.terms = {}
         self.at = _Lazy(lambda *w: _Monomials(w))
         nums = self.at[self.pairs]
-        self.mono = _Lazy(lambda *mu: Fraction(nums[mu], nums.den(mu[0] if mu else 0)))
+        self.mono = _Lazy(lambda *mu: nums.value(mu))
 
 
 @functools.lru_cache(maxsize=POINT_CACHE_SIZE)
@@ -409,8 +405,8 @@ def _row(l, z, support, new, params):
     """Row of the fit at z as ints: A = [m_nu(z) R for nu in support] and
     B = [(Hhat_l m_mu)(z) R for mu in new].
 
-    With W the largest part in support and (L, D) from _level, the row
-    scale is R = g^W (q_n q_d)^(W L) D, so the entries are
+    With W the largest part in support, (L, D) from _level and
+    g = prod_j a_j b_j the kernel's g at z, the row scale is R = g^W (q_n q_d)^(W L) D, so the entries are
     at[z][nu] g^(W - nu_1) (q_n q_d)^(W L) D and
     sum over the terms of k g^(W - M) (q_n q_d)^(W L - M s) at[w][mu].
     """
@@ -421,11 +417,11 @@ def _row(l, z, support, new, params):
     L, D, terms = level
     W = max(nu[0] for nu in support)
     Q = params.q.numerator * params.q.denominator
+    nums = rec.at[rec.pairs]
     gpow = [1]
     for _ in range(W):
-        gpow.append(gpow[-1] * rec.g)
+        gpow.append(gpow[-1] * nums.g)
     scale = Q ** (W * L) * D
-    nums = rec.at[rec.pairs]
     A = [nums[nu] * gpow[W - nu[0]] * scale for nu in support]
     weights = {}
     B = []

@@ -42,8 +42,6 @@ def solve_exact(A, B):
     m = len(B[0]) if B else 0
     if len(B) != n or any(len(row) != m for row in B):
         raise SingularMatrixError("right-hand side shape mismatch")
-    if n == 0:
-        return []
 
     M = [_integer_row(list(A[i]) + list(B[i])) for i in range(n)]
     width = n + m

@@ -124,14 +124,15 @@ def pieri_residual(l, lam, z, family):
 
     sum over the level-l hop terms at lam of coeff * P_target(z)
     minus Ehat_l(z) * P_lam(z); identically zero when the polynomials
-    diagonalize the lattice integrals in the label variable.  The
-    monomial values at z are read from the shared point record of
-    dualop.
+    diagonalize the lattice integrals in the label variable.  At a
+    rational point (int or Fraction coordinates) the monomial values are
+    read from the shared point record of dualop; at any other point
+    they come from monomial_eval.
     """
     lam = check_partition(lam)
     z = tuple(z)
     params = family.params
-    mono = _point(z, params).mono
+    mono = _point(z, params).mono if all(isinstance(v, (int, Fraction)) for v in z) else None
     total = 0
     for target, c in hop_terms(l, lam, params):
         total += c * family.P(target).evaluate(z, mono)

@@ -266,8 +266,13 @@ def test_rational_monomial_kernel_matches_orbit_sum(case):
     assert got == _orbit_sum(mu, z)
     # the kernel on unreduced integer parts: m_mu = N_mu / prod_j (a_j b_j)^mu_1
     z = tuple(Fraction(v) for v in z)
-    nums = _Monomials(tuple((k * v.numerator, k * v.denominator) for v, k in zip(z, scale)))
-    assert Fraction(nums[mu], nums.den(mu[0])) == got
+    pairs = tuple((k * v.numerator, k * v.denominator) for v, k in zip(z, scale))
+    nums = _Monomials(pairs)
+    den = 1
+    for a, b in pairs:
+        den *= (a * b) ** mu[0]
+    assert Fraction(nums[mu], den) == got
+    assert nums.value(mu) == got
     with pytest.raises(ParamDomainError):
         monomial_eval(mu, z[:j] + (zero,) + z[j + 1 :])
 

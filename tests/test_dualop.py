@@ -375,11 +375,11 @@ class TestFactorTable:
         terms = dualop.dual_terms_at_point(3, z, p)
         assert len(terms) == 27
         table = dualop._point(z, p).factors
-        # one build per entry held: 2n one-body arguments z_j^(+-1) and
-        # 2n(n-1) mixed entries; the in-pair entries in a U and a V form
+        # one build per entry held: 2n one-body arguments z_j^(+-1),
+        # 2n(n-1) mixed entries, and the in-pair entries of the 3 pairs
+        # under 4 sign choices in a U and a V form, 3 * 4 * 2 = 24
         assert [len(builds[name]) for name in builds] == [len(table.one), len(table.mixed), len(table.pair)]
-        assert (len(table.one), len(table.mixed)) == (6, 12)
-        assert 0 < len(table.pair) <= 48
+        assert (len(table.one), len(table.mixed), len(table.pair)) == (6, 12, 24)
         # reading the point again builds nothing
         before = [len(calls) for calls in builds.values()]
         dualop.dual_terms_at_point(3, z, p)

@@ -189,6 +189,15 @@ class TestPieri:
         z = [Fraction(2)]
         assert pieri_residual(1, (1,), z, fam) == 0
 
+    def test_float_point_evaluates(self):
+        # a point that is not rational is evaluated in floats, not by the integer kernel
+        p = PARAM_SETS[0]
+        fam = family_for(p)
+        for l in (1, 2):
+            residual = pieri_residual(l, (2, 1), (0.37, 2.9), fam)
+            assert isinstance(residual, float)
+            assert abs(residual) < 1e-9
+
 
 def test_family_rows_are_shared(monkeypatch):
     p = PARAM_SETS[0]
