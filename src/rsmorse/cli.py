@@ -31,7 +31,7 @@ from .latticeop import (
     ruijsenaars_limit_check,
     symmetrization_identity_sides,
 )
-from .polynomials import PolynomialFamily, pieri_residual
+from .polynomials import FittedFamily, PolynomialFamily, pieri_residual
 from .qcore import params_from_hat, parse_rational
 from .scattering import S_hat, s_one, s_pair, sqrt_branch_s, sqrt_branch_s0
 from .spectral import QuadSpec, detailed_balance_residual, evolve, gram_report
@@ -182,7 +182,11 @@ def _case(name, ok, detail=""):
 
 
 def pieri_cases(family, labels, points):
-    """Lattice Pieri recurrence of the family at each label, level and point."""
+    """Lattice Pieri recurrence of the family at each label, level and point.
+
+    A PolynomialFamily builds its P from this recurrence, so the checks
+    pass it a FittedFamily, whose P come from the eigen-solve.
+    """
     cases = []
     for lam in labels:
         for l in range(1, len(lam) + 1):
@@ -320,8 +324,9 @@ def _suite_limits(config):
 
 # adapters from a RunConfig to the case functions
 _SUITES = {
+    # the Pieri identity defines the family's P, so it is checked on the eigen-solve P
     "pieri": lambda c: pieri_cases(
-        _family(c), _labels(c), generic_points(c.n, 3, c.params, c.seed + 17)
+        FittedFamily(params=c.params, seed=c.seed), _labels(c), generic_points(c.n, 3, c.params, c.seed + 17)
     ),
     "qdiff": lambda c: qdiff_cases(_family(c), _labels(c)),
     "commute": lambda c: commute_cases(

@@ -277,6 +277,32 @@ def _orbit(mu):
     return tuple(sorted(out))
 
 
+@functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)
+def _times_elementary(nu):
+    """m_nu * m_(1^k) in the monomial basis for k = 0..n, as tuples of (gamma, count).
+
+    m_(1^k)(z) is e_k of the x_j = z_j + 1/z_j.  The coefficient of m_gamma
+    is the number of pairs (alpha, beta) in orbit(nu) x orbit(1^k 0^(n-k))
+    with alpha + beta = gamma.  A partition gamma leaves only the alpha
+    with no entry below -1 and no step alpha_(j+1) - alpha_j above 2.
+    Entry k lists its gammas in graded-lex order.
+    """
+    n = len(nu)
+    alphas = [
+        a for a in _orbit(nu) if min(a, default=0) >= -1 and all(b - c <= 2 for c, b in zip(a, a[1:]))
+    ]
+    out = []
+    for k in range(n + 1):
+        counts = {}
+        for beta in _orbit((1,) * k + (0,) * (n - k)):
+            for alpha in alphas:
+                gamma = tuple(a + b for a, b in zip(alpha, beta))
+                if is_partition(gamma):
+                    counts[gamma] = counts.get(gamma, 0) + 1
+        out.append(tuple(sorted(counts.items(), key=lambda item: total_order_key(item[0]))))
+    return tuple(out)
+
+
 def monomial_eval(mu, z):
     """W-invariant monomial m_mu(z) = sum over the orbit of z^nu.
 

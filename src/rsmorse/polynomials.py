@@ -3,27 +3,52 @@
 P_lambda is the unique W-invariant Laurent polynomial supported on the
 dominance ideal of lambda that is an eigenfunction of the first dual
 integral and takes the value 1 at the principal specialization point
-z*_j = 1/(t^(n-j) that_0).  Construction is a triangular eigenvector
-solve against the exact matrix of Hhat_1 in the monomial basis; the
-known product formula for the coefficient of m_lambda then fixes the
-overall scale without any division by values at special points.
+z*_j = 1/(t^(n-j) that_0).
+
+PolynomialFamily builds P_mu from the lattice Pieri identity (pieri_P):
+lambda -> P_lambda(z) is an eigenfunction of the lattice integrals H_l
+with eigenvalue Ehat_l(z), and at l = l(mu) the top hop of
+lambda = mu - e_1 - ... - e_l reaches mu, so P_mu is the remainder of
+the identity divided by that hop's coefficient, from P_0 = 1 and the
+labels below mu.  This needs no interpolation and no linear solve.
+
+build_P is the eigen-solve construction and the independent baseline: a
+triangular eigenvector solve against the exact matrix of Hhat_1 in the
+monomial basis, scaled by the product formula for the coefficient of
+m_lambda.  The family falls back to it for a label where the recursion
+has no value: where H_l has a pole (q = t^k, l >= 2) or the top hop's
+coefficient vanishes.  FittedFamily builds every label with build_P;
+the Pieri checks read it, so they do not test the recursion against
+itself.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .combinatorics import check_partition, cosines_from_point, eval_Ehat_l, ideal
+from .combinatorics import (
+    _times_elementary,
+    check_partition,
+    cosines_from_point,
+    eval_Ehat_l,
+    ideal,
+    total_order_key,
+)
 from .dualop import InvariantPolynomial, _point, dual_matrix
-from .errors import DegeneracyError
+from .errors import DegeneracyError, PoleError
 from .latticeop import hop_terms
 from .qcore import qpoch_finite
 
 __all__ = [
     "leading_coeff",
     "PolynomialFamily",
+    "FittedFamily",
     "build_P",
+    "pieri_P",
+    "pieri_identity",
     "normalization_point",
     "pieri_residual",
 ]
@@ -63,10 +88,11 @@ def normalization_point(n, params):
 class PolynomialFamily:
     """Cache of eigenpolynomials for fixed parameters and seed.
 
-    Each P_lambda is built once by build_P from the Hhat_1 rows of the
-    shared dual_matrix(1, n, params, seed), so every family and every
-    dual operator call with the same parameters and seed reuse one
-    interpolation per weight box.
+    P(lam) builds every label of the dominance ideal of lam it lacks, in
+    graded-lex order, by the Pieri recursion pieri_P: each step reads
+    only labels of that ideal that come before it.  A label whose step
+    raises PoleError or DegeneracyError is built by build_P instead,
+    from the Hhat_1 rows of the shared dual_matrix(1, n, params, seed).
     """
 
     params: object
@@ -77,9 +103,24 @@ class PolynomialFamily:
         lam = check_partition(lam)
         got = self._polys.get(lam)
         if got is None:
-            got = build_P(lam, self.params, self.seed)
-            self._polys[lam] = got
+            got = self._polys[lam] = self._build(lam)
         return got
+
+    def _build(self, lam):
+        for mu in ideal(lam):
+            if mu not in self._polys:
+                try:
+                    self._polys[mu] = pieri_P(mu, self)
+                except (PoleError, DegeneracyError):
+                    self._polys[mu] = build_P(mu, self.params, self.seed)
+        return self._polys[lam]
+
+
+class FittedFamily(PolynomialFamily):
+    """A PolynomialFamily whose every P is the eigen-solve build_P."""
+
+    def _build(self, lam):
+        return build_P(lam, self.params, self.seed)
 
 
 def build_P(lam, params, seed=0):
@@ -139,3 +180,83 @@ def pieri_residual(l, lam, z, family):
     x = cosines_from_point(z)
     lhs = eval_Ehat_l(l, x, params) * family.P(lam).evaluate(z, mono)
     return total - lhs
+
+
+@functools.lru_cache(maxsize=256)
+def _ehat_elementary(l, n, params):
+    """(a_0, ..., a_n) with Ehat_l = sum_k a_k m_(1^k) on n variables.
+
+    Ehat_l is symmetric and of degree at most one in each x_j = 2 cos xi_j
+    = z_j + 1/z_j, and m_(1^k) = e_k(x); a_k is the coefficient of
+    x_1 ... x_k, read off the values at x = (1^m, 0^(n-m)) by inclusion
+    and exclusion.
+    """
+    values = [
+        eval_Ehat_l(l, (Fraction(1, 2),) * m + (Fraction(0),) * (n - m), params) for m in range(n + 1)
+    ]
+    return tuple(
+        sum((-1) ** (k - m) * math.comb(k, m) * values[m] for m in range(k + 1)) for k in range(n + 1)
+    )
+
+
+def _pieri_sum(l, lam, family, top=None):
+    """sum over hop_terms(l, lam) of c P_target minus Ehat_l P_lam, as {mu: coefficient}.
+
+    The hop to top is left out of the sum; its coefficient is returned
+    next to the dict (0 if no hop reaches top).
+    """
+    params = family.params
+    out = {}
+    ehat = _ehat_elementary(l, len(lam), params)
+    for nu, v in family.P(lam).coeffs.items():
+        for a, products in zip(ehat, _times_elementary(nu)):
+            if a:
+                av = a * v
+                for gamma, count in products:
+                    out[gamma] = out.get(gamma, 0) - count * av
+    c_top = 0
+    for target, c in hop_terms(l, lam, params):
+        if target == top:
+            c_top = c
+            continue
+        for nu, v in family.P(target).coeffs.items():
+            out[nu] = out.get(nu, 0) + c * v
+    return out, c_top
+
+
+def pieri_P(mu, family):
+    """P_mu from the lattice Pieri identity at level l = l(mu), the number of nonzero parts.
+
+    With lam = mu - e_1 - ... - e_l, mu is the top target of
+    hop_terms(l, lam), and
+    P_mu = (Ehat_l P_lam - sum over the other targets of c P_target) / c_mu
+    in the monomial basis; every label read lies in the ideal of mu,
+    before mu in graded-lex order, and is taken from family.  P_0 = 1.
+    A pole of H_l at lam raises PoleError; c_mu = 0 raises
+    DegeneracyError naming mu.
+    """
+    mu = check_partition(mu)
+    n = len(mu)
+    l = sum(1 for p in mu if p)
+    if l == 0:
+        return InvariantPolynomial(n, {mu: Fraction(1)})
+    lam = tuple(p - 1 for p in mu[:l]) + mu[l:]
+    rest, c_mu = _pieri_sum(l, lam, family, top=mu)
+    if c_mu == 0:
+        raise DegeneracyError(
+            f"Pieri recursion has no value at label {mu}: the hop {lam} -> {mu} of H_{l} has coefficient 0"
+        )
+    # descending graded-lex, the order build_P writes, so float sums over P run alike
+    order = sorted(rest, key=total_order_key, reverse=True)
+    return InvariantPolynomial(n, {nu: -rest[nu] / c_mu for nu in order})
+
+
+def pieri_identity(l, lam, family):
+    """sum over hop_terms(l, lam) of c P_target minus Ehat_l P_lam, in the monomial basis.
+
+    The zero polynomial when the family's P diagonalize the lattice
+    integrals in the label variable; pieri_residual is its value at a
+    point.
+    """
+    lam = check_partition(lam)
+    return InvariantPolynomial(len(lam), _pieri_sum(l, lam, family)[0])

@@ -4,8 +4,9 @@ The three parameter sets are fixed in-domain rationals chosen to cover
 negative couplings in different slots; every test that claims an exact
 identity runs over all of them, and the property tests draw random ones
 from in_domain_params.  Polynomial families are cached per parameter set
-for the whole session, so each eigenpolynomial is built once; the
-triangular operator rows behind them are shared through
+for the whole session, so each eigenpolynomial is built once:
+family_for builds them by the Pieri recursion, fitted_family_for by the
+eigen-solve build_P, whose triangular operator rows are shared through
 rsmorse.dualop.dual_matrix.
 """
 
@@ -14,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from rsmorse.polynomials import PolynomialFamily
+from rsmorse.polynomials import FittedFamily, PolynomialFamily
 from rsmorse.qcore import params_from_hat
 
 PARAM_SETS = [
@@ -46,13 +47,16 @@ def in_domain_params(draw):
     return params_from_hat(q, t, that)
 
 
-def family_for(params, seed=0):
-    key = (params, seed)
+def family_for(params, seed=0, kind=PolynomialFamily):
+    key = (kind, params, seed)
     fam = _FAMILIES.get(key)
     if fam is None:
-        fam = PolynomialFamily(params=params, seed=seed)
-        _FAMILIES[key] = fam
+        fam = _FAMILIES[key] = kind(params=params, seed=seed)
     return fam
+
+
+def fitted_family_for(params, seed=0):
+    return family_for(params, seed, FittedFamily)
 
 
 @pytest.fixture(params=list(zip(PARAM_IDS, PARAM_SETS)), ids=lambda p: p[0])

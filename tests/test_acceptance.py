@@ -6,7 +6,9 @@ keeps pytest honest.  Exact checks compare Fractions with ==, numerical
 checks carry the stated tolerances.  Criteria 01, 02, 03, 06 (balance)
 and 07 (eigenvalues) run the case functions of rsmorse.cli, the same
 ones `rsmorse verify` runs, and count or collect failures from their
-records.
+records.  Criterion 01 reads the eigen-solve P (FittedFamily), since
+the other criteria's P are built from the Pieri identity it checks;
+criterion 12 ties the two constructions together.
 """
 
 import math
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import PARAM_SETS, family_for
+from conftest import PARAM_SETS, family_for, fitted_family_for
 from rsmorse.cli import (
     balance_cases,
     commute_cases,
@@ -32,7 +34,7 @@ from rsmorse.latticeop import (
     ruijsenaars_limit_check,
     symmetrization_identity_sides,
 )
-from rsmorse.polynomials import leading_coeff, normalization_point
+from rsmorse.polynomials import leading_coeff, normalization_point, pieri_identity
 from rsmorse.qcore import params_from_hat
 from rsmorse.scattering import (
     S_hat,
@@ -68,7 +70,7 @@ def test_criterion_01_pieri_identity(record_criterion):
     checked = 0
     bad = []
     for p in PARAM_SETS:
-        fam = family_for(p)
+        fam = fitted_family_for(p)
         for n, cap in WEIGHT_CAP.items():
             cases = pieri_cases(fam, _labels(n, cap), generic_points(n, 3, p, seed=11))
             checked += len(cases)
@@ -372,3 +374,38 @@ def test_criterion_11_dynamics(record_criterion):
         f"norm drift {worst_norm:.2e} (tol 1e-10), composition {worst_comp:.2e} (tol 1e-09)",
     )
     assert ok
+
+
+def test_criterion_12_pieri_recursion(record_criterion):
+    # every family P equals the eigen-solve P, and the Pieri identity holds in the
+    # monomial basis; at l = l(lam + e_1 + ... + e_l) the identity is the very one
+    # the recursion solved for its top target, so those are counted apart
+    compared = 0
+    checked = 0
+    definitional = 0
+    bad = []
+    for p in PARAM_SETS:
+        fam = family_for(p)
+        fitted = fitted_family_for(p)
+        for n, cap in WEIGHT_CAP.items():
+            for lam in _labels(n, cap):
+                compared += 1
+                if fam.P(lam).coeffs != fitted.P(lam).coeffs:
+                    bad.append((p.q, lam, "differs from build_P"))
+                for l in range(1, n + 1):
+                    if l == n or lam[l] == 0:
+                        definitional += 1
+                    else:
+                        checked += 1
+                    if not pieri_identity(l, lam, fam).is_zero():
+                        bad.append((p.q, lam, l))
+    record_criterion(
+        12,
+        "Pieri-recursion eigenpolynomials equal the eigen-solve and satisfy the identity",
+        not bad,
+        f"{compared} polynomials equal build_P, {checked} Pieri identities (+ {definitional} "
+        "definitional) exactly zero in the monomial basis"
+        if not bad
+        else f"failures {bad[:3]}",
+    )
+    assert not bad

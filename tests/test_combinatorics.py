@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rsmorse.combinatorics import (
     SignedPermutation,
     _Monomials,
+    _times_elementary,
     check_partition,
     complete_sym,
     cosines_from_point,
@@ -275,6 +276,21 @@ def test_rational_monomial_kernel_matches_orbit_sum(case):
     assert nums.value(mu) == got
     with pytest.raises(ParamDomainError):
         monomial_eval(mu, z[:j] + (zero,) + z[j + 1 :])
+
+
+def test_products_with_elementary_monomials():
+    # m_nu * m_(1^k) against the orbit sums of both factors at a rational point
+    z = (Fraction(2, 3), Fraction(-5, 7), Fraction(11, 13), Fraction(3, 17))
+    for n, cap in ((1, 4), (2, 4), (3, 3), (4, 2)):
+        point = z[:n]
+        for nu in partitions_max_weight(n, cap):
+            table = _times_elementary(nu)
+            assert len(table) == n + 1
+            for k, products in enumerate(table):
+                gammas = [gamma for gamma, _ in products]
+                assert gammas == sorted(gammas, key=total_order_key)
+                want = _orbit_sum(nu, point) * _orbit_sum((1,) * k + (0,) * (n - k), point)
+                assert sum(count * _orbit_sum(gamma, point) for gamma, count in products) == want
 
 
 class TestSymmetricFunctions:

@@ -3,16 +3,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rsmorse.dualop as dualop
 import rsmorse.polynomials as polynomials
 from rsmorse.combinatorics import eval_E, ideal, partitions_max_weight
 from rsmorse.dualop import apply_Hhat_l, dual_matrix, generic_points
-from rsmorse.errors import DegeneracyError
-from rsmorse.polynomials import PolynomialFamily, build_P, leading_coeff, normalization_point, pieri_residual
+from rsmorse.errors import DegeneracyError, RSMorseError
+from rsmorse.polynomials import (
+    FittedFamily,
+    PolynomialFamily,
+    build_P,
+    leading_coeff,
+    normalization_point,
+    pieri_P,
+    pieri_residual,
+)
 from rsmorse.qcore import params_from_hat, qpoch_finite
 
-from conftest import PARAM_SETS, family_for
+from conftest import PARAM_SETS, family_for, fitted_family_for, in_domain_params
 
 
 class TestLeadingCoeff:
@@ -128,38 +138,139 @@ def _bialternant(lam, z, p):
 
 
 class TestClosedForms:
-    """P_lambda against formulas that do not go through the dual-operator fit."""
+    """P_lambda against formulas that do not go through the dual-operator fit.
 
-    # each test draws its points at a seed no other check uses
-    def test_single_variable_is_dual_q_hahn(self):
+    Each form is checked on the eigen-solve build_P and on the Pieri
+    recursion of PolynomialFamily.
+    """
+
+    # each form draws its points at a seed no other check uses
+    @staticmethod
+    def _dual_q_hahn_holds(construction):
         for p in PARAM_SETS:
+            P = construction(p)
             points = generic_points(1, 4, p, seed=4241)
             for m in range(9):
-                poly = build_P((m,), p)
+                poly = P((m,))
                 for (z,) in points:
                     assert poly.evaluate((z,)) == _dual_q_hahn(m, z, p)
 
-    def test_q_equal_t_is_a_determinant(self):
+    @staticmethod
+    def _determinant_holds(construction):
         # at t = q, P_lambda(z) = R_lambda(z) / R_lambda(z*) with R_lambda the bialternant:
         # the determinant form of Koornwinder-type polynomials at t = q (Koornwinder,
         # Contemp. Math. 138, 1992), a slice no identity check of the lattice side reaches
         for base in PARAM_SETS:
             p = params_from_hat(base.q, base.q, base.that)
+            P = construction(p)
             for n, cap in ((2, 4), (3, 3)):
                 points = generic_points(n, 3, p, seed=4243)
                 star = normalization_point(n, p)
                 for lam in partitions_max_weight(n, cap):
-                    poly = build_P(lam, p)
+                    poly = P(lam)
                     at_star = _bialternant(lam, star, p)
                     for z in points:
                         assert poly.evaluate(z) == _bialternant(lam, z, p) / at_star
 
+    def test_single_variable_is_dual_q_hahn(self):
+        self._dual_q_hahn_holds(lambda p: lambda lam: build_P(lam, p))
+
+    def test_q_equal_t_is_a_determinant(self):
+        self._determinant_holds(lambda p: lambda lam: build_P(lam, p))
+
+    def test_family_single_variable_is_dual_q_hahn(self):
+        self._dual_q_hahn_holds(lambda p: PolynomialFamily(params=p).P)
+
+    def test_family_q_equal_t_is_a_determinant(self):
+        # at q = t the levels l >= 2 have poles, so these labels take the fallback
+        self._determinant_holds(lambda p: PolynomialFamily(params=p).P)
+
+
+class TestPieriRecursion:
+    @settings(deadline=None, max_examples=25)
+    @given(in_domain_params(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 99))
+    def test_family_equals_eigen_solve(self, p, n, cap, seed):
+        # a third of the draws put q = t^k, where H_l (l >= 2) has poles and the family fits
+        family = PolynomialFamily(params=p, seed=seed)
+        for lam in partitions_max_weight(n, cap):
+            try:
+                want = build_P(lam, p, seed)
+            except RSMorseError:
+                continue
+            got = family.P(lam).coeffs
+            assert got == want.coeffs, lam
+            # the same key order too, so float sums over the coefficients run alike
+            assert list(got) == list(want.coeffs), lam
+
+    def test_box_makes_no_solve(self, monkeypatch):
+        calls = []
+        real = dualop.solve_exact
+
+        def spy(A, B):
+            calls.append(len(A))
+            return real(A, B)
+
+        monkeypatch.setattr(dualop, "solve_exact", spy)
+        # no shared rows to read: a fit anywhere below would have to solve
+        dual_matrix.cache_clear()
+        for p in PARAM_SETS:
+            family = PolynomialFamily(params=p, seed=7)
+            for n, cap in ((1, 5), (2, 5), (3, 4)):
+                for lam in partitions_max_weight(n, cap):
+                    family.P(lam)
+        assert calls == []
+
+    def test_vanishing_top_coefficient_falls_back(self, monkeypatch):
+        p = PARAM_SETS[1]
+        mu, lam = (2, 1, 0), (1, 0, 0)
+        real = polynomials.hop_terms
+
+        def top_zero(l, at, params):
+            terms = real(l, at, params)
+            if (l, tuple(at)) == (2, lam):
+                terms = [(target, 0 if target == mu else c) for target, c in terms]
+            return terms
+
+        monkeypatch.setattr(polynomials, "hop_terms", top_zero)
+        fits = []
+        real_build = polynomials.build_P
+
+        def spy(label, params, seed=0):
+            fits.append(label)
+            return real_build(label, params, seed)
+
+        monkeypatch.setattr(polynomials, "build_P", spy)
+        family = PolynomialFamily(params=p)
+        assert family.P(mu).coeffs == real_build(mu, p).coeffs
+        assert fits == [mu]
+        with pytest.raises(DegeneracyError, match=r"\(2, 1, 0\)"):
+            pieri_P(mu, family)
+
+    def test_pole_slice_falls_back_per_label(self, monkeypatch):
+        # at q = t, H_2 has a pole at the equal parts of (0, 0), so (1, 1) alone is fitted
+        base = PARAM_SETS[0]
+        p = params_from_hat(base.t, base.t, base.that)
+        fits = []
+        real_build = polynomials.build_P
+
+        def spy(label, params, seed=0):
+            fits.append(label)
+            return real_build(label, params, seed)
+
+        monkeypatch.setattr(polynomials, "build_P", spy)
+        family = PolynomialFamily(params=p)
+        for lam in partitions_max_weight(2, 3):
+            assert family.P(lam).coeffs == real_build(lam, p).coeffs
+        assert fits == [(1, 1)]
+
 
 class TestPieri:
+    # the residual checks read the eigen-solve P: the family's P are built from this identity
+
     def test_residual_zero_samples(self):
         rng = random.Random(2)
         for p in PARAM_SETS:
-            fam = family_for(p)
+            fam = fitted_family_for(p)
             for n, lam in [(1, (2,)), (2, (1, 1)), (2, (2, 0))]:
                 z = generic_points(n, 1, p, seed=rng.randint(0, 10**6))[0]
                 for l in range(1, n + 1):
@@ -168,7 +279,7 @@ class TestPieri:
     def test_residual_detects_wrong_coefficients(self, monkeypatch):
         # doubling one family of hop coefficients must break the recurrence
         p = PARAM_SETS[0]
-        fam = family_for(p)
+        fam = fitted_family_for(p)
         real = polynomials.hop_terms
 
         def crooked(l, lam, params):
@@ -185,14 +296,14 @@ class TestPieri:
     def test_list_point_accepted(self):
         # a point given as a list is read like the tuple, not used as a memo key
         p = PARAM_SETS[1]
-        fam = family_for(p)
+        fam = fitted_family_for(p)
         z = [Fraction(2)]
         assert pieri_residual(1, (1,), z, fam) == 0
 
     def test_float_point_evaluates(self):
         # a point that is not rational is evaluated in floats, not by the integer kernel
         p = PARAM_SETS[0]
-        fam = family_for(p)
+        fam = fitted_family_for(p)
         for l in (1, 2):
             residual = pieri_residual(l, (2, 1), (0.37, 2.9), fam)
             assert isinstance(residual, float)
@@ -201,10 +312,10 @@ class TestPieri:
 
 def test_family_rows_are_shared(monkeypatch):
     p = PARAM_SETS[0]
-    fam = family_for(p)
+    fam = fitted_family_for(p)
     fam.P((2, 1))
     dual_matrix(1, 2, p, fam.seed).grow(3)
-    other = PolynomialFamily(params=p, seed=fam.seed)
+    other = FittedFamily(params=p, seed=fam.seed)
     fits = []
     monkeypatch.setattr(dualop, "_interpolate", lambda *args: fits.append(args))
     before = dual_matrix.cache_info()
@@ -218,7 +329,7 @@ def test_family_rows_are_shared(monkeypatch):
 def test_check_seed_is_its_own_matrix():
     # the dual eigen-check runs at the family seed + 1, apart from the fit
     p = PARAM_SETS[2]
-    fam = PolynomialFamily(params=p, seed=41)
+    fam = FittedFamily(params=p, seed=41)
     poly = fam.P((1, 0))
     before = dual_matrix.cache_info()
     image = apply_Hhat_l(1, poly, p, seed=fam.seed + 1)
