@@ -16,7 +16,7 @@ from rsmorse.combinatorics import partitions_max_weight
 from rsmorse.dualop import dual_matrix, generic_points
 from rsmorse.errors import DegeneracyError, PoleError
 from rsmorse.latticeop import LatticeFunction
-from rsmorse.polynomials import PolynomialFamily
+from rsmorse.polynomials import FittedFamily, PolynomialFamily
 from rsmorse.qcore import params_from_hat
 
 
@@ -98,7 +98,8 @@ def test_engine_cases_pass_or_name_a_degeneracy(case):
     family = PolynomialFamily(params=p, seed=seed)
     points = generic_points(len(labels[0]), 2, p, seed + 17)
     suites = (
-        lambda: pieri_cases(family, labels, points),
+        # the family's P are built from the Pieri identity, so it is checked on the eigen-solve P
+        lambda: pieri_cases(FittedFamily(params=p, seed=seed), labels, points),
         lambda: qdiff_cases(family, labels),
         lambda: balance_cases(p, labels),
     )

@@ -186,6 +186,19 @@ class TestClosedForms:
         self._determinant_holds(lambda p: PolynomialFamily(params=p).P)
 
 
+def _spy_on_fits(monkeypatch):
+    """The labels the family builds by build_P, in order."""
+    fits = []
+    real = polynomials.build_P
+
+    def spy(label, params, seed=0):
+        fits.append(label)
+        return real(label, params, seed)
+
+    monkeypatch.setattr(polynomials, "build_P", spy)
+    return fits
+
+
 class TestPieriRecursion:
     @settings(deadline=None, max_examples=25)
     @given(in_domain_params(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 99))
@@ -232,16 +245,9 @@ class TestPieriRecursion:
             return terms
 
         monkeypatch.setattr(polynomials, "hop_terms", top_zero)
-        fits = []
-        real_build = polynomials.build_P
-
-        def spy(label, params, seed=0):
-            fits.append(label)
-            return real_build(label, params, seed)
-
-        monkeypatch.setattr(polynomials, "build_P", spy)
+        fits = _spy_on_fits(monkeypatch)
         family = PolynomialFamily(params=p)
-        assert family.P(mu).coeffs == real_build(mu, p).coeffs
+        assert family.P(mu).coeffs == build_P(mu, p).coeffs
         assert fits == [mu]
         with pytest.raises(DegeneracyError, match=r"\(2, 1, 0\)"):
             pieri_P(mu, family)
@@ -250,17 +256,10 @@ class TestPieriRecursion:
         # at q = t, H_2 has a pole at the equal parts of (0, 0), so (1, 1) alone is fitted
         base = PARAM_SETS[0]
         p = params_from_hat(base.t, base.t, base.that)
-        fits = []
-        real_build = polynomials.build_P
-
-        def spy(label, params, seed=0):
-            fits.append(label)
-            return real_build(label, params, seed)
-
-        monkeypatch.setattr(polynomials, "build_P", spy)
+        fits = _spy_on_fits(monkeypatch)
         family = PolynomialFamily(params=p)
         for lam in partitions_max_weight(2, 3):
-            assert family.P(lam).coeffs == real_build(lam, p).coeffs
+            assert family.P(lam).coeffs == build_P(lam, p).coeffs
         assert fits == [(1, 1)]
 
 
