@@ -324,9 +324,10 @@ def _suite_limits(config):
 
 # adapters from a RunConfig to the case functions
 _SUITES = {
-    # the Pieri identity defines the family's P, so it is checked on the eigen-solve P
     "pieri": lambda c: pieri_cases(
-        FittedFamily(params=c.params, seed=c.seed), _labels(c), generic_points(c.n, 3, c.params, c.seed + 17)
+        FittedFamily(params=c.params, seed=c.seed),
+        _labels(c),
+        generic_points(c.n, 3, c.params, c.seed + 17),
     ),
     "qdiff": lambda c: qdiff_cases(_family(c), _labels(c)),
     "commute": lambda c: commute_cases(
