@@ -145,6 +145,8 @@ class PartitionMap:
     the monomials m_mu) share this body.  Values may be Fractions (exact
     path) or floats/complex.  Zero values are pruned so that equality of
     supports is meaningful.  Every method returns the caller's class.
+    The constructor validates each key; the methods and the operators,
+    whose keys are partitions already, skip that check.
     """
 
     n: int
@@ -158,6 +160,14 @@ class PartitionMap:
                 clean[lam] = v
         self.values = clean
 
+    @classmethod
+    def _of_partitions(cls, n, values):
+        """A map whose keys are already length-n partitions; only zeros are pruned."""
+        out = object.__new__(cls)
+        out.n = n
+        out.values = {lam: v for lam, v in values.items() if v != 0}
+        return out
+
     def support(self):
         """The keys in graded-lex order."""
         return sorted(self.values, key=total_order_key)
@@ -166,7 +176,7 @@ class PartitionMap:
         return not self.values
 
     def scaled(self, c):
-        return type(self)(self.n, {k: c * v for k, v in self.values.items()})
+        return self._of_partitions(self.n, {k: c * v for k, v in self.values.items()})
 
     def plus(self, other):
         if other.n != self.n:
@@ -174,7 +184,7 @@ class PartitionMap:
         out = dict(self.values)
         for k, v in other.values.items():
             out[k] = out.get(k, 0) + v
-        return type(self)(self.n, out)
+        return self._of_partitions(self.n, out)
 
     def minus(self, other):
         return self.plus(other.scaled(-1))

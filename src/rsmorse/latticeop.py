@@ -20,8 +20,15 @@ says how the factors are built and how a hop moves lam.
 The factors are reduced Fractions, each formed once from the integer
 numerators and denominators of a_j, a_j/a_k and the parameters.  The hop
 products and U sums run on unreduced integer pairs, and one Fraction is
-formed per coefficient; apply_Hl likewise sums each output entry as an
-integer pair and forms one Fraction per entry, so it takes int and
+formed per coefficient.  The closed forms v_plus and v_minus are their own
+integer products over the same a_j, kept apart from the hop tables so
+that apply_H checks apply_Hl(1, .) independently.
+
+apply_Hl reads the hop tables by columns: the column of (l, nu, params)
+lists every source lam whose table reaches nu, with that coefficient as
+an integer pair, and is built once and cached like the tables.  apply_Hl
+scatters each support value along its column, sums each output entry as
+an integer pair and forms one Fraction per entry, so it takes int and
 Fraction values only.
 
 Sign convention for the square-root prefactors of the hop coefficients:
@@ -88,21 +95,38 @@ def _site_power(lam, j, params):
 
 
 def _one_site(lam, j, params, s):
-    """v_plus (s = 1) or v_minus (s = -1) at site j, from its closed form."""
+    """v_plus (s = 1) or v_minus (s = -1) at site j, from its closed form.
+
+    The product runs on the integer numerators and denominators of
+    a_k = t**(n-k) q**lam_k and of the parameters; one Fraction is formed.
+    """
     lam = check_partition(lam)
-    _check_sites((j,), len(lam))
-    t = params.t
-    aj = _site_power(lam, j, params)
+    n = len(lam)
+    _check_sites((j,), n)
+    t, q = params.t, params.q
+    an = [t.numerator ** (n - k) * q.numerator ** lam[k - 1] for k in range(1, n + 1)]
+    ad = [t.denominator ** (n - k) * q.denominator ** lam[k - 1] for k in range(1, n + 1)]
+    x, y = an[j - 1], ad[j - 1]
+    h0n, h0d = params.that0.numerator, params.that0.denominator
     if s > 0:
-        out = (1 / params.that0) * (1 - params.t1 * aj) * (1 - params.t2 * aj)
+        # (1/that0)(1 - t1 a_j)(1 - t2 a_j), and the head 1/t of the mixed factors
+        t1, t2 = params.t1, params.t2
+        num = h0d * (t1.denominator * y - t1.numerator * x) * (t2.denominator * y - t2.numerator * x)
+        den = h0n * t1.denominator * t2.denominator * y * y
+        hn, hd = t.denominator, t.numerator
     else:
-        out = params.that0 * (1 - params.t0 * aj) * (1 - aj)
-    head = 1 / t if s > 0 else t
-    for k in range(1, len(lam) + 1):
-        if k != j:
-            ratio = aj / _site_power(lam, k, params)
-            out *= (head - ratio) / (1 - ratio)
-    return out
+        # that0 (1 - t0 a_j)(1 - a_j), and the head t of the mixed factors
+        t0 = params.t0
+        num = h0n * (t0.denominator * y - t0.numerator * x) * (y - x)
+        den = h0d * t0.denominator * y * y
+        hn, hd = t.numerator, t.denominator
+    for k in range(n):
+        if k != j - 1:
+            # (head - r)/(1 - r) with r = a_j/a_k = rn/rd
+            rn, rd = x * ad[k], y * an[k]
+            num *= hn * rd - hd * rn
+            den *= hd * (rd - rn)
+    return Fraction(num, den)
 
 
 def v_plus(lam, j, params):
@@ -154,7 +178,7 @@ def apply_H(f, params):
     return LatticeFunction(f.n, out)
 
 
-# Hop tables kept, one per (l, lam, params).
+# Hop tables kept, one per (l, lam, params), and as many columns, one per (l, nu, params).
 HOP_CACHE_SIZE = 4096
 
 
@@ -271,12 +295,35 @@ def _hop_table(l, lam, params):
 hop_terms.cache_info = _hop_table.cache_info
 
 
+def _sources(l, nu):
+    """Every partition lam from which a signed hop of level l reaches nu."""
+    for J, eps in _signed_hops(len(nu), l):
+        lam = _shift(nu, J, eps, -1)
+        if is_partition(lam):
+            yield lam
+
+
+@functools.lru_cache(maxsize=HOP_CACHE_SIZE)
+def _column(l, nu, params):
+    """(lam, numerator, denominator) of the coefficient of each hop of H_l
+    from a source lam to nu, read off the hop table of lam.
+    """
+    column = []
+    for lam in _sources(l, nu):
+        c = dict(_hop_table(l, lam, params))[nu]
+        column.append((lam, c.numerator, c.denominator))
+    return tuple(column)
+
+
 def apply_Hl(l, f, params):
     """Apply the l-th commuting integral H_l to a lattice function.
 
-    Exact only: the values of f must be ints or Fractions.  Each output
-    entry is summed as an unreduced integer pair over its hops and formed
-    as one Fraction.
+    Exact only: the values of f must be ints or Fractions.  Each support
+    point nu of f is scattered along its cached column: f(nu) times the
+    coefficient of every hop that reaches nu, added as an unreduced
+    integer pair to the entry of the hop's source.  One Fraction is formed
+    per entry, in sorted key order.  A pole is raised as the first source
+    in sorted order meets it.
     """
     n = f.n
     _check_level(l, n)
@@ -286,27 +333,36 @@ def apply_Hl(l, f, params):
             raise ParamDomainError(
                 f"apply_Hl takes int or Fraction values, got {v!r} of type {type(v).__name__} at {lam}"
             )
-    hops = list(_signed_hops(n, l))
-    candidates = set()
-    for nu in values:
-        for J, eps in hops:
-            # source lam maps to nu when lam moved by eps J is nu
-            src = _shift(nu, J, eps, -1)
-            if is_partition(src):
-                candidates.add(src)
+    try:
+        columns = [(v, _column(l, nu, params)) for nu, v in values.items()]
+    except PoleError:
+        columns = None
+    if columns is None:
+        # name the pole that the first source in sorted order meets
+        for lam in sorted({lam for nu in values for lam in _sources(l, nu)}):
+            _hop_table(l, lam, params)
+    acc = {}
+    for v, column in columns:
+        vn, vd = v.numerator, v.denominator
+        for lam, cn, cd in column:
+            cn *= vn
+            cd *= vd
+            pair = acc.get(lam)
+            if pair is None:
+                acc[lam] = cn, cd
+            else:
+                num, den = pair
+                acc[lam] = num * cd + cn * den, den * cd
     out = {}
-    for lam in sorted(candidates):
-        num, den = 0, 1
-        for target, c in hop_terms(l, lam, params):
-            fv = values.get(target)
-            if fv is not None:
-                cn = c.numerator * fv.numerator
-                cd = c.denominator * fv.denominator
-                num = num * cd + cn * den
-                den *= cd
-        if num != 0:
+    for lam in sorted(acc):
+        num, den = acc[lam]
+        if num:
             out[lam] = Fraction(num, den)
-    return LatticeFunction(n, out)
+    return LatticeFunction._of_partitions(n, out)
+
+
+# hit and miss counts of the column memo
+apply_Hl.cache_info = _column.cache_info
 
 
 def epsilon0(params, n):

@@ -18,6 +18,7 @@ sqrt(q*t0/(t1*t2)) = 1/that0 and sqrt(t1*t2/(q*t0)) = that0.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,17 +61,33 @@ def parse_rational(text):
 def qpoch_finite(x, m, q):
     """Finite q-Pochhammer symbol (x; q)_m = prod_{l=0}^{m-1} (1 - x q^l).
 
-    Exact when ``x`` and ``q`` are Fractions; a numpy array ``x`` gives
-    the product elementwise, as the spectral weight grid uses it.  ``m``
-    must be a nonnegative integer; (x; q)_0 = 1.
+    When ``x`` and ``q`` are ints or Fractions the result is a Fraction:
+    with x = x_n/x_d and q = q_n/q_d, the integer product of
+    (x_d q_d^l - x_n q_n^l) over x_d^m q_d^(m(m-1)/2), formed once.  A
+    float or a numpy array ``x`` gives the product factor by factor
+    (elementwise for an array, as the spectral weight grid uses it).
+    ``m`` must be a nonnegative integer (an integral float counts);
+    anything else, NaN and inf included, raises ParamDomainError.
+    (x; q)_0 = 1.
     """
-    if m < 0 or m != int(m):
+    try:
+        order = int(m)
+        valid = order == m and order >= 0
+    except (TypeError, ValueError, OverflowError):  # str, nan, inf
+        valid = False
+    if not valid:
         raise ParamDomainError(f"q-Pochhammer order m must be a nonnegative integer, got {m!r}")
-    # seed a Fraction on exact inputs so downstream divisions stay exact
-    exact = isinstance(x, (int, Fraction)) and isinstance(q, (int, Fraction))
-    out = Fraction(1) if exact else 1
+    if isinstance(x, (int, Fraction)) and isinstance(q, (int, Fraction)):
+        xn, xd, qn, qd = x.numerator, x.denominator, q.numerator, q.denominator
+        num, pn, pd = 1, 1, 1
+        for _ in range(order):
+            num *= xd * pd - xn * pn
+            pn *= qn
+            pd *= qd
+        return Fraction(num, xd**order * qd ** (order * (order - 1) // 2))
+    out = 1
     qp = 1
-    for _ in range(int(m)):
+    for _ in range(order):
         out = out * (1 - x * qp)
         qp = qp * q
     return out
@@ -150,7 +167,8 @@ class ParamSet:
 
     q and t are rationals in (0, 1); the three hatted couplings are
     nonzero rationals in (-1, 1).  The derived unhatted couplings
-    t0, t1, t2 (t3 is identically 1) are exact rationals.
+    t0, t1, t2 (t3 is identically 1) are exact rationals, each computed
+    on first use and kept.
     """
 
     q: Fraction
@@ -177,15 +195,15 @@ class ParamSet:
     def that2(self):
         return self.that[2]
 
-    @property
+    @functools.cached_property
     def t0(self):
         return self.that[1] * self.that[2] / self.q
 
-    @property
+    @functools.cached_property
     def t1(self):
         return self.that[0] * self.that[2]
 
-    @property
+    @functools.cached_property
     def t2(self):
         return self.that[0] * self.that[1]
 

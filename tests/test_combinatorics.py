@@ -93,6 +93,22 @@ class TestPartitionMap:
         with pytest.raises(ParamDomainError, match="ranks 2 and 1"):
             cls(2, {(1, 0): 1}).minus(cls(1, {(1,): 1}))
 
+    def test_constructor_checks_every_key(self, cls):
+        for key, match in (((0, 1), "not weakly decreasing"), ((1, 0, 0), "expected 2"), ((1, -1), "negative")):
+            with pytest.raises(ParamDomainError, match=match):
+                cls(2, {(2, 1): 1, key: 1})
+        # keys are normalized to tuples of ints
+        assert list(cls(2, {(2, 1): 1, (1.0, 0): 1}).values) == [(2, 1), (1, 0)]
+
+    def test_methods_prune_zeros(self, cls):
+        f = cls(2, {(1, 0): Fraction(2), (2, 1): Fraction(-1, 3)})
+        g = cls(2, {(1, 0): Fraction(-2), (1, 1): 5})
+        assert f.scaled(0).values == {}
+        assert f.plus(g).values == {(2, 1): Fraction(-1, 3), (1, 1): 5}
+        assert f.minus(f.scaled(1)).is_zero()
+        for out in (f.scaled(2), f.plus(g), f.minus(g)):
+            assert all(type(k) is tuple and len(k) == 2 for k in out.values)
+
 
 class TestDominance:
     def test_examples(self):

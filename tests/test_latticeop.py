@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsmorse.combinatorics import is_partition, partitions_max_weight
+from rsmorse.combinatorics import check_partition, is_partition, partitions_max_weight
 from rsmorse.errors import ParamDomainError, PoleError
 from rsmorse.latticeop import (
     LatticeFunction,
@@ -382,14 +382,16 @@ class TestHopTableMemo:
         assert hop_terms(2, (2, 1, 0), p) == table
 
     def test_commutator_reuses_tables(self):
+        # apply_Hl reads hop tables through its column memo, so a repeated
+        # commutator builds no table and no column, and hits the columns
         p = PARAM_SETS[0]
         first = commutator_on_delta(1, 2, (1, 0), p)
-        before = hop_terms.cache_info()
+        tables, columns = hop_terms.cache_info(), apply_Hl.cache_info()
         again = commutator_on_delta(1, 2, (1, 0), p)
-        after = hop_terms.cache_info()
         assert again == first
-        assert after.misses == before.misses
-        assert after.hits > before.hits
+        assert hop_terms.cache_info().misses == tables.misses
+        assert apply_Hl.cache_info().misses == columns.misses
+        assert apply_Hl.cache_info().hits > columns.hits
 
     def test_params_are_part_of_the_key(self):
         lam = (2, 1)
@@ -432,6 +434,86 @@ def test_integrals_commute_or_name_a_pole(case):
     except PoleError:
         return
     assert all(c.is_zero() for c in comms)
+
+
+@settings(deadline=None)
+@given(_lattice_cases())
+def test_one_site_equals_literal_table(case):
+    p, lam = case
+    n = len(lam)
+    a, up, down, mix_up, mix_down = _literal_table(lam, p)
+    for j in range(1, n + 1):
+        others = [k for k in range(1, n + 1) if k != j]
+        for got, want in (
+            (v_plus(lam, j, p), up[j] * math.prod(mix_up(j, k) for k in others)),
+            (v_minus(lam, j, p), down[j] * math.prod(mix_down(j, k) for k in others)),
+        ):
+            assert got == want, (p, lam, j)
+            assert type(got) is Fraction
+
+
+def _apply_Hl_gather(l, f, p):
+    """H_l f summed source by source: every lam an l-hop moves onto a support
+    point (all 3^n back-shifts), then the Fraction sum over its hop_terms."""
+    n = f.n
+    sources = set()
+    for nu in f.values:
+        for signs in itertools.product((0, 1, -1), repeat=n):
+            lam = tuple(x - s for x, s in zip(nu, signs))
+            if sum(map(abs, signs)) <= l and is_partition(lam):
+                sources.add(lam)
+    out = {}
+    for lam in sorted(sources):
+        total = sum((c * f[target] for target, c in hop_terms(l, lam, p)), Fraction(0))
+        if total:
+            out[lam] = total
+    return out
+
+
+def _hl_outcome(fn):
+    try:
+        return fn()
+    except PoleError as exc:
+        return f"PoleError: {exc}"
+
+
+@st.composite
+def _support_cases(draw):
+    p = draw(in_domain_params())
+    n = draw(st.integers(1, 3))
+    l = draw(st.integers(1, n))
+    keys = draw(st.lists(st.sampled_from(partitions_max_weight(n, 3)), min_size=1, max_size=4, unique=True))
+    value = st.integers(-4, 4) | st.fractions(-3, 3, max_denominator=9)
+    values = draw(st.lists(value, min_size=len(keys), max_size=len(keys)))
+    return p, l, LatticeFunction(n, dict(zip(keys, values)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_support_cases())
+def test_apply_Hl_equals_gather_reference(case):
+    p, l, f = case
+    got = _hl_outcome(lambda: apply_Hl(l, f, p))
+    want = _hl_outcome(lambda: _apply_Hl_gather(l, f, p))
+    if isinstance(got, str) or isinstance(want, str):
+        # a pole is raised by both, and named as the first source in sorted order meets it
+        assert got == want, (p, l, f)
+        return
+    assert got.values == want, (p, l, f)
+    for lam, v in got.values.items():
+        assert check_partition(lam, f.n) == lam and type(v) is Fraction
+
+
+def test_apply_Hl_names_the_first_pole_in_source_order():
+    p = params_from_hat("1/2", "1/2", ("1/2", "-1/3", "1/5"))  # q = t
+    poles = 0
+    for n in (2, 3):
+        labels = partitions_max_weight(n, 3)
+        for keys in itertools.combinations(labels[::-1], 2):
+            f = LatticeFunction(n, dict.fromkeys(keys, 1))
+            got = _hl_outcome(lambda: apply_Hl(2, f, p))
+            assert got == _hl_outcome(lambda: _apply_Hl_gather(2, f, p)), keys
+            poles += isinstance(got, str)
+    assert poles > 0
 
 
 class TestEpsilon0:

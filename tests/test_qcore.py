@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rsmorse.qcore as qcore
 from rsmorse.dualop import dual_matrix
@@ -15,7 +18,7 @@ from rsmorse.qcore import (
     truncation_order,
 )
 
-from conftest import PARAM_SETS
+from conftest import PARAM_SETS, in_domain_params
 
 
 class TestParseRational:
@@ -70,6 +73,63 @@ class TestQpochFinite:
     def test_negative_order_rejected(self):
         with pytest.raises(ParamDomainError):
             qpoch_finite(Fraction(1, 2), -1, Fraction(1, 3))
+
+    @pytest.mark.parametrize(
+        "m", [float("nan"), float("inf"), float("-inf"), "3", "x", None, 2.5, Fraction(1, 2), 1j, -1.0]
+    )
+    def test_every_bad_order_is_a_domain_error(self, m):
+        # nan, inf and str used to escape as ValueError, OverflowError and TypeError
+        for x, q in ((Fraction(1, 2), Fraction(1, 3)), (0.5, 0.25)):
+            with pytest.raises(ParamDomainError, match="order m"):
+                qpoch_finite(x, m, q)
+
+    def test_integral_orders_of_other_types(self):
+        want = qpoch_finite(Fraction(1, 2), 2, Fraction(1, 3))
+        for m in (2.0, Fraction(2), np.int64(2)):
+            assert qpoch_finite(Fraction(1, 2), m, Fraction(1, 3)) == want
+
+    def test_exact_special_cases(self):
+        # int x and int q, a vanishing factor, a negative x, m = 0
+        cases = {
+            (2, 3, 1): Fraction(-1),
+            (Fraction(9), 3, Fraction(1, 3)): Fraction(0),
+            (Fraction(-3, 2), 2, Fraction(1, 2)): Fraction(5, 2) * Fraction(7, 4),
+            (5, 0, 0): Fraction(1),
+        }
+        for (x, m, q), want in cases.items():
+            got = qpoch_finite(x, m, q)
+            assert got == want and type(got) is Fraction, (x, m, q)
+
+
+def _qpoch_literal(x, m, q):
+    out = Fraction(1)
+    for l in range(m):
+        out *= 1 - x * Fraction(q) ** l
+    return out
+
+
+@st.composite
+def _qpoch_cases(draw):
+    p = draw(in_domain_params())
+    q = p.q
+    m = draw(st.integers(0, 6))
+    # arguments the lattice norms pass, 1/q^k (the factor l = k vanishes), ints and negatives
+    x = draw(
+        st.sampled_from([p.that0 * p.that1 * p.t, p.that1 * p.that2 * p.t**2, q * p.t, p.t ** 3])
+        | st.integers(0, 4).map(lambda k: 1 / q**k)
+        | st.integers(-5, 5)
+        | st.fractions(-3, 3, max_denominator=11)
+    )
+    return x, m, q
+
+
+@settings(deadline=None)
+@given(_qpoch_cases())
+def test_qpoch_finite_equals_literal_product(case):
+    x, m, q = case
+    got = qpoch_finite(x, m, q)
+    assert got == _qpoch_literal(x, m, q)
+    assert type(got) is Fraction
 
 
 class TestQpochInfinite:
