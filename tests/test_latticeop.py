@@ -499,6 +499,8 @@ def test_apply_Hl_equals_gather_reference(case):
         assert got == want, (p, l, f)
         return
     assert got.values == want, (p, l, f)
+    # entries in sorted key order, as the gather forms them
+    assert list(got.values) == list(want)
     for lam, v in got.values.items():
         assert check_partition(lam, f.n) == lam and type(v) is Fraction
 
