@@ -614,9 +614,14 @@ def eval_E_l_via_Eln(lam, l, params):
     return t ** (-l * (l - 1) // 2) * eval_Eln(l, z, y)
 
 
+def _exact_ints(z):
+    """z as a tuple with each int coordinate a Fraction, so 1/z_j stays exact."""
+    return tuple(Fraction(v) if isinstance(v, int) else v for v in z)
+
+
 def cosines_from_point(z):
     """Exact cosines (z_j + 1/z_j)/2 for a rational or complex torus point."""
-    return tuple((zj + 1 / zj) / 2 for zj in z)
+    return tuple((zj + 1 / zj) / 2 for zj in _exact_ints(z))
 
 
 def eval_Ehat(cos_xi, params):

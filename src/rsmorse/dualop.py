@@ -24,11 +24,14 @@ evaluates nothing at the points of the step before.
 
 The fit runs on integers from the point to the solve: each factor-table
 entry is one Fraction formed from the integer parts of z_j = a_j/b_j
-and of the parameters; monomials come from the integer kernel
-combinatorics._Monomials, at the point and at its shifts written
-unreduced (a_j q_n)/(b_j q_d) or (a_j q_d)/(b_j q_n); and each row of
-the linear system is a list of ints whose scale is known in closed form
-(_row).  _one_body and _pair_t stay only behind vhat and
+and of the parameters; each hop writes the integer parts of its
+shifted point directly, (a_j q_n, b_j q_d) for a coordinate that moves
+up and (a_j q_d, b_j q_n) for one that moves down (_dual_terms), so no
+shifted point is formed as a Fraction; monomials come from the integer
+kernel combinatorics._Monomials at those parts; and each row of the
+linear system is a list of ints whose scale is known in closed form
+(_row).  dual_terms_at_point is the public Fraction view of the same
+terms.  _one_body and _pair_t stay only behind vhat and
 apply_dual_h_pointwise, the independent baseline of the l = 1 action.
 
 The matrix of Hhat_l on the monomial basis is built once per
@@ -52,6 +55,7 @@ from .combinatorics import (
     PartitionMap,
     _check_level,
     _check_sites,
+    _exact_ints,
     _Factors,
     _hop_product,
     _Lazy,
@@ -175,11 +179,13 @@ def _pair_factor(wn, wd, stay, params):
 class _Point:
     """What every fit and coefficient helper reads at one point z.
 
-    pairs: the integer parts (a_j, b_j) of z_j = a_j/b_j.  factors: the factor table of z.  at: at[w] = _Monomials(w), the
-    integer monomial kernel at z (w = pairs) or at one of its shifted
-    points, written unreduced as in _level.  mono: mono[mu] = m_mu(z) as
-    a Fraction.  terms: {l: what _level returns for Hhat_l at z}, so each
-    shifted point is hashed once per level, not once per term and label.
+    pairs: the integer parts (a_j, b_j) of z_j = a_j/b_j, each z_j a
+    nonzero int or Fraction (else ParamDomainError).  factors: the factor
+    table of z.  at: at[w] = _Monomials(w), the integer monomial kernel
+    at z (w = pairs) or at one of its shifted points, written unreduced
+    as _dual_terms builds them.  mono: mono[mu] = m_mu(z) as a Fraction.
+    terms: {l: what _level returns for Hhat_l at z}, so each shifted
+    point is hashed once per level, not once per term and label.
 
     With u_j = z_j^s, factors.one[j, s] is the one-body factor at u_j;
     factors.mixed[j, s, k] the t-pair factors of u_j z_k and u_j/z_k; and
@@ -195,6 +201,9 @@ class _Point:
     __slots__ = ("pairs", "factors", "terms", "at", "mono")
 
     def __init__(self, z, params):
+        for j, v in enumerate(z):
+            if not isinstance(v, (int, Fraction)) or v == 0:
+                raise ParamDomainError(f"dual coefficients need nonzero rational coordinates, z[{j}] = {v!r}")
         self.pairs = tuple((v.numerator, v.denominator) for v in z)
         # power[j, s]: the integer parts of z_j^s
         power = {}
@@ -230,7 +239,7 @@ def vhat(j, z, params):
     * prod_{k != j} (1 - t z_j z_k)(1 - t z_j/z_k)
                   / ((1 - z_j z_k)(1 - z_j/z_k)).
     """
-    z = tuple(z)
+    z = _exact_ints(z)
     n = len(z)
     _check_sites((j,), n)
     out = _one_body(z[j - 1], params)
@@ -250,7 +259,7 @@ def apply_dual_h_pointwise(peval, z, params):
     where 1/z inverts every coordinate.  Serves as the independent
     baseline for the l = 1 action of the general family.
     """
-    z = tuple(z)
+    z = _exact_ints(z)
     n = len(z)
     zinv = tuple(1 / v for v in z)
     pz = peval(z)
@@ -297,24 +306,40 @@ def uhat_coeff(K, p, z, params):
     return Fraction(*_stay_sum(K, p, _point(z, params).factors))
 
 
+def _dual_terms(l, z, params):
+    """((pairs, s), coefficient) of each term of Hhat_l at z, from its hop.
+
+    The hop (J, eps) moves z_j -> q^(eps_j) z_j for j in J.  pairs holds
+    the integer parts of the shifted point, written unreduced: (a_j, b_j)
+    where z_j = a_j/b_j stays, (a_j q_n, b_j q_d) where it moves up and
+    (a_j q_d, b_j q_n) where it moves down, with q = q_n/q_d; s = |J|
+    counts the moved coordinates.  Every coefficient reads the factor
+    table of z that every level shares.
+    """
+    rec = _point(z, params)
+    qn, qd = params.q.numerator, params.q.denominator
+
+    def move(J, eps):
+        pairs = list(rec.pairs)
+        for j, s in zip(J, eps):
+            a, b = pairs[j - 1]
+            pairs[j - 1] = (a * qn, b * qd) if s == 1 else (a * qd, b * qn)
+        return tuple(pairs), len(J)
+
+    return _terms(l, rec.factors, move)
+
+
 def dual_terms_at_point(l, z, params):
     """All (shifted point, coefficient) pairs of Hhat_l at the point z.
 
     The operator acts as sum over subsets J with signs eps of
     Uhat_{J^c, l-|J|}(z) Vhat_{eps J}(z) shifting z_j -> q^(eps_j) z_j
-    for j in J; all coefficients read the factor table of z that every
-    level shares.  Returns a new list.
+    for j in J.  The Fraction view of the terms the fit reads
+    (_dual_terms); returns a new list.
     """
     z = tuple(z)
     _check_level(l, len(z))
-
-    def move(J, eps):
-        shifted = list(z)
-        for j, s in zip(J, eps):
-            shifted[j - 1] = shifted[j - 1] * params.q**s
-        return tuple(shifted)
-
-    return list(_terms(l, _point(z, params).factors, move))
+    return [(tuple(Fraction(a, b) for a, b in pairs), c) for (pairs, _), c in _dual_terms(l, z, params)]
 
 
 def generic_points(n, count, params, seed):
@@ -368,34 +393,13 @@ def generic_points(n, count, params, seed):
 def _level(l, z, rec, params):
     """The terms of Hhat_l at z for the integer fit: (L, D, [(at[w], s, k)]).
 
-    Each shifted point w is written unreduced, coordinate by coordinate:
-    a_j/b_j where it stays, (a_j q_n)/(b_j q_d) where it moves up and
-    (a_j q_d)/(b_j q_n) where it moves down, with q = q_n/q_d.  s counts
-    the moved coordinates, L is the largest s, D the lcm of the
-    coefficient denominators and k = D times the coefficient, an int.
-    Hence prod_j a_j b_j of w is g (q_n q_d)^s, and m_mu(w) is
+    Each shifted point w comes from its hop as integer parts, s moved
+    coordinates apart from z (_dual_terms).  L is the largest s, D the
+    lcm of the coefficient denominators and k = D times the coefficient,
+    an int.  Hence prod_j a_j b_j of w is g (q_n q_d)^s, and m_mu(w) is
     at[w][mu] / (g (q_n q_d)^s)^M with M = mu_1.
     """
-    qn, qd = params.q.numerator, params.q.denominator
-    terms = []
-    for w, c in dual_terms_at_point(l, z, params):
-        if c == 0:
-            continue
-        pairs = []
-        s = 0
-        for v, (a, b) in zip(w, rec.pairs):
-            vn, vd = v.numerator, v.denominator
-            if vn * b == vd * a:
-                pairs.append((a, b))
-            elif vn * b * qd == vd * a * qn:
-                pairs.append((a * qn, b * qd))
-                s += 1
-            elif vn * b * qn == vd * a * qd:
-                pairs.append((a * qd, b * qn))
-                s += 1
-            else:
-                raise StructureError(f"dual term target {w} is not a q-shift of the point {z}")
-        terms.append((rec.at[tuple(pairs)], s, c))
+    terms = [(rec.at[pairs], s, c) for (pairs, s), c in _dual_terms(l, z, params) if c != 0]
     D = lcm(*(c.denominator for _, _, c in terms))
     L = max((s for _, s, _ in terms), default=0)
     return L, D, [(nums, s, c.numerator * (D // c.denominator)) for nums, s, c in terms]
@@ -406,9 +410,12 @@ def _row(l, z, support, new, params):
     B = [(Hhat_l m_mu)(z) R for mu in new].
 
     With W the largest part in support, (L, D) from _level and
-    g = prod_j a_j b_j the kernel's g at z, the row scale is R = g^W (q_n q_d)^(W L) D, so the entries are
+    g = prod_j a_j b_j the kernel's g at z, the row scale is
+    R = g^W (q_n q_d)^(W L) D, so the entries are
     at[z][nu] g^(W - nu_1) (q_n q_d)^(W L) D and
-    sum over the terms of k g^(W - M) (q_n q_d)^(W L - M s) at[w][mu].
+    sum over the terms of k g^(W - M) (q_n q_d)^(W L - M s) at[w][mu],
+    where at[w] is the kernel at the integer parts that the hop of the
+    term wrote and s its number of moved coordinates.
     """
     rec = _point(z, params)
     level = rec.terms.get(l)

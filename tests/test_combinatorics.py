@@ -421,6 +421,9 @@ class TestSpectralEigenvalues:
 
     def test_cosines_from_point(self):
         assert cosines_from_point((Fraction(2),)) == (Fraction(5, 4),)
+        # an int coordinate stays exact
+        x = cosines_from_point((3, 5))
+        assert x == (Fraction(5, 3), Fraction(13, 5)) and all(type(v) is Fraction for v in x)
 
 
 class TestStaySumMemo:

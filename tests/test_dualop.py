@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -262,6 +263,8 @@ class TestVhat:
             z = (Fraction(3), Fraction(5))
             for j in (1, 2):
                 assert vhat(j, z, p) == _vhat_literal(j, z, p)
+                # the same point with int coordinates, still exact
+                assert type(vhat(j, (3, 5), p)) is Fraction and vhat(j, (3, 5), p) == vhat(j, z, p)
 
     def test_vanishing_factor(self):
         for p in PARAM_SETS:
@@ -303,6 +306,26 @@ class TestPointwiseRoutes:
         with pytest.raises(ParamDomainError):
             uhat_coeff((1,), -1, z, p)
 
+    def test_dual_terms_are_the_literal_shifts(self):
+        # the public view from the other side: each target is z with z_j -> q^(eps_j) z_j on J,
+        # and its coefficient Uhat_{J^c, l-|J|}(z) Vhat_{eps J}(z)
+        for p in PARAM_SETS + [params_from_hat("1/2", "1/2", ("1/2", "-1/3", "1/5"))]:
+            for n in (1, 2, 3):
+                for z in generic_points(n, 2, p, seed=11):
+                    for l in range(1, n + 1):
+                        expected = {}
+                        for signs in itertools.product((0, 1, -1), repeat=n):
+                            J = tuple(j for j, s in enumerate(signs, 1) if s)
+                            if len(J) > l:
+                                continue
+                            eps = tuple(s for s in signs if s)
+                            rest = tuple(k for k in range(1, n + 1) if k not in J)
+                            target = tuple(v * p.q**s for v, s in zip(z, signs))
+                            expected[target] = uhat_coeff(rest, l - len(J), z, p) * vhat_signed(J, eps, z, p)
+                        terms = dualop.dual_terms_at_point(l, z, p)
+                        assert len(terms) == len(expected)
+                        assert dict(terms) == expected
+
 
 class TestSiteValidation:
     """Bad sites or signs are refused before any factor is read."""
@@ -322,6 +345,30 @@ class TestSiteValidation:
     def test_uhat_coeff_rejects(self, K):
         with pytest.raises(ParamDomainError):
             uhat_coeff(K, 1, self.Z, PARAM_SETS[0])
+
+    @pytest.mark.parametrize(
+        "z, named",
+        [
+            ((Fraction(2), 1.5), "z[1] = 1.5"),
+            ((Fraction(0), Fraction(3)), "z[0] = Fraction(0, 1)"),
+            ((2, 0), "z[1] = 0"),
+            ((complex(0, 1), Fraction(3)), "z[0] = 1j"),
+        ],
+        ids=["float", "zero-fraction", "zero-int", "complex"],
+    )
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda z, p: dualop.dual_terms_at_point(1, z, p),
+            lambda z, p: vhat_signed((1,), (1,), z, p),
+            lambda z, p: uhat_coeff((1, 2), 1, z, p),
+        ],
+        ids=["dual_terms_at_point", "vhat_signed", "uhat_coeff"],
+    )
+    def test_point_must_be_nonzero_rational(self, z, named, read):
+        # the point record is the one place that reads integer parts; it names the coordinate
+        with pytest.raises(ParamDomainError, match=re.escape(named)):
+            read(z, PARAM_SETS[0])
 
 
 class TestClosedForms:
@@ -505,13 +552,13 @@ class TestApplyHhat:
         # break W-invariance of the hop coefficients; the held-out
         # interpolation check must refuse the fitted image
         p = PARAM_SETS[0]
-        real = dualop.dual_terms_at_point
+        real = dualop._dual_terms
 
         def crooked(l, z, params):
             z = tuple(z)
-            return [(zz, c * (1 + z[0]) if zz != z else c) for zz, c in real(l, z, params)]
+            return [((pairs, s), c * (1 + z[0]) if s else c) for (pairs, s), c in real(l, z, params)]
 
-        monkeypatch.setattr(dualop, "dual_terms_at_point", crooked)
+        monkeypatch.setattr(dualop, "_dual_terms", crooked)
         # a matrix already held would answer without fitting anything
         dual_matrix.cache_clear()
         try:
@@ -519,22 +566,6 @@ class TestApplyHhat:
                 apply_Hhat_l(1, InvariantPolynomial.monomial((1,)), p)
         finally:
             # rows fitted on the crooked operator must not reach other tests
-            dual_matrix.cache_clear()
-
-    def test_target_off_the_q_lattice_is_refused(self, monkeypatch):
-        # the fit writes each target as an integer q-shift of the point
-        p = PARAM_SETS[0]
-        real = dualop.dual_terms_at_point
-
-        def crooked(l, z, params):
-            return [(tuple(2 * v for v in zz), c) for zz, c in real(l, z, params)]
-
-        monkeypatch.setattr(dualop, "dual_terms_at_point", crooked)
-        dual_matrix.cache_clear()
-        try:
-            with pytest.raises(StructureError, match="is not a q-shift of the point"):
-                apply_Hhat_l(1, InvariantPolynomial.monomial((1,)), p)
-        finally:
             dual_matrix.cache_clear()
 
 
@@ -682,7 +713,7 @@ class TestPointMemo:
         dual_matrix.cache_clear()
         mat = DualMatrix(1, 2, p, seed=0)
         mat.grow(2)
-        calls = _count_calls(monkeypatch, "dual_terms_at_point")
+        calls = _count_calls(monkeypatch, "_dual_terms")
         mat.grow(3)
         assert len(calls) == len(partitions_max_weight(2, 3)) - len(partitions_max_weight(2, 2))
 
@@ -693,7 +724,7 @@ class TestPointMemo:
         # level 1 has read every one-body and mixed entry of its points
         one_body = _count_calls(monkeypatch, "_one_factor")
         mixed = _count_calls(monkeypatch, "_mixed_factor")
-        terms = _count_calls(monkeypatch, "dual_terms_at_point")
+        terms = _count_calls(monkeypatch, "_dual_terms")
         dual_matrix(2, 2, p, 3).grow(3)
         assert len(terms) == len(partitions_max_weight(2, 3)) + 1
         assert one_body == [] and mixed == []
@@ -712,12 +743,12 @@ class TestPointMemo:
         p = PARAM_SETS[0]
         dual_matrix.cache_clear()
         before = dict(_row((1,), p))
-        real = dualop.dual_terms_at_point
+        real = dualop._dual_terms
 
         def crooked(l, z, params):
-            return [(zz, 2 * c) for zz, c in real(l, z, params)]
+            return [(target, 2 * c) for target, c in real(l, z, params)]
 
-        monkeypatch.setattr(dualop, "dual_terms_at_point", crooked)
+        monkeypatch.setattr(dualop, "_dual_terms", crooked)
         dual_matrix.cache_clear()
         try:
             assert _row((1,), p) != before

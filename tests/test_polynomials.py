@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import rsmorse.dualop as dualop
 import rsmorse.polynomials as polynomials
 from rsmorse.combinatorics import eval_E, ideal, partitions_max_weight
-from rsmorse.dualop import apply_Hhat_l, dual_matrix, generic_points
+from rsmorse.dualop import apply_dual_h_pointwise, apply_Hhat_l, dual_matrix, generic_points
 from rsmorse.errors import DegeneracyError, RSMorseError
 from rsmorse.polynomials import (
     FittedFamily,
@@ -298,6 +298,23 @@ class TestPieri:
         fam = fitted_family_for(p)
         z = [Fraction(2)]
         assert pieri_residual(1, (1,), z, fam) == 0
+
+    def test_int_point_stays_exact(self):
+        # int coordinates are rational: 1/z_j and z_j/z_k must not turn into float division
+        p = PARAM_SETS[0]
+        fam = fitted_family_for(p)
+        lam = (1, 0)
+        P = fam.P(lam)
+
+        def values(z):
+            image = apply_dual_h_pointwise(P.evaluate, z, p)
+            identity = image - eval_E(lam, p) * P.evaluate(z)
+            return [pieri_residual(l, lam, z, fam) for l in (1, 2)] + [identity, image]
+
+        at_ints = values((3, 5))
+        assert at_ints[:3] == [0, 0, 0]
+        assert all(type(v) is Fraction for v in at_ints)
+        assert at_ints == values((Fraction(3), Fraction(5)))
 
     def test_float_point_evaluates(self):
         # a point that is not rational is evaluated in floats, not by the integer kernel
