@@ -201,8 +201,11 @@ def pieri_cases(family, labels, points):
 def qdiff_cases(family, labels):
     """Dual eigen-identity Hhat_l P_lam = E_(lam,l) P_lam at each label and level.
 
-    Hhat_l is fitted at the family seed + 1, so the l = 1 check is not
-    read back from the very matrix P was solved from.
+    Hhat_l is fitted at the family seed + 1.  For a label the family
+    builds by the eigen-solve fallback (a pole of H_l, as at q = t^k, or
+    a vanishing top hop), the l = 1 check is then not read back from the
+    very matrix P was solved from; the Pieri recursion reads no dual
+    matrix.
     """
     params = family.params
     cases = []

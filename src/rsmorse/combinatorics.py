@@ -10,6 +10,12 @@ Dominance here is the partial order  mu <= lam  iff every partial sum of
 mu is bounded by the matching partial sum of lam; in particular weights
 may differ (|mu| <= |lam|), so the ideal of lam collects all lower
 weights too.
+
+Each exact loop that two modules need has its body here: the cone walk
+(_cone_steps) and the stencil over it (_cone_stencil) behind the lattice
+Hamiltonian and the free Laplacian; the monomial values at a point
+(_monomials_at) behind monomial_eval and InvariantPolynomial.evaluate;
+and the signed-hop engine behind H_l and Hhat_l (below).
 """
 
 from __future__ import annotations
@@ -92,6 +98,26 @@ def _cone_steps(lam):
             nb = lam[: j - 1] + (lam[j - 1] + s,) + lam[j:]
             if is_partition(nb):
                 yield j, s, nb
+
+
+def _cone_stencil(support, term):
+    """{lam: sum over _cone_steps(lam) of term(lam, j, s, nb)}, zero sums dropped.
+
+    lam runs over support and its cone neighbours; each sum is taken in
+    _cone_steps order.  The body of the lattice Hamiltonian and of the
+    free Laplacian.
+    """
+    candidates = set(support)
+    for lam in support:
+        candidates.update(nb for _, _, nb in _cone_steps(lam))
+    out = {}
+    for lam in candidates:
+        acc = 0
+        for j, s, nb in _cone_steps(lam):
+            acc += term(lam, j, s, nb)
+        if acc != 0:
+            out[lam] = acc
+    return out
 
 
 def dominance_leq(mu, lam):
@@ -316,29 +342,46 @@ def _times_elementary(nu):
 def monomial_eval(mu, z):
     """W-invariant monomial m_mu(z) = sum over the orbit of z^nu.
 
-    Each orbit vector contributes once (no multiplicities).  Works for
-    Fractions, floats, complex, and numpy arrays alike; exact input
-    gives exact output, through the integer kernel _Monomials.  Zero
-    coordinates are rejected because negative powers appear.
+    Each orbit vector contributes once (no multiplicities).  One value
+    of _monomials_at(z): exact input gives exact output.
     """
     mu = tuple(mu)
-    z = list(z)
-    if len(z) != len(mu):
-        raise ParamDomainError(f"point has length {len(z)}, expected {len(mu)}")
+    return _monomials_at(z, len(mu))(tuple(sorted((abs(e) for e in mu), reverse=True)))
+
+
+def _check_point(z, n):
+    """z as a tuple of n coordinates, none of them zero, since negative powers appear."""
+    z = tuple(z)
+    if len(z) != n:
+        raise ParamDomainError(f"point has length {len(z)}, expected {n}")
     for j, zj in enumerate(z):
         if isinstance(zj, (int, float, complex, Fraction)) and zj == 0:
-            raise ParamDomainError(f"monomial_eval requires nonzero coordinates, z[{j}] = 0")
+            raise ParamDomainError(f"monomials need nonzero coordinates, z[{j}] = {zj!r}")
+    return z
+
+
+def _monomials_at(z, n):
+    """mu -> m_mu(z) for the length-n partitions mu, at the point z.
+
+    At an int or Fraction point every value is read from one integer
+    kernel _Monomials, as a Fraction.  Anywhere else (floats, complex,
+    numpy arrays) it is the orbit sum.
+    """
+    z = _check_point(z, n)
     if all(isinstance(zj, (int, Fraction)) for zj in z):
-        nums = _Monomials(tuple((zj.numerator, zj.denominator) for zj in z))
-        return nums.value(tuple(sorted((abs(e) for e in mu), reverse=True)))
-    total = 0
-    for nu in _orbit(mu):
-        term = 1
-        for zj, e in zip(z, nu):
-            if e:
-                term = term * zj**e
-        total = total + term
-    return total
+        return _Monomials(tuple((zj.numerator, zj.denominator) for zj in z)).value
+
+    def orbit_sum(mu):
+        total = 0
+        for nu in _orbit(mu):
+            term = 1
+            for zj, e in zip(z, nu):
+                if e:
+                    term = term * zj**e
+            total = total + term
+        return total
+
+    return orbit_sum
 
 
 @functools.lru_cache(maxsize=ORBIT_CACHE_SIZE)

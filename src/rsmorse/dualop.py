@@ -19,8 +19,13 @@ table per point, shared by every level, every growth step and every
 coefficient helper (vhat_signed, uhat_coeff) that reads the point; this
 module only says how the factors are built and how a hop moves the
 point.  The same per-point record keeps the term lists of each level and
-the monomial values at the point and its shifts, so a growth step
-evaluates nothing at the points of the step before.
+the monomial kernels at the point and its shifts.  A growth step
+evaluates nothing again at the points of the step before only while
+their records are held: the memo keeps the last POINT_CACHE_SIZE
+points, enough for a fit of at most 31 labels (verify pieri --n 3
+--max-weight 6 builds 96 records for 54 distinct points).  Only the fit
+and the coefficient helpers read these records;
+InvariantPolynomial.evaluate reads combinatorics._monomials_at.
 
 The fit runs on integers from the point to the solve: each factor-table
 entry is one Fraction formed from the integer parts of z_j = a_j/b_j
@@ -60,11 +65,11 @@ from .combinatorics import (
     _hop_product,
     _Lazy,
     _Monomials,
+    _monomials_at,
     _stay_sum,
     _terms,
     check_partition,
     dominance_leq,
-    monomial_eval,
     partitions_max_weight,
 )
 from .errors import ParamDomainError, PoleError, SingularMatrixError, StructureError
@@ -107,12 +112,12 @@ class InvariantPolynomial(PartitionMap):
         mu = check_partition(mu)
         return cls(len(mu), {mu: coeff})
 
-    def evaluate(self, z, mono=None):
-        """p(z); mono, if given, holds m_mu(z) for z and is read as mono[mu]."""
+    def evaluate(self, z):
+        """p(z), every monomial read from the one map _monomials_at(z) of the point."""
+        mono = _monomials_at(z, self.n)
         total = 0
         for mu, c in self.values.items():
-            m = mono[mu] if mono is not None else monomial_eval(mu, z)
-            total = total + c * m
+            total = total + c * mono(mu)
         return total
 
     def to_json(self):
@@ -183,9 +188,9 @@ class _Point:
     nonzero int or Fraction (else ParamDomainError).  factors: the factor
     table of z.  at: at[w] = _Monomials(w), the integer monomial kernel
     at z (w = pairs) or at one of its shifted points, written unreduced
-    as _dual_terms builds them.  mono: mono[mu] = m_mu(z) as a Fraction.
-    terms: {l: what _level returns for Hhat_l at z}, so each shifted
-    point is hashed once per level, not once per term and label.
+    as _dual_terms builds them.  terms: {l: what _level returns for
+    Hhat_l at z}, so each shifted point is hashed once per level, not
+    once per term and label.
 
     With u_j = z_j^s, factors.one[j, s] is the one-body factor at u_j;
     factors.mixed[j, s, k] the t-pair factors of u_j z_k and u_j/z_k; and
@@ -198,7 +203,7 @@ class _Point:
     in-pair q-factor would raise.
     """
 
-    __slots__ = ("pairs", "factors", "terms", "at", "mono")
+    __slots__ = ("pairs", "factors", "terms", "at")
 
     def __init__(self, z, params):
         for j, v in enumerate(z):
@@ -223,8 +228,6 @@ class _Point:
         self.factors = _Factors(len(z), _Lazy(one), _Lazy(mixed), _Lazy(pair))
         self.terms = {}
         self.at = _Lazy(lambda *w: _Monomials(w))
-        nums = self.at[self.pairs]
-        self.mono = _Lazy(lambda *mu: nums.value(mu))
 
 
 @functools.lru_cache(maxsize=POINT_CACHE_SIZE)

@@ -47,7 +47,7 @@ from .combinatorics import (
     PartitionMap,
     _check_level,
     _check_sites,
-    _cone_steps,
+    _cone_stencil,
     _Factors,
     _hop_coefficient,
     _Lazy,
@@ -165,17 +165,9 @@ def apply_H(f, params):
     (Hf)(lam) = sum_{j: lam+e_j admissible} v_plus(lam,j) (f(lam+e_j) - f(lam))
               + sum_{j: lam-e_j admissible} v_minus(lam,j) (f(lam-e_j) - f(lam)).
     """
-    candidates = set(f.values)
-    for lam in f.values:
-        candidates.update(nb for _, _, nb in _cone_steps(lam))
-    out = {}
-    for lam in candidates:
-        acc = 0
-        for j, s, nb in _cone_steps(lam):
-            acc += _one_site(lam, j, params, s) * (f[nb] - f[lam])
-        if acc != 0:
-            out[lam] = acc
-    return LatticeFunction(f.n, out)
+    return LatticeFunction(
+        f.n, _cone_stencil(f.values, lambda lam, j, s, nb: _one_site(lam, j, params, s) * (f[nb] - f[lam]))
+    )
 
 
 # Hop tables kept, one per (l, lam, params), and as many columns, one per (l, nu, params).

@@ -20,6 +20,12 @@ has no value: where H_l has a pole (q = t^k, l >= 2) or the top hop's
 coefficient vanishes.  FittedFamily builds every label with build_P;
 the Pieri checks read it, so they do not test the recursion against
 itself.
+
+The recursion and the pointwise check pieri_residual form sum c P_target
+over the hop terms in one body (_hop_sum).  They part at Ehat_l P_lam: the
+recursion expands it in the monomial basis (_ehat_elementary,
+_times_elementary), while pieri_residual reads Ehat_l at the cosines of
+the point and evaluates sum c P_target - Ehat_l(z) P_lam once.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import (
+    _check_point,
     _times_elementary,
     check_partition,
     cosines_from_point,
@@ -37,7 +44,7 @@ from .combinatorics import (
     ideal,
     total_order_key,
 )
-from .dualop import InvariantPolynomial, _point, dual_matrix
+from .dualop import InvariantPolynomial, dual_matrix
 from .errors import DegeneracyError, PoleError
 from .latticeop import hop_terms
 from .qcore import qpoch_finite
@@ -143,8 +150,6 @@ def build_P(lam, params, seed=0):
             continue
         acc = Fraction(0)
         for mu, c in coeffs.items():
-            if mu == nu:
-                continue
             acc += c * rows[mu].get(nu, Fraction(0))
         gap = energy - rows[nu].get(nu, Fraction(0))
         if gap == 0:
@@ -165,21 +170,18 @@ def pieri_residual(l, lam, z, family):
 
     sum over the level-l hop terms at lam of coeff * P_target(z)
     minus Ehat_l(z) * P_lam(z); identically zero when the polynomials
-    diagonalize the lattice integrals in the label variable.  At a
-    rational point (int or Fraction coordinates) the monomial values are
-    read from the shared point record of dualop; at any other point
-    they come from monomial_eval.
+    diagonalize the lattice integrals in the label variable.  The
+    polynomial sum c P_target - Ehat_l(z) P_lam is formed once and
+    evaluated at z; Ehat_l is read at the cosines of z, not through
+    _ehat_elementary, so the check stays independent of the recursion.  A
+    point of the wrong length or with a zero coordinate raises
+    ParamDomainError; an int or Fraction point gives a Fraction.
     """
     lam = check_partition(lam)
-    z = tuple(z)
-    params = family.params
-    mono = _point(z, params).mono if all(isinstance(v, (int, Fraction)) for v in z) else None
-    total = 0
-    for target, c in hop_terms(l, lam, params):
-        total += c * family.P(target).evaluate(z, mono)
-    x = cosines_from_point(z)
-    lhs = eval_Ehat_l(l, x, params) * family.P(lam).evaluate(z, mono)
-    return total - lhs
+    z = _check_point(z, len(lam))
+    hops = InvariantPolynomial(len(lam), _hop_sum(l, lam, family)[0])
+    ehat = eval_Ehat_l(l, cosines_from_point(z), family.params)
+    return hops.minus(family.P(lam).scaled(ehat)).evaluate(z)
 
 
 @functools.lru_cache(maxsize=256)
@@ -199,28 +201,37 @@ def _ehat_elementary(l, n, params):
     )
 
 
-def _pieri_sum(l, lam, family, top=None):
-    """sum over hop_terms(l, lam) of c P_target minus Ehat_l P_lam, as {mu: coefficient}.
+def _hop_sum(l, lam, family, top=None):
+    """sum over hop_terms(l, lam) of c P_target, as {mu: coefficient}.
 
     The hop to top is left out of the sum; its coefficient is returned
     next to the dict (0 if no hop reaches top).
     """
-    params = family.params
     out = {}
-    ehat = _ehat_elementary(l, len(lam), params)
+    c_top = 0
+    for target, c in hop_terms(l, lam, family.params):
+        if target == top:
+            c_top = c
+            continue
+        for nu, v in family.P(target).coeffs.items():
+            out[nu] = out.get(nu, 0) + c * v
+    return out, c_top
+
+
+def _pieri_sum(l, lam, family, top=None):
+    """_hop_sum minus Ehat_l P_lam, as {mu: coefficient}, and the coefficient of the hop to top.
+
+    Ehat_l P_lam is expanded in the monomial basis through
+    _ehat_elementary and _times_elementary.
+    """
+    out, c_top = _hop_sum(l, lam, family, top)
+    ehat = _ehat_elementary(l, len(lam), family.params)
     for nu, v in family.P(lam).coeffs.items():
         for a, products in zip(ehat, _times_elementary(nu)):
             if a:
                 av = a * v
                 for gamma, count in products:
                     out[gamma] = out.get(gamma, 0) - count * av
-    c_top = 0
-    for target, c in hop_terms(l, lam, params):
-        if target == top:
-            c_top = c
-            continue
-        for nu, v in family.P(target).coeffs.items():
-            out[nu] = out.get(nu, 0) + c * v
     return out, c_top
 
 

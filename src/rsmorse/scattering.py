@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .combinatorics import SignedPermutation, _cone_steps, check_partition
+from .combinatorics import SignedPermutation, _cone_stencil, _cone_steps, check_partition
 from .errors import IrregularPointError, PoleError
 from .latticeop import LatticeFunction
 from .qcore import qpoch_infinite
@@ -129,16 +129,7 @@ def chi(xi, lam):
 
 def apply_H0(f):
     """Discrete Laplacian: sum of the admissible nearest neighbors on the cone."""
-    out = {}
-    candidates = set()
-    for lam in f.values:
-        candidates.add(lam)
-        candidates.update(nb for _, _, nb in _cone_steps(lam))
-    for lam in candidates:
-        acc = sum(f[nb] for _, _, nb in _cone_steps(lam))
-        if acc != 0:
-            out[lam] = acc
-    return LatticeFunction(f.n, out)
+    return LatticeFunction(f.n, _cone_stencil(f.values, lambda lam, j, s, nb: f[nb]))
 
 
 def free_eigen_residual(xi, lam):

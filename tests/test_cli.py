@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PARAM_SETS, in_domain_params
-from rsmorse import dualop, spectral
+from rsmorse import cli, dualop, spectral
 from rsmorse.cli import balance_cases, commute_cases, main, pieri_cases, qdiff_cases
 from rsmorse.combinatorics import partitions_max_weight
 from rsmorse.dualop import dual_matrix, generic_points
-from rsmorse.errors import DegeneracyError, PoleError
+from rsmorse.errors import DegeneracyError, PoleError, RSMorseError
 from rsmorse.latticeop import LatticeFunction
 from rsmorse.polynomials import FittedFamily, PolynomialFamily
 from rsmorse.qcore import params_from_hat
@@ -50,6 +50,33 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["ok"] is False
         assert payload["failed"] >= 1
+
+    def test_limits_passes(self, capsys):
+        code, out, _ = run(capsys, ["verify", "limits", "--n", "2", "--max-weight", "3"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["passed"], payload["failed"]) == (3, 0)
+
+    def test_limits_ratio_off_linear_fails(self, capsys, monkeypatch):
+        # an error ratio far from eps_1/eps_2 = 100 is not a linear rate in the coupling
+        monkeypatch.setattr("rsmorse.cli.ruijsenaars_limit_check", lambda n, params: {"error_ratios": [10.0]})
+        code, out, _ = run(capsys, ["verify", "limits", "--n", "2", "--max-weight", "3"])
+        assert code == 1
+        failing = [c["case"] for c in json.loads(out)["cases"] if not c["pass"]]
+        assert failing == ["pair-potential limit is linear in the coupling"]
+
+    @pytest.mark.parametrize(
+        "exc, prefix",
+        [(DegeneracyError("labels (1, 0) and (0, 0) collide"), "degeneracy: "), (RSMorseError("boom"), "error: ")],
+    )
+    def test_suite_error_exits_one(self, capsys, monkeypatch, exc, prefix):
+        def raising(config):
+            raise exc
+
+        monkeypatch.setitem(cli._SUITES, "nonneg", raising)
+        code, out, err = run(capsys, ["verify", "nonneg", "--n", "1", "--max-weight", "1"])
+        assert (code, out) == (1, "")
+        assert err == f"{prefix}{exc}\n"
 
     def test_single_particle_commute_builds_no_dual_matrix(self, capsys):
         # at n = 1 there is no pair l < m, so no Hhat_l matrix is read
@@ -144,6 +171,18 @@ class TestConfigHandling:
             main(["poly", "--q", "--t", "1/3"])
         assert exc.value.code == 2
         assert "argument --q: expected one argument" in capsys.readouterr().err
+
+    def test_zero_particles_exit_two(self, capsys):
+        code, out, err = run(capsys, ["poly", "--n", "0"])
+        assert (code, out) == (2, "")
+        assert err == "configuration error: n must be >= 1, got 0\n"
+
+    def test_config_file_bad_format_exits_two(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        code, out, err = run(capsys, ["poly", "--n", "1", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == "configuration error: format must be json or csv, got xml\n"
 
     def test_negative_max_weight_exits_two(self, capsys):
         code, _, err = run(capsys, ["poly", "--max-weight", "-1"])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import rsmorse.dualop as dualop
-from rsmorse.combinatorics import _Lazy, dominance_leq, eval_E_l, ideal, monomial_eval, partitions_max_weight
+from rsmorse.combinatorics import dominance_leq, eval_E_l, ideal, monomial_eval, partitions_max_weight
 from rsmorse.dualop import (
     DualMatrix,
     InvariantPolynomial,
@@ -228,12 +228,23 @@ class TestInvariantPolynomial:
         assert a.minus(a).is_zero()
         assert a.scaled(Fraction(5)).coeffs == {(1, 0): 5}
 
-    def test_evaluate_matches_monomials(self):
+    def test_evaluate_matches_monomials(self, monkeypatch):
         poly = InvariantPolynomial(2, {(1, 0): Fraction(2), (0, 0): Fraction(-1)})
         z = (Fraction(2), Fraction(3))
         expected = 2 * monomial_eval((1, 0), z) - 1
         assert poly.evaluate(z) == expected
-        assert poly.evaluate(z, _Lazy(lambda *mu: monomial_eval(mu, z))) == expected
+        # every monomial is read from one map of the point
+        maps = []
+        real = dualop._monomials_at
+        monkeypatch.setattr(dualop, "_monomials_at", lambda z, n: maps.append((z, n)) or real(z, n))
+        assert poly.evaluate((2, 3)) == expected
+        assert maps == [((2, 3), 2)]
+
+    @pytest.mark.parametrize("coeffs", [{(1, 0): Fraction(2)}, {}])
+    def test_evaluate_refuses_a_point_of_the_wrong_length(self, coeffs):
+        poly = InvariantPolynomial(2, coeffs)
+        with pytest.raises(ParamDomainError, match=r"^point has length 1, expected 2$"):
+            poly.evaluate((Fraction(2),))
 
     def test_to_json_rows(self):
         # the coefficient rows `rsmorse poly` writes: graded-lex order, exact strings
@@ -506,6 +517,15 @@ class TestGenericPoints:
                 for seed in (0, 1, 7, 1009):
                     for k in (1, 4, 10):
                         assert generic_points(n, k, p, seed) == generic_points(n, k + 5, p, seed)[:k]
+
+    def test_exhausted_draws_raise(self):
+        # n = 1 at q = 4/9: 14 * 13 prime ratios, less v = 2/3 (v^2 = q) and v = 3/2 (q v^2 = 1)
+        p = params_from_hat(Fraction(4, 9), Fraction(1, 3), (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)))
+        pts = generic_points(1, 180, p, seed=3)
+        assert len(set(pts)) == 180
+        assert (Fraction(2, 3),) not in pts and (Fraction(3, 2),) not in pts
+        with pytest.raises(PoleError, match="could not draw enough admissible interpolation points"):
+            generic_points(1, 181, p, seed=3)
 
     def test_pole_conditions(self):
         p = PARAM_SETS[0]

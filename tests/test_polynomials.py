@@ -10,7 +10,7 @@ import rsmorse.dualop as dualop
 import rsmorse.polynomials as polynomials
 from rsmorse.combinatorics import eval_E, ideal, partitions_max_weight
 from rsmorse.dualop import apply_dual_h_pointwise, apply_Hhat_l, dual_matrix, generic_points
-from rsmorse.errors import DegeneracyError, RSMorseError
+from rsmorse.errors import DegeneracyError, ParamDomainError, RSMorseError
 from rsmorse.polynomials import (
     FittedFamily,
     PolynomialFamily,
@@ -315,6 +315,26 @@ class TestPieri:
         assert at_ints[:3] == [0, 0, 0]
         assert all(type(v) is Fraction for v in at_ints)
         assert at_ints == values((Fraction(3), Fraction(5)))
+
+    def _refused(self, monkeypatch, z):
+        # refused before any arithmetic: no hop table is read
+        fam = fitted_family_for(PARAM_SETS[0])
+
+        def no_hops(*args):
+            raise AssertionError("hop_terms read at a refused point")
+
+        monkeypatch.setattr(polynomials, "hop_terms", no_hops)
+        with pytest.raises(ParamDomainError) as exc:
+            pieri_residual(1, (1, 0), z, fam)
+        return str(exc.value)
+
+    def test_wrong_length_point_refused(self, monkeypatch):
+        # the one-coordinate point once gave the exact, wrong value -21839/13224
+        assert self._refused(monkeypatch, (Fraction(1, 2),)) == "point has length 1, expected 2"
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), 0.0], ids=["int", "fraction", "float"])
+    def test_zero_coordinate_refused(self, monkeypatch, zero):
+        assert "z[1]" in self._refused(monkeypatch, (Fraction(2), zero))
 
     def test_float_point_evaluates(self):
         # a point that is not rational is evaluated in floats, not by the integer kernel
