@@ -356,7 +356,7 @@ def _check_point(z, n):
         raise ParamDomainError(f"point has length {len(z)}, expected {n}")
     for j, zj in enumerate(z):
         if isinstance(zj, (int, float, complex, Fraction)) and zj == 0:
-            raise ParamDomainError(f"monomials need nonzero coordinates, z[{j}] = {zj!r}")
+            raise ParamDomainError(f"point needs nonzero coordinates, z[{j}] = {zj!r}")
     return z
 
 
@@ -658,8 +658,12 @@ def eval_E_l_via_Eln(lam, l, params):
 
 
 def _exact_ints(z):
-    """z as a tuple with each int coordinate a Fraction, so 1/z_j stays exact."""
-    return tuple(Fraction(v) if isinstance(v, int) else v for v in z)
+    """z as a tuple with each int coordinate a Fraction, so 1/z_j stays exact.
+
+    A zero coordinate raises ParamDomainError (_check_point).
+    """
+    z = tuple(z)
+    return tuple(Fraction(v) if isinstance(v, int) else v for v in _check_point(z, len(z)))
 
 
 def cosines_from_point(z):

@@ -14,17 +14,16 @@ the action is computed by evaluation-interpolation:
   support violation cannot pass silently.
 
 The terms at a point come from the signed-hop engine shared with the
-lattice integrals (combinatorics._terms), over one factor
-table per point, shared by every level, every growth step and every
-coefficient helper (vhat_signed, uhat_coeff) that reads the point; this
-module only says how the factors are built and how a hop moves the
-point.  The same per-point record keeps the term lists of each level and
-the monomial kernels at the point and its shifts.  A growth step
-evaluates nothing again at the points of the step before only while
-their records are held: the memo keeps the last POINT_CACHE_SIZE
-points, enough for a fit of at most 31 labels (verify pieri --n 3
---max-weight 6 builds 96 records for 54 distinct points).  Only the fit
-and the coefficient helpers read these records;
+lattice integrals (combinatorics._terms), over one factor table per
+point; this module only says how the factors are built and how a hop
+moves the point.  The same per-point record (_Point) keeps the term
+lists of each level and the monomial kernels at the point and its
+shifts.  The records of a fit live exactly as long as its matrices:
+the n matrices of one (n, params, seed) share one dict of records, so
+no point is evaluated twice by any level or growth step of that fit
+(verify pieri --n 3 --max-weight 6 builds one record for each of its
+54 distinct points).  The coefficient helpers (vhat_signed, uhat_coeff,
+dual_terms_at_point) read a record of their own;
 InvariantPolynomial.evaluate reads combinatorics._monomials_at.
 
 The fit runs on integers from the point to the solve: each factor-table
@@ -42,7 +41,9 @@ apply_dual_h_pointwise, the independent baseline of the l = 1 action.
 The matrix of Hhat_l on the monomial basis is built once per
 (l, n, params, seed) and shared: dual_matrix returns a cached DualMatrix
 that holds every row up to some weight and grows on demand, fitting only
-the rows it lacks over the whole box of labels of the new weight.
+the rows it lacks over the whole box of labels of the new weight.  The
+one memo (_dual_matrices) holds the matrices of every level of
+(n, params, seed) together with their point records.
 
 Points are drawn from ratios of small primes with a seeded RNG; hitting
 a pole of a coefficient or a singular interpolation matrix triggers a
@@ -90,11 +91,8 @@ __all__ = [
 
 MAX_RESAMPLE_ATTEMPTS = 32
 
-# Dual-operator matrices kept, one per (l, n, params, seed).
+# Dual fits kept, one per (n, params, seed): the matrices of every level and their point records.
 DUAL_CACHE_SIZE = 64
-
-# Interpolation-point records kept (factor table, term lists, monomial values).
-POINT_CACHE_SIZE = 32
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
@@ -230,11 +228,6 @@ class _Point:
         self.at = _Lazy(lambda *w: _Monomials(w))
 
 
-@functools.lru_cache(maxsize=POINT_CACHE_SIZE)
-def _point(z, params):
-    return _Point(z, params)
-
-
 def vhat(j, z, params):
     """One-variable dual hop coefficient vhat_j(z) (1-based j).
 
@@ -291,7 +284,7 @@ def vhat_signed(J, eps, z, params):
     if len(eps) != len(J) or not all(s in (1, -1) for s in eps):
         raise ParamDomainError(f"signs {eps} must be one of +-1 per site of {J}")
     outside = [k for k in range(1, len(z) + 1) if k not in J]
-    return Fraction(*_hop_product(J, eps, outside, _point(z, params).factors, False))
+    return Fraction(*_hop_product(J, eps, outside, _Point(z, params).factors, False))
 
 
 def uhat_coeff(K, p, z, params):
@@ -306,20 +299,19 @@ def uhat_coeff(K, p, z, params):
     _check_sites(K, len(z))
     if p < 0:
         raise ParamDomainError(f"order p must be >= 0, got {p}")
-    return Fraction(*_stay_sum(K, p, _point(z, params).factors))
+    return Fraction(*_stay_sum(K, p, _Point(z, params).factors))
 
 
-def _dual_terms(l, z, params):
-    """((pairs, s), coefficient) of each term of Hhat_l at z, from its hop.
+def _dual_terms(l, rec, params):
+    """((pairs, s), coefficient) of each term of Hhat_l at rec's point, from its hop.
 
     The hop (J, eps) moves z_j -> q^(eps_j) z_j for j in J.  pairs holds
     the integer parts of the shifted point, written unreduced: (a_j, b_j)
     where z_j = a_j/b_j stays, (a_j q_n, b_j q_d) where it moves up and
     (a_j q_d, b_j q_n) where it moves down, with q = q_n/q_d; s = |J|
     counts the moved coordinates.  Every coefficient reads the factor
-    table of z that every level shares.
+    table of rec, which every level of a fit shares.
     """
-    rec = _point(z, params)
     qn, qd = params.q.numerator, params.q.denominator
 
     def move(J, eps):
@@ -342,7 +334,8 @@ def dual_terms_at_point(l, z, params):
     """
     z = tuple(z)
     _check_level(l, len(z))
-    return [(tuple(Fraction(a, b) for a, b in pairs), c) for (pairs, _), c in _dual_terms(l, z, params)]
+    terms = _dual_terms(l, _Point(z, params), params)
+    return [(tuple(Fraction(a, b) for a, b in pairs), c) for (pairs, _), c in terms]
 
 
 def generic_points(n, count, params, seed):
@@ -353,6 +346,8 @@ def generic_points(n, count, params, seed):
     (exact poles, singular interpolation matrices) surface as exceptions
     and the caller resamples with an advanced seed.
     """
+    if n < 1:
+        raise ParamDomainError(f"interpolation points need n >= 1 coordinates, got n = {n}")
     rng = random.Random(seed)
     qn, qd = params.q.numerator, params.q.denominator
     points = []
@@ -393,24 +388,24 @@ def generic_points(n, count, params, seed):
     return points
 
 
-def _level(l, z, rec, params):
-    """The terms of Hhat_l at z for the integer fit: (L, D, [(at[w], s, k)]).
+def _level(l, rec, params):
+    """The terms of Hhat_l at rec's point for the fit: (L, D, [(at[w], s, k)]).
 
     Each shifted point w comes from its hop as integer parts, s moved
-    coordinates apart from z (_dual_terms).  L is the largest s, D the
-    lcm of the coefficient denominators and k = D times the coefficient,
-    an int.  Hence prod_j a_j b_j of w is g (q_n q_d)^s, and m_mu(w) is
-    at[w][mu] / (g (q_n q_d)^s)^M with M = mu_1.
+    coordinates apart from the point (_dual_terms).  L is the largest s,
+    D the lcm of the coefficient denominators and k = D times the
+    coefficient, an int.  Hence prod_j a_j b_j of w is g (q_n q_d)^s,
+    and m_mu(w) is at[w][mu] / (g (q_n q_d)^s)^M with M = mu_1.
     """
-    terms = [(rec.at[pairs], s, c) for (pairs, s), c in _dual_terms(l, z, params) if c != 0]
+    terms = [(rec.at[pairs], s, c) for (pairs, s), c in _dual_terms(l, rec, params) if c != 0]
     D = lcm(*(c.denominator for _, _, c in terms))
     L = max((s for _, s, _ in terms), default=0)
     return L, D, [(nums, s, c.numerator * (D // c.denominator)) for nums, s, c in terms]
 
 
-def _row(l, z, support, new, params):
-    """Row of the fit at z as ints: A = [m_nu(z) R for nu in support] and
-    B = [(Hhat_l m_mu)(z) R for mu in new].
+def _row(l, rec, support, new, params):
+    """Row of the fit at rec's point z as ints: A = [m_nu(z) R for nu in
+    support] and B = [(Hhat_l m_mu)(z) R for mu in new].
 
     With W the largest part in support, (L, D) from _level and
     g = prod_j a_j b_j the kernel's g at z, the row scale is
@@ -420,10 +415,9 @@ def _row(l, z, support, new, params):
     where at[w] is the kernel at the integer parts that the hop of the
     term wrote and s its number of moved coordinates.
     """
-    rec = _point(z, params)
     level = rec.terms.get(l)
     if level is None:
-        level = rec.terms[l] = _level(l, z, rec, params)
+        level = rec.terms[l] = _level(l, rec, params)
     L, D, terms = level
     W = max(nu[0] for nu in support)
     Q = params.q.numerator * params.q.denominator
@@ -444,21 +438,22 @@ def _row(l, z, support, new, params):
     return A, B
 
 
-def _interpolate(l, n, support, new, params, seed):
+def _interpolate(l, n, support, new, params, seed, records):
     """Rows of Hhat_l on the monomials m_mu, mu in new, over the labels support.
 
     Hhat_l m_mu is evaluated at len(support) + 1 generic points: the
     first len(support) fix its coefficients on support by an exact
     solve, the last re-checks the fit.  Returns {mu: {nu: coefficient}}
     with zero coefficients dropped.  Each point gives one row of ints
-    (_row), read from the shared record of the point, so a point still
-    held from another level or an earlier growth step is not evaluated
-    again.
+    (_row), read from its record in records (z -> _Point), which is
+    built only for a point records does not hold yet, so a point of
+    another level or an earlier growth step is not evaluated again.
     """
     for attempt in range(MAX_RESAMPLE_ATTEMPTS):
         try:
             pts = generic_points(n, len(support) + 1, params, seed + 1009 * attempt)
-            rows = [_row(l, z, support, new, params) for z in pts]
+            records.update({z: _Point(z, params) for z in pts if z not in records})
+            rows = [_row(l, records[z], support, new, params) for z in pts]
             X = solve_exact([A for A, _ in rows[:-1]], [B for _, B in rows[:-1]])
         except (PoleError, SingularMatrixError):
             continue
@@ -490,14 +485,17 @@ class DualMatrix:
     whole box partitions_max_weight(n, weight).  The box is closed
     downward in dominance, so an entry at nu not below mu is a genuine
     triangularity violation and raises StructureError naming the pairs.
-    Rows are shared by every caller and must not be mutated.
+    Rows are shared by every caller and must not be mutated.  records
+    (z -> _Point) holds the point records the fit reads, shared by the
+    matrices of every level of (n, params, seed).
     """
 
-    def __init__(self, l, n, params, seed):
+    def __init__(self, l, n, params, seed, records):
         self.l = l
         self.n = n
         self.params = params
         self.seed = seed
+        self.records = records
         self.weight = -1
         self.rows = {}
 
@@ -507,7 +505,7 @@ class DualMatrix:
             return
         box = partitions_max_weight(self.n, weight)
         new = [mu for mu in box if sum(mu) > self.weight]
-        rows = _interpolate(self.l, self.n, box, new, self.params, self.seed)
+        rows = _interpolate(self.l, self.n, box, new, self.params, self.seed, self.records)
         violations = [
             (mu, nu, c) for mu, row in rows.items() for nu, c in row.items() if not dominance_leq(nu, mu)
         ]
@@ -523,23 +521,19 @@ class DualMatrix:
 def dual_matrix(l, n, params, seed=0):
     """The shared matrix of Hhat_l on length-n labels, fitted with seed."""
     _check_level(l, n)
-    return _dual_matrix(l, n, params, seed)
+    return _dual_matrices(n, params, seed)[l]
 
 
 @functools.lru_cache(maxsize=DUAL_CACHE_SIZE)
-def _dual_matrix(l, n, params, seed):
-    return DualMatrix(l, n, params, seed)
+def _dual_matrices(n, params, seed):
+    """{l: DualMatrix} for l = 1..n, all reading one dict of point records."""
+    records = {}
+    return {l: DualMatrix(l, n, params, seed, records) for l in range(1, n + 1)}
 
 
-def _cache_clear():
-    """Forget every held matrix and every point record."""
-    _dual_matrix.cache_clear()
-    _point.cache_clear()
-
-
-# hit and miss counts of the dual-matrix memo
-dual_matrix.cache_info = _dual_matrix.cache_info
-dual_matrix.cache_clear = _cache_clear
+# hit and miss counts of the one memo; clearing it forgets every matrix and point record
+dual_matrix.cache_info = _dual_matrices.cache_info
+dual_matrix.cache_clear = _dual_matrices.cache_clear
 
 
 def apply_Hhat_l(l, p, params, seed=0):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .combinatorics import SignedPermutation, _cone_stencil, _cone_steps, check_partition
-from .errors import IrregularPointError, PoleError
+from .errors import IrregularPointError, ParamDomainError, PoleError
 from .latticeop import LatticeFunction
 from .qcore import qpoch_infinite
 
@@ -110,6 +110,14 @@ def _signed_group(n):
             yield SignedPermutation(sigma=sigma, signs=signs)
 
 
+def _angles(xi, n):
+    """xi as a list of n floats; another length raises ParamDomainError."""
+    xi = [float(v) for v in xi]
+    if len(xi) != n:
+        raise ParamDomainError(f"xi has {len(xi)} angles, the label lam has {n} parts")
+    return xi
+
+
 def chi(xi, lam):
     """Anti-invariant free kernel.
 
@@ -118,7 +126,7 @@ def chi(xi, lam):
     """
     lam = check_partition(lam)
     n = len(lam)
-    xi = [float(v) for v in xi]
+    xi = _angles(xi, n)
     v = [n - j + lam[j] for j in range(n)]
     total = complex(0)
     for w in _signed_group(n):
@@ -135,8 +143,9 @@ def apply_H0(f):
 def free_eigen_residual(xi, lam):
     """(H0 chi_xi)(lam) - (sum_j 2 cos xi_j) chi_xi(lam); zero also at boundary sites."""
     lam = check_partition(lam)
+    xi = _angles(xi, len(lam))
     acc = sum(chi(xi, nb) for _, _, nb in _cone_steps(lam))
-    return acc - sum(2 * math.cos(float(v)) for v in xi) * chi(xi, lam)
+    return acc - sum(2 * math.cos(v) for v in xi) * chi(xi, lam)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PARAM_SETS, in_domain_params
-from rsmorse import cli, dualop, spectral
-from rsmorse.cli import balance_cases, commute_cases, main, pieri_cases, qdiff_cases
+from rsmorse import cli, dualop, latticeop, spectral
+from rsmorse.cli import balance_cases, commute_cases, main, nonneg_violations, pieri_cases, qdiff_cases
 from rsmorse.combinatorics import partitions_max_weight
 from rsmorse.dualop import dual_matrix, generic_points
 from rsmorse.errors import DegeneracyError, PoleError, RSMorseError
@@ -56,6 +56,41 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert (payload["passed"], payload["failed"]) == (3, 0)
+
+    def test_limits_morse_mismatch_fails(self, capsys, monkeypatch):
+        real = latticeop.v_plus
+        monkeypatch.setattr(latticeop, "v_plus", lambda lam, j, params: 2 * real(lam, j, params))
+        code, out, _ = run(capsys, ["verify", "limits", "--n", "2", "--max-weight", "2"])
+        assert code == 1
+        payload = json.loads(out)
+        assert (payload["passed"], payload["failed"]) == (2, 1)
+        [bad] = [c for c in payload["cases"] if not c["pass"]]
+        assert bad["case"] == "vanishing Morse coupling reduces the lattice coefficients"
+
+    def test_pieri_runs_through_main(self, capsys):
+        code, out, _ = run(capsys, ["verify", "pieri", "--n", "1", "--max-weight", "2", "--seed", "3"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["suite"], payload["passed"], payload["failed"]) == ("pieri", 9, 0)
+        # the suite is the engine's case list at the run's params, labels and points
+        p = PARAM_SETS[0]
+        points = generic_points(1, 3, p, 3 + 17)
+        expected = pieri_cases(FittedFamily(params=p, seed=3), partitions_max_weight(1, 2), points)
+        assert payload["cases"] == json.loads(json.dumps(expected))
+
+    def test_nonneg_violations_name_both_kinds(self, monkeypatch, capsys):
+        # a negative eigenvalue that the E_(l,n) route does not reproduce
+        monkeypatch.setattr(cli, "eval_E_l", lambda lam, l, params: -1)
+        bad = nonneg_violations(PARAM_SETS[0], [(1, 0)])
+        assert bad == [
+            ((1, 0), 1, -1),
+            ((1, 0), 1, "route mismatch"),
+            ((1, 0), 2, -1),
+            ((1, 0), 2, "route mismatch"),
+        ]
+        code, out, _ = run(capsys, ["verify", "nonneg", "--n", "1", "--max-weight", "1"])
+        assert code == 1
+        assert "route mismatch" in json.loads(out)["cases"][0]["detail"]
 
     def test_limits_ratio_off_linear_fails(self, capsys, monkeypatch):
         # an error ratio far from eps_1/eps_2 = 100 is not a linear rate in the coupling
@@ -201,6 +236,13 @@ class TestConfigHandling:
         assert payload["config"]["params"]["q"] == "1/5"
         assert payload["config"]["max_weight"] == 2
         assert payload["count"] == 3
+
+    def test_config_file_skips_comment_and_blank_lines(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a run at q = 1/5\n\n   \nq = 1/5\n")
+        code, out, _ = run(capsys, ["poly", "--n", "1", "--max-weight", "1", "--config", str(cfg)])
+        assert code == 0
+        assert json.loads(out)["config"]["params"]["q"] == "1/5"
 
     def test_config_file_bad_line_exits_two(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

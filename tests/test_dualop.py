@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 import rsmorse.dualop as dualop
-from rsmorse.combinatorics import dominance_leq, eval_E_l, ideal, monomial_eval, partitions_max_weight
+from rsmorse.combinatorics import (
+    cosines_from_point,
+    dominance_leq,
+    eval_E_l,
+    ideal,
+    monomial_eval,
+    partitions_max_weight,
+)
 from rsmorse.dualop import (
     DualMatrix,
     InvariantPolynomial,
@@ -382,6 +389,22 @@ class TestSiteValidation:
             read(z, PARAM_SETS[0])
 
 
+@pytest.mark.parametrize("zero", [0, Fraction(0)], ids=["int", "fraction"])
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda z, p: vhat(1, z, p),
+        lambda z, p: apply_dual_h_pointwise(InvariantPolynomial.monomial((1, 0)).evaluate, z, p),
+        lambda z, p: cosines_from_point(z),
+    ],
+    ids=["vhat", "apply_dual_h_pointwise", "cosines_from_point"],
+)
+def test_zero_coordinate_is_refused(read, zero):
+    # 1/z_j appears in each; the refusal names the coordinate instead of dividing by zero
+    with pytest.raises(ParamDomainError, match=re.escape(f"z[1] = {zero!r}")):
+        read((3, zero), PARAM_SETS[0])
+
+
 class TestClosedForms:
     """Coefficients with two moved coordinates against formulas written out here."""
 
@@ -426,13 +449,13 @@ class TestFactorTable:
     def test_each_factor_evaluated_once_per_point(self, monkeypatch):
         names = ("_one_factor", "_mixed_factor", "_pair_factor")
         builds = {name: _count_calls(monkeypatch, name) for name in names}
-        # count from a cold table, whatever an earlier test evaluated here
-        dual_matrix.cache_clear()
         p = PARAM_SETS[0]
         z = generic_points(3, 1, p, seed=5)[0]
-        terms = dualop.dual_terms_at_point(3, z, p)
+        # a record of the test's own, so the count starts from a cold table
+        rec = dualop._Point(z, p)
+        terms = list(dualop._dual_terms(3, rec, p))
         assert len(terms) == 27
-        table = dualop._point(z, p).factors
+        table = rec.factors
         # one build per entry held: 2n one-body arguments z_j^(+-1),
         # 2n(n-1) mixed entries, and the in-pair entries of the 3 pairs
         # under 4 sign choices in a U and a V form, 3 * 4 * 2 = 24
@@ -440,7 +463,7 @@ class TestFactorTable:
         assert (len(table.one), len(table.mixed), len(table.pair)) == (6, 12, 24)
         # reading the point again builds nothing
         before = [len(calls) for calls in builds.values()]
-        dualop.dual_terms_at_point(3, z, p)
+        list(dualop._dual_terms(3, rec, p))
         assert [len(calls) for calls in builds.values()] == before
 
 
@@ -481,8 +504,7 @@ class TestLiteralReference:
                     for J in itertools.combinations((1, 2, 3), size):
                         rest = [k for k in (1, 2, 3) if k not in J]
                         for eps in itertools.product((1, -1), repeat=size):
-                            # a cold record, so the entries are built in this call's order
-                            dual_matrix.cache_clear()
+                            # each call reads a cold record of its own, built in this call's order
                             got = _outcome(lambda: vhat_signed(J, eps, z, p))
                             expected = _outcome(lambda: _product_literal(z, p, J, eps, rest, False))
                             assert got == expected, (p, z, J, eps)
@@ -517,6 +539,11 @@ class TestGenericPoints:
                 for seed in (0, 1, 7, 1009):
                     for k in (1, 4, 10):
                         assert generic_points(n, k, p, seed) == generic_points(n, k + 5, p, seed)[:k]
+
+    def test_no_coordinates_refused(self):
+        # refused at once, not after 400 draws per point as a PoleError
+        with pytest.raises(ParamDomainError, match="n >= 1"):
+            generic_points(0, 2, PARAM_SETS[0], 1)
 
     def test_exhausted_draws_raise(self):
         # n = 1 at q = 4/9: 14 * 13 prime ratios, less v = 2/3 (v^2 = q) and v = 3/2 (q v^2 = 1)
@@ -574,9 +601,9 @@ class TestApplyHhat:
         p = PARAM_SETS[0]
         real = dualop._dual_terms
 
-        def crooked(l, z, params):
-            z = tuple(z)
-            return [((pairs, s), c * (1 + z[0]) if s else c) for (pairs, s), c in real(l, z, params)]
+        def crooked(l, rec, params):
+            z0 = Fraction(*rec.pairs[0])
+            return [((pairs, s), c * (1 + z0) if s else c) for (pairs, s), c in real(l, rec, params)]
 
         monkeypatch.setattr(dualop, "_dual_terms", crooked)
         # a matrix already held would answer without fitting anything
@@ -677,7 +704,7 @@ class TestDualMatrix:
 
     def test_growth_solves_only_new_rows(self, monkeypatch):
         p = PARAM_SETS[0]
-        mat = DualMatrix(1, 2, p, seed=0)
+        mat = DualMatrix(1, 2, p, 0, {})
         mat.grow(2)
         held = dict(mat.rows)
         shapes = []
@@ -701,7 +728,7 @@ class TestDualMatrix:
         for p in PARAM_SETS:
             for l, root in [(1, (3, 1)), (2, (2, 1)), (2, (2, 1, 0))]:
                 members = ideal(root)
-                rows = dualop._interpolate(l, len(root), members, members, p, seed=12345)
+                rows = dualop._interpolate(l, len(root), members, members, p, 12345, {})
                 mat = dual_matrix(l, len(root), p, 0)
                 mat.grow(sum(root))
                 assert list(rows) == list(members)
@@ -711,6 +738,21 @@ class TestDualMatrix:
     def test_level_out_of_range(self):
         with pytest.raises(ParamDomainError):
             dual_matrix(3, 2, PARAM_SETS[0])
+
+    def test_non_triangular_fit_is_refused(self, monkeypatch):
+        # an entry at m_(2, 0) in the row of m_(1, 1): (2, 0) is not below (1, 1)
+        real = dualop._interpolate
+
+        def crooked(*args):
+            rows = real(*args)
+            rows[(1, 1)] = {**rows[(1, 1)], (2, 0): Fraction(1, 7)}
+            return rows
+
+        monkeypatch.setattr(dualop, "_interpolate", crooked)
+        mat = DualMatrix(1, 2, PARAM_SETS[0], 0, {})
+        with pytest.raises(StructureError, match=re.escape("m_(1, 1) -> m_(2, 0) with coefficient 1/7")):
+            mat.grow(2)
+        assert mat.rows == {} and mat.weight == -1
 
 
 def _count_calls(monkeypatch, name):
@@ -730,8 +772,7 @@ class TestPointMemo:
 
     def test_growth_evaluates_only_new_points(self, monkeypatch):
         p = PARAM_SETS[0]
-        dual_matrix.cache_clear()
-        mat = DualMatrix(1, 2, p, seed=0)
+        mat = DualMatrix(1, 2, p, 0, {})
         mat.grow(2)
         calls = _count_calls(monkeypatch, "_dual_terms")
         mat.grow(3)
@@ -749,15 +790,18 @@ class TestPointMemo:
         assert len(terms) == len(partitions_max_weight(2, 3)) + 1
         assert one_body == [] and mixed == []
 
-    def test_coefficient_helpers_read_the_point_record(self, monkeypatch):
-        p = PARAM_SETS[0]
+    def test_growth_keeps_its_records_past_other_fits(self, monkeypatch):
+        # the records live as long as the matrix: fits in other params
+        # (38 points between them) leave the first matrix's records alone
+        pA, pB, pC = PARAM_SETS
         dual_matrix.cache_clear()
-        z = generic_points(3, 1, p, seed=5)[0]
-        dualop.dual_terms_at_point(3, z, p)
-        builds = [_count_calls(monkeypatch, name) for name in ("_one_factor", "_mixed_factor", "_pair_factor")]
-        vhat_signed((1, 2), (1, -1), z, p)
-        uhat_coeff((1, 2, 3), 1, z, p)
-        assert builds == [[], [], []]
+        mat = dual_matrix(1, 2, pA, 0)
+        mat.grow(3)
+        dual_matrix(1, 2, pB, 0).grow(7)
+        dual_matrix(1, 2, pC, 0).grow(6)
+        records = _count_calls(monkeypatch, "_Point")
+        mat.grow(4)
+        assert len(records) == len(partitions_max_weight(2, 4)) - len(partitions_max_weight(2, 3)) == 3
 
     def test_cache_clear_forgets_patched_terms(self, monkeypatch):
         p = PARAM_SETS[0]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsmorse.combinatorics import check_partition, is_partition, partitions_max_weight
+from rsmorse import latticeop
 from rsmorse.errors import ParamDomainError, PoleError
 from rsmorse.latticeop import (
     LatticeFunction,
@@ -570,6 +571,27 @@ class TestLimits:
                 report = morse_vanishing_limit_check(reduced, n, 3)
                 assert report.ok, report.mismatches[:3]
                 assert report.checked > 0
+
+    def test_morse_vanishing_names_each_mismatch(self, monkeypatch):
+        # a wrong up and down coefficient show as their own rows, and in the diagonal
+        p = PARAM_SETS[0]
+        reduced = params_from_hat(p.q, p.t, (p.that0, p.that1, Fraction(0)), validate=False)
+        real_up, real_down = latticeop.v_plus, latticeop.v_minus
+        monkeypatch.setattr(latticeop, "v_plus", lambda lam, j, params: real_up(lam, j, params) + 1)
+        monkeypatch.setattr(latticeop, "v_minus", lambda lam, j, params: real_down(lam, j, params) + 1)
+        report = morse_vanishing_limit_check(reduced, 1, 1)
+        assert not report.ok
+        assert report.checked == 6
+        assert [row[:3] for row in report.mismatches] == [
+            ("up", (0,), 1),
+            ("down", (0,), 1),
+            ("diag", (0,), None),
+            ("up", (1,), 1),
+            ("down", (1,), 1),
+            ("diag", (1,), None),
+        ]
+        for kind, _, _, got, reduced_value in report.mismatches:
+            assert got - reduced_value == (-2 if kind == "diag" else 1)
 
     def test_morse_vanishing_requires_reduced_coupling(self):
         with pytest.raises(ParamDomainError):

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import PARAM_SETS
 from rsmorse.combinatorics import SignedPermutation
-from rsmorse.errors import IrregularPointError
+from rsmorse.errors import IrregularPointError, ParamDomainError
 from rsmorse.latticeop import LatticeFunction
 from rsmorse.qcore import params_from_hat, qpoch_infinite
 from rsmorse.scattering import (
@@ -143,6 +143,19 @@ class TestFreeKernel:
     def test_degenerate_angles_kill_it(self):
         # tied angles are fixed by a transposition of sign -1
         assert abs(chi((1.3, 1.3), (1, 0))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: chi((0.3, 0.5, 0.7), (1, 0)),
+            lambda: free_eigen_residual((0.3,), (1, 0)),
+        ],
+        ids=["chi-long", "residual-short"],
+    )
+    def test_angles_of_the_wrong_length_are_refused(self, call):
+        # a short xi would make the free eigen-identity 0 without checking anything
+        with pytest.raises(ParamDomainError, match=r"xi has (3|1) angles, the label lam has 2 parts"):
+            call()
 
 
 class TestFreeLaplacian:

@@ -344,6 +344,36 @@ class TestConjugated:
         with pytest.raises(StructureError, match=r"detailed balance fails on hop \(1, 0\) -> \(2, 0\)"):
             conjugated_H_matrix(1, 4, PARAM_SETS[0], n=2)
 
+    def test_one_sided_hop_is_refused(self, monkeypatch):
+        real = spectral.hop_terms
+
+        def no_way_down(l, lam, params):
+            # keep (0, 0) -> (1, 0), drop its reverse
+            terms = real(l, lam, params)
+            return terms if lam == (0, 0) else tuple((target, c) for target, c in terms if target != (0, 0))
+
+        monkeypatch.setattr(spectral, "hop_terms", no_way_down)
+        message = r"one-sided hop \(0, 0\) -> \(1, 0\): no reverse coefficient"
+        with pytest.raises(StructureError, match=message):
+            conjugated_H_matrix(1, 2, PARAM_SETS[0], n=2)
+
+    def test_opposite_signs_are_refused(self, monkeypatch):
+        # flip the norm ratio of (1, 0) and every hop out of it: detailed
+        # balance still holds, but the opposite hops differ in sign
+        real_hops, real_ratio = spectral.hop_terms, spectral.norm_ratio
+
+        def flipped(l, lam, params):
+            terms = real_hops(l, lam, params)
+            return tuple((t, -c if t != lam else c) for t, c in terms) if lam == (1, 0) else terms
+
+        def ratio(lam, params):
+            return -real_ratio(lam, params) if lam == (1, 0) else real_ratio(lam, params)
+
+        monkeypatch.setattr(spectral, "hop_terms", flipped)
+        monkeypatch.setattr(spectral, "norm_ratio", ratio)
+        with pytest.raises(StructureError, match=r"opposite hop coefficients differ in sign on .*\(1, 0\)"):
+            conjugated_H_matrix(1, 2, PARAM_SETS[0], n=2)
+
     def test_spectrum_in_multiplier_range(self):
         # the conjugated operator is unitarily a multiplication by
         # Ehat + eps0 = sum_j 2 cos xi_j, so eigenvalues must sit in
