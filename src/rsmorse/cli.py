@@ -31,7 +31,7 @@ from .latticeop import (
     ruijsenaars_limit_check,
     symmetrization_identity_sides,
 )
-from .polynomials import FittedFamily, PolynomialFamily, pieri_residual
+from .polynomials import FittedFamily, PolynomialFamily, pieri_residuals
 from .qcore import params_from_hat, parse_rational
 from .scattering import S_hat, s_one, s_pair, sqrt_branch_s, sqrt_branch_s0
 from .spectral import QuadSpec, detailed_balance_residual, evolve, gram_report
@@ -187,15 +187,10 @@ def pieri_cases(family, labels, points):
     A PolynomialFamily builds its P from this recurrence, so the checks
     pass it a FittedFamily, whose P come from the eigen-solve.
     """
-    cases = []
-    for lam in labels:
-        for l in range(1, len(lam) + 1):
-            for z in points:
-                r = pieri_residual(l, lam, z, family)
-                cases.append(
-                    _case(f"pieri l={l} lam={lam} z={tuple(map(str, z))}", r == 0, f"residual={r}")
-                )
-    return cases
+    return [
+        _case(f"pieri l={l} lam={lam} z={tuple(map(str, z))}", r == 0, f"residual={r}")
+        for l, lam, z, r in pieri_residuals(family, labels, points)
+    ]
 
 
 def qdiff_cases(family, labels):

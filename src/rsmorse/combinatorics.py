@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -443,22 +444,42 @@ class _Monomials(dict):
 # supplies a _Factors table of its own and a way to move a label or a
 # point; how a coefficient is assembled from the table, and the order of
 # the terms, live only here.  Each side builds every factor as one reduced
-# Fraction from the integer parts of its label or point and of the
-# parameters (latticeop._factors, dualop._Point); the hop products and the
-# U sums run on their numerators and denominators as unreduced integer
-# pairs, and one Fraction is formed per coefficient.
+# (numerator, denominator) int pair (_ratio) from the integer parts of its
+# label or point and of the parameters (latticeop._factors, dualop._Point);
+# the hop products and the U sums multiply and add those pairs unreduced,
+# and one Fraction is formed per coefficient.
 
 
+def _ratio(num, den):
+    """num/den as a reduced (numerator, denominator) int pair with den > 0.
+
+    den == 0 raises ZeroDivisionError, as Fraction(num, 0) does.
+    """
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+# Signed-hop lists kept, one per (n, l).
+SIGNED_HOPS_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=SIGNED_HOPS_CACHE_SIZE)
 def _signed_hops(n, l):
-    """Every (J, eps) with |J| <= l, J ascending and eps its signs.
+    """Every (J, eps) with |J| <= l, J ascending and eps its signs, as a shared tuple.
 
     Ordered as itertools.product((0, 1, -1), repeat=n), 0 meaning the
     site stays.
     """
+    hops = []
     for signs in itertools.product((0, 1, -1), repeat=n):
         J = tuple(j for j, s in enumerate(signs, 1) if s)
         if len(J) <= l:
-            yield J, tuple(s for s in signs if s)
+            hops.append((J, tuple(s for s in signs if s)))
+    return tuple(hops)
 
 
 class _Lazy(dict):
@@ -480,7 +501,7 @@ class _Factors:
     mixed[j, s, k]: factor of a moved j against an unmoved k.
     pair[j, s, k, r, stay]: factor of j and k moved together with signs
     s and r, in its U form if stay, else in its V form.
-    Entries are reduced Fractions.
+    Entries are reduced (numerator, denominator) int pairs (_ratio).
     stay[K, p]: U_{K,p} as an unreduced (numerator, denominator) pair,
     filled by _hop_coefficient on first use.
     """
@@ -498,13 +519,22 @@ def _hop_product(J, eps, mixed, F, stay):
     Returns the product as an unreduced (numerator, denominator) pair of
     ints, denominator > 0; the factors are read in the order named.
     """
-    factors = [F.one[j, s] for j, s in zip(J, eps)]
-    factors += [F.mixed[j, s, k] for j, s in zip(J, eps) for k in mixed]
-    factors += [F.pair[J[a], eps[a], J[b], eps[b], stay] for a, b in itertools.combinations(range(len(J)), 2)]
+    one, cross, pair = F.one, F.mixed, F.pair
     num = den = 1
-    for f in factors:
-        num *= f.numerator
-        den *= f.denominator
+    for j, s in zip(J, eps):
+        fn, fd = one[j, s]
+        num *= fn
+        den *= fd
+    for j, s in zip(J, eps):
+        for k in mixed:
+            fn, fd = cross[j, s, k]
+            num *= fn
+            den *= fd
+    for a in range(len(J)):
+        for b in range(a + 1, len(J)):
+            fn, fd = pair[J[a], eps[a], J[b], eps[b], stay]
+            num *= fn
+            den *= fd
     return num, den
 
 

@@ -27,13 +27,13 @@ dual_terms_at_point) read a record of their own;
 InvariantPolynomial.evaluate reads combinatorics._monomials_at.
 
 The fit runs on integers from the point to the solve: each factor-table
-entry is one Fraction formed from the integer parts of z_j = a_j/b_j
-and of the parameters; each hop writes the integer parts of its
-shifted point directly, (a_j q_n, b_j q_d) for a coordinate that moves
-up and (a_j q_d, b_j q_n) for one that moves down (_dual_terms), so no
-shifted point is formed as a Fraction; monomials come from the integer
-kernel combinatorics._Monomials at those parts; and each row of the
-linear system is a list of ints whose scale is known in closed form
+entry is one reduced int pair formed from the integer parts of
+z_j = a_j/b_j and of the parameters; each hop writes the integer parts
+of its shifted point directly, (a_j q_n, b_j q_d) for a coordinate that
+moves up and (a_j q_d, b_j q_n) for one that moves down (_dual_terms),
+so no shifted point is formed as a Fraction; monomials come from the
+integer kernel combinatorics._Monomials at those parts; and each row of
+the linear system is a list of ints whose scale is known in closed form
 (_row).  dual_terms_at_point is the public Fraction view of the same
 terms.  _one_body and _pair_t stay only behind vhat and
 apply_dual_h_pointwise, the independent baseline of the l = 1 action.
@@ -67,6 +67,7 @@ from .combinatorics import (
     _Lazy,
     _Monomials,
     _monomials_at,
+    _ratio,
     _stay_sum,
     _terms,
     check_partition,
@@ -112,7 +113,10 @@ class InvariantPolynomial(PartitionMap):
 
     def evaluate(self, z):
         """p(z), every monomial read from the one map _monomials_at(z) of the point."""
-        mono = _monomials_at(z, self.n)
+        return self._sum_over(_monomials_at(z, self.n))
+
+    def _sum_over(self, mono):
+        """sum_mu c_mu mono(mu), with mono a map _monomials_at(z, n) of some point z."""
         total = 0
         for mu, c in self.values.items():
             total = total + c * mono(mu)
@@ -139,7 +143,7 @@ def _pair_t(w, params):
 
 
 def _one_factor(x, y, params):
-    """_one_body at u = x/y, built from integer parts as one Fraction."""
+    """_one_body at u = x/y, built from integer parts as one reduced int pair."""
     q = params.q
     yy, xx = y * y, x * x
     den = (yy - xx) * (q.denominator * yy - q.numerator * xx)
@@ -149,21 +153,21 @@ def _one_factor(x, y, params):
     for th in params.that:
         num *= th.denominator * y - th.numerator * x
         den *= th.denominator * y
-    return Fraction(num, den)
+    return _ratio(num, den)
 
 
 def _mixed_factor(x, y, a, b, params):
-    """_pair_t(u z_k) * _pair_t(u / z_k) at u = x/y and z_k = a/b, as one Fraction."""
+    """_pair_t(u z_k) * _pair_t(u / z_k) at u = x/y and z_k = a/b, as one reduced int pair."""
     tn, td = params.t.numerator, params.t.denominator
     # u z_k = (x a)/(y b) and u / z_k = (x b)/(y a)
     up, down = y * b - x * a, y * a - x * b
     if up == 0 or down == 0:
         raise PoleError("pair coefficient pole: coordinate product equals 1")
-    return Fraction((td * y * b - tn * x * a) * (td * y * a - tn * x * b), td * td * up * down)
+    return _ratio((td * y * b - tn * x * a) * (td * y * a - tn * x * b), td * td * up * down)
 
 
 def _pair_factor(wn, wd, stay, params):
-    """t-pair factor times in-pair q-factor of w = wn/wd, as one Fraction.
+    """t-pair factor times in-pair q-factor of w = wn/wd, as one reduced int pair.
 
     (1 - t w)/(1 - w) times (t - q w)/(1 - q w) if stay, else times
     (1 - t q w)/(1 - q w).
@@ -176,7 +180,7 @@ def _pair_factor(wn, wd, stay, params):
     if qden == 0:
         raise PoleError("pair coefficient pole: q * coordinate product equals 1")
     head = (tn * qd * wd - td * qn * wn) if stay else (td * qd * wd - tn * qn * wn)
-    return Fraction((td * wd - tn * wn) * head, td * td * (wd - wn) * qden)
+    return _ratio((td * wd - tn * wn) * head, td * td * (wd - wn) * qden)
 
 
 class _Point:
@@ -194,11 +198,11 @@ class _Point:
     factors.mixed[j, s, k] the t-pair factors of u_j z_k and u_j/z_k; and
     factors.pair[j, s, k, r, stay] the t-pair factor of w = u_j z_k^r
     times the in-pair q-factor of w, whose numerator is (t - q w) if stay,
-    else (1 - t q w).  Each entry is one Fraction formed from the integer
-    parts of u_j, z_k and the parameters (_one_factor, _mixed_factor,
-    _pair_factor), built on first use, so a pole surfaces only at a
-    factor a coefficient reads, with the text _one_body, _pair_t or the
-    in-pair q-factor would raise.
+    else (1 - t q w).  Each entry is one reduced (numerator, denominator)
+    int pair formed from the integer parts of u_j, z_k and the parameters
+    (_one_factor, _mixed_factor, _pair_factor), built on first use, so a
+    pole surfaces only at a factor a coefficient reads, with the text
+    _one_body, _pair_t or the in-pair q-factor would raise.
     """
 
     __slots__ = ("pairs", "factors", "terms", "at")

@@ -17,12 +17,13 @@ that label.  The terms come from the signed-hop engine shared with the
 dual integrals (combinatorics._terms) over that table; this module only
 says how the factors are built and how a hop moves lam.
 
-The factors are reduced Fractions, each formed once from the integer
-numerators and denominators of a_j, a_j/a_k and the parameters.  The hop
-products and U sums run on unreduced integer pairs, and one Fraction is
-formed per coefficient.  The closed forms v_plus and v_minus are their own
-integer products over the same a_j, kept apart from the hop tables so
-that apply_H checks apply_Hl(1, .) independently.
+The factors are reduced (numerator, denominator) int pairs, each formed
+once from the integer numerators and denominators of a_j, a_j/a_k and
+the parameters.  The hop products and U sums multiply and add those
+pairs unreduced, and one Fraction is formed per coefficient.  The closed
+forms v_plus and v_minus are their own integer products over the same
+a_j, kept apart from the hop tables so that apply_H checks
+apply_Hl(1, .) independently.
 
 apply_Hl reads the hop tables by columns: the column of (l, nu, params)
 lists every source lam whose table reaches nu, with that coefficient as
@@ -51,6 +52,7 @@ from .combinatorics import (
     _Factors,
     _hop_coefficient,
     _Lazy,
+    _ratio,
     _signed_hops,
     _stay_sum,
     _terms,
@@ -187,8 +189,8 @@ def _factors(lam, params):
     parameter domain (1 - q r = 0, e.g. at q = t**(j-k) when
     lam_j = lam_k), raised as a PoleError naming lam and the pair.
 
-    Each entry is one Fraction formed from the integer numerators and
-    denominators of a_j, r and the parameters.
+    Each entry is one reduced int pair (combinatorics._ratio) formed from
+    the integer numerators and denominators of a_j, r and the parameters.
     """
     n = len(lam)
     t, q = params.t, params.q
@@ -202,11 +204,11 @@ def _factors(lam, params):
     one, mixed = {}, {}
     for j in range(1, n + 1):
         x, y = an[j], ad[j]
-        one[j, 1] = Fraction(
+        one[j, 1] = _ratio(
             h0d * (t1.denominator * y - t1.numerator * x) * (t2.denominator * y - t2.numerator * x),
             h0n * t1.denominator * t2.denominator * y * y,
         )
-        one[j, -1] = Fraction(
+        one[j, -1] = _ratio(
             h0n * (t0.denominator * y - t0.numerator * x) * (y - x),
             h0d * t0.denominator * y * y,
         )
@@ -214,12 +216,15 @@ def _factors(lam, params):
             if k != j:
                 # r = rn/rd = a_j/a_k
                 rn, rd = x * ad[k], y * an[k]
-                mixed[j, 1, k] = Fraction(td * rd - tn * rn, tn * (rd - rn))
-                mixed[j, -1, k] = Fraction(tn * rd - td * rn, td * (rd - rn))
+                mixed[j, 1, k] = _ratio(td * rd - tn * rn, tn * (rd - rn))
+                mixed[j, -1, k] = _ratio(tn * rd - td * rn, td * (rd - rn))
 
     def pair(j, s, k, sk, stay):
         if s == sk:
-            return Fraction(1) if stay else t**-s
+            if stay:
+                return 1, 1
+            # t**(-s)
+            return _ratio(td, tn) if s > 0 else _ratio(tn, td)
         if s < 0:
             j, k = k, j
         rn, rd = an[j] * ad[k], ad[j] * an[k]
@@ -230,7 +235,7 @@ def _factors(lam, params):
                 f"(j, k) = ({j}, {k}) divides by 1 - q a_j/a_k = 0"
             )
         head = (tn * qd * rd - td * qn * rn) if stay else (td * qd * rd - tn * qn * rn)
-        return Fraction((td * rd - tn * rn) * head, td * tn * (rd - rn) * (qd * rd - qn * rn))
+        return _ratio((td * rd - tn * rn) * head, td * tn * (rd - rn) * (qd * rd - qn * rn))
 
     return _Factors(n, one, mixed, _Lazy(pair))
 

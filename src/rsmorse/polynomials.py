@@ -25,7 +25,10 @@ The recursion and the pointwise check pieri_residual form sum c P_target
 over the hop terms in one body (_hop_sum).  They part at Ehat_l P_lam: the
 recursion expands it in the monomial basis (_ehat_elementary,
 _times_elementary), while pieri_residual reads Ehat_l at the cosines of
-the point and evaluates sum c P_target - Ehat_l(z) P_lam once.
+the point and evaluates sum c P_target - Ehat_l(z) P_lam once
+(_residual_form).  pieri_residuals runs the same body over a grid of
+labels and points, with one hop sum per (l, lam) and one monomial map
+per point.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from fractions import Fraction
 
 from .combinatorics import (
     _check_point,
+    _monomials_at,
     _times_elementary,
     check_partition,
     cosines_from_point,
@@ -58,6 +62,7 @@ __all__ = [
     "pieri_identity",
     "normalization_point",
     "pieri_residual",
+    "pieri_residuals",
 ]
 
 
@@ -172,16 +177,51 @@ def pieri_residual(l, lam, z, family):
     minus Ehat_l(z) * P_lam(z); identically zero when the polynomials
     diagonalize the lattice integrals in the label variable.  The
     polynomial sum c P_target - Ehat_l(z) P_lam is formed once and
-    evaluated at z; Ehat_l is read at the cosines of z, not through
-    _ehat_elementary, so the check stays independent of the recursion.  A
-    point of the wrong length or with a zero coordinate raises
-    ParamDomainError; an int or Fraction point gives a Fraction.
+    evaluated at z (_residual_form); Ehat_l is read at the cosines of z,
+    not through _ehat_elementary, so the check stays independent of the
+    recursion.  A point of the wrong length or with a zero coordinate
+    raises ParamDomainError; an int or Fraction point gives a Fraction.
     """
     lam = check_partition(lam)
     z = _check_point(z, len(lam))
+    return _residual_form(l, lam, family)(z, _monomials_at(z, len(lam)))
+
+
+def pieri_residuals(family, labels, points):
+    """[(l, lam, z, pieri_residual(l, lam, z, family))] over each label, level and point.
+
+    Labels outermost, then l = 1..n, then the points.  Each (l, lam)
+    forms its hop sum once for all points, and one _monomials_at map per
+    point and rank serves every (l, lam).
+    """
+    maps = {}
+    out = []
+    for lam in labels:
+        lam = check_partition(lam)
+        n = len(lam)
+        if n not in maps:
+            maps[n] = [(tuple(z), _monomials_at(z, n)) for z in points]
+        for l in range(1, n + 1):
+            residual = _residual_form(l, lam, family)
+            out.extend((l, lam, z, residual(z, mono)) for z, mono in maps[n])
+    return out
+
+
+def _residual_form(l, lam, family):
+    """(z, mono) -> the Pieri residual at z, from mono = _monomials_at(z, n).
+
+    The hop sum over hop_terms(l, lam) and P_lam are read once; at each
+    point the polynomial sum c P_target - Ehat_l(z) P_lam is formed and
+    summed over the monomial values of the point.
+    """
     hops = InvariantPolynomial(len(lam), _hop_sum(l, lam, family)[0])
-    ehat = eval_Ehat_l(l, cosines_from_point(z), family.params)
-    return hops.minus(family.P(lam).scaled(ehat)).evaluate(z)
+    p_lam = family.P(lam)
+
+    def residual(z, mono):
+        ehat = eval_Ehat_l(l, cosines_from_point(z), family.params)
+        return hops.minus(p_lam.scaled(ehat))._sum_over(mono)
+
+    return residual
 
 
 @functools.lru_cache(maxsize=256)

@@ -78,19 +78,28 @@ def qpoch_finite(x, m, q):
     if not valid:
         raise ParamDomainError(f"q-Pochhammer order m must be a nonnegative integer, got {m!r}")
     if isinstance(x, (int, Fraction)) and isinstance(q, (int, Fraction)):
-        xn, xd, qn, qd = x.numerator, x.denominator, q.numerator, q.denominator
-        num, pn, pd = 1, 1, 1
-        for _ in range(order):
-            num *= xd * pd - xn * pn
-            pn *= qn
-            pd *= qd
-        return Fraction(num, xd**order * qd ** (order * (order - 1) // 2))
+        return Fraction(*_qpoch_ints(x.numerator, x.denominator, q.numerator, q.denominator, order))
     out = 1
     qp = 1
     for _ in range(order):
         out = out * (1 - x * qp)
         qp = qp * q
     return out
+
+
+def _qpoch_ints(xn, xd, qn, qd, m):
+    """(x; q)_m at x = xn/xd and q = qn/qd as an unreduced int pair.
+
+    The numerator is the product of (xd qd^l - xn qn^l) for l < m, the
+    denominator xd^m qd^(m(m-1)/2); xd and qd must be nonzero.  The exact
+    body of qpoch_finite, also read by spectral.norm_ratio.
+    """
+    num, pn, pd = 1, 1, 1
+    for _ in range(m):
+        num *= xd * pd - xn * pn
+        pn *= qn
+        pd *= qd
+    return num, xd**m * qd ** (m * (m - 1) // 2)
 
 
 def truncation_order(x, q, tol):

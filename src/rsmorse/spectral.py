@@ -22,7 +22,7 @@ import numpy as np
 from .combinatorics import _check_sites, check_partition, orbit, partitions_max_weight
 from .errors import DegeneracyError, ParamDomainError, StructureError
 from .latticeop import LatticeFunction, epsilon0, hop_terms, v_minus, v_plus
-from .qcore import qpoch_finite, qpoch_infinite, truncation_order
+from .qcore import _qpoch_ints, qpoch_finite, qpoch_infinite, truncation_order
 
 __all__ = [
     "weight_grid",
@@ -77,30 +77,45 @@ def norm_ratio(lam, params):
          / (that0^(2 lam_j) t^(2(n-j) lam_j) (q t^(n-j))_{lam_j} (that1 that2 t^(n-j))_{lam_j})
     * prod_{j<k} (1 - t^(k-j) q^(lam_j-lam_k))/(1 - t^(k-j))
                  * (t^(1+k-j))_{lam_j-lam_k} / (q t^(k-j-1))_{lam_j-lam_k}.
+
+    The product runs on the integer numerators and denominators of the
+    parameters, each (x; q)_m read from the exact body of qpoch_finite
+    (qcore._qpoch_ints); one Fraction is formed.
     """
     lam = check_partition(lam)
     n = len(lam)
-    q, t = params.q, params.t
-    th0, th1, th2 = params.that0, params.that1, params.that2
-    out = Fraction(1)
+    qn, qd = params.q.numerator, params.q.denominator
+    tn, td = params.t.numerator, params.t.denominator
+    (h0n, h0d), (h1n, h1d), (h2n, h2d) = ((th.numerator, th.denominator) for th in params.that)
+    num = den = 1
     for j in range(1, n + 1):
         lj = lam[j - 1]
-        tp = t ** (n - j)
-        num = qpoch_finite(th0 * th1 * tp, lj, q) * qpoch_finite(th0 * th2 * tp, lj, q)
-        den = th0 ** (2 * lj) * tp ** (2 * lj)
-        den *= qpoch_finite(q * tp, lj, q) * qpoch_finite(th1 * th2 * tp, lj, q)
-        if den == 0:
+        # t^(n-j) = pn/pd
+        pn, pd = tn ** (n - j), td ** (n - j)
+        an, ad = _qpoch_ints(h0n * h1n * pn, h0d * h1d * pd, qn, qd, lj)
+        bn, bd = _qpoch_ints(h0n * h2n * pn, h0d * h2d * pd, qn, qd, lj)
+        cn, cd = _qpoch_ints(qn * pn, qd * pd, qn, qd, lj)
+        dn, dd = _qpoch_ints(h1n * h2n * pn, h1d * h2d * pd, qn, qd, lj)
+        # the numerator of the j-th denominator
+        dj = (h0n * pn) ** (2 * lj) * cn * dn
+        if dj == 0:
             raise DegeneracyError(f"vanishing norm denominator at lam={lam}, j={j}")
-        out *= num / den
+        num *= an * bn * (h0d * pd) ** (2 * lj) * cd * dd
+        den *= ad * bd * dj
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
             d = lam[j - 1] - lam[k - 1]
-            out *= (1 - t ** (k - j) * q**d) / (1 - t ** (k - j))
-            den = qpoch_finite(q * t ** (k - j - 1), d, q)
-            if den == 0:
+            # t^(k-j) = pn/pd, and (1 - t^(k-j) q^d)/(1 - t^(k-j))
+            pn, pd = tn ** (k - j), td ** (k - j)
+            num *= pd * qd**d - pn * qn**d
+            den *= (pd - pn) * qd**d
+            cn, cd = _qpoch_ints(qn * tn ** (k - j - 1), qd * td ** (k - j - 1), qn, qd, d)
+            if cn == 0:
                 raise DegeneracyError(f"vanishing norm denominator at lam={lam}, pair ({j},{k})")
-            out *= qpoch_finite(t ** (1 + k - j), d, q) / den
-    return out
+            an, ad = _qpoch_ints(pn * tn, pd * td, qn, qd, d)
+            num *= an * cd
+            den *= ad * cn
+    return Fraction(num, den)
 
 
 def detailed_balance_residual(lam, j, params):

@@ -1,4 +1,6 @@
 import cmath
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from rsmorse.combinatorics import (
     SignedPermutation,
     _Monomials,
+    _ratio,
+    _signed_hops,
     _times_elementary,
     check_partition,
     complete_sym,
@@ -462,3 +466,40 @@ class TestStaySumMemo:
         _hop_table.__wrapped__(3, (2, 1, 0), PARAM_SETS[0])
         assert len(keys) == 7
         assert len(set(keys)) == 7
+
+
+class TestRatio:
+    """The factor entries of the hop engine: reduced int pairs, denominator > 0."""
+
+    @pytest.mark.parametrize(
+        "num, den, pair",
+        [(6, 4, (3, 2)), (-6, 4, (-3, 2)), (6, -4, (-3, 2)), (-6, -4, (3, 2)), (0, -5, (0, 1)), (7, 1, (7, 1))],
+    )
+    def test_reduces_and_normalizes_the_sign(self, num, den, pair):
+        assert _ratio(num, den) == pair
+        assert Fraction(*pair) == Fraction(num, den)
+
+    def test_zero_denominator_raises_as_fraction_does(self):
+        with pytest.raises(ZeroDivisionError) as ours:
+            _ratio(3, 0)
+        with pytest.raises(ZeroDivisionError) as theirs:
+            Fraction(3, 0)
+        assert str(ours.value) == str(theirs.value)
+
+
+class TestSignedHops:
+    def test_product_order(self):
+        for n in range(1, 5):
+            for l in range(1, n + 1):
+                expected = []
+                for signs in itertools.product((0, 1, -1), repeat=n):
+                    J = tuple(j for j, s in enumerate(signs, 1) if s)
+                    if len(J) <= l:
+                        expected.append((J, tuple(s for s in signs if s)))
+                assert list(_signed_hops(n, l)) == expected
+                assert len(expected) == sum(math.comb(n, k) * 2**k for k in range(l + 1))
+
+    def test_one_shared_tuple_per_rank_and_level(self):
+        hops = _signed_hops(3, 2)
+        assert isinstance(hops, tuple)
+        assert _signed_hops(3, 2) is hops

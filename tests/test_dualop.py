@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -467,6 +468,19 @@ class TestFactorTable:
         assert [len(calls) for calls in builds.values()] == before
 
 
+def _entry_outcome(fn):
+    """fn() as a Fraction (an int pair checked reduced with denominator > 0), or its pole text."""
+    try:
+        value = fn()
+    except PoleError as exc:
+        return f"PoleError: {exc}"
+    if isinstance(value, tuple):
+        num, den = value
+        assert den > 0 and math.gcd(num, den) == 1, value
+        value = Fraction(num, den)
+    return value
+
+
 class TestLiteralReference:
     """Fitted rows and coefficient helpers against plain-Fraction references."""
 
@@ -495,6 +509,43 @@ class TestLiteralReference:
     def _points(self, p):
         # in-pair pole q z_1 z_3 = 1
         return self.POINTS + [(Fraction(3, 5), Fraction(2), 5 / (3 * p.q))]
+
+    def test_factor_entries_equal_reference(self):
+        # every entry of a _Point factor table against the baseline's helpers
+        poles = set()
+        for p in self.PARAMS:
+            for z in [z for n in (1, 2, 3) for z in generic_points(n, 3, p, seed=13)] + self._points(p):
+                n = len(z)
+                sites = range(1, n + 1)
+                F = dualop._Point(z, p).factors
+                for j, s in itertools.product(sites, (1, -1)):
+                    u = z[j - 1] ** s
+                    got = _entry_outcome(lambda: F.one[j, s])
+                    assert got == _entry_outcome(lambda: _one_body(u, p)), (p, z, j, s)
+                    poles.add(got if isinstance(got, str) else None)
+                    for k in sites:
+                        if k == j:
+                            continue
+                        zk = z[k - 1]
+                        got = _entry_outcome(lambda: F.mixed[j, s, k])
+                        assert got == _entry_outcome(lambda: _pair_t(u * zk, p) * _pair_t(u / zk, p))
+                        poles.add(got if isinstance(got, str) else None)
+                        if k < j:
+                            continue
+                        # the engine reads in-pair entries with j < k
+                        for r, stay in itertools.product((1, -1), (True, False)):
+                            w = u * zk**r
+                            got = _entry_outcome(lambda: F.pair[j, s, k, r, stay])
+                            assert got == _entry_outcome(lambda: _pair_t(w, p) * _pair_tq_literal(w, stay, p))
+                            poles.add(got if isinstance(got, str) else None)
+        assert poles == {
+            None,
+            "PoleError: one-body coefficient pole at coordinate 1",
+            "PoleError: one-body coefficient pole at coordinate -1",
+            "PoleError: one-body coefficient pole at coordinate 2",
+            "PoleError: pair coefficient pole: coordinate product equals 1",
+            "PoleError: pair coefficient pole: q * coordinate product equals 1",
+        }
 
     def test_helpers_equal_reference(self):
         poles = set()

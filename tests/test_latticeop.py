@@ -374,6 +374,53 @@ class TestLiteralReference:
         assert _outcome(lambda: hop_terms(2, (1, 1), p)) == expected
 
 
+def _entry(pair):
+    """A factor-table entry as a Fraction, after checking it is reduced with denominator > 0."""
+    num, den = pair
+    assert den > 0 and math.gcd(num, den) == 1, pair
+    return Fraction(num, den)
+
+
+def _entry_outcome(fn):
+    """fn() as a Fraction (an int pair through _entry), or its pole text."""
+    try:
+        value = fn()
+    except PoleError as exc:
+        return f"PoleError: {exc}"
+    return _entry(value) if isinstance(value, tuple) else value
+
+
+class TestFactorTable:
+    """Every entry of latticeop._factors against the plain-Fraction literal of its formula."""
+
+    # the three fixed sets, q = t (in-pair poles) and that0 < 0 (negative raw denominators)
+    PARAMS = TestLiteralReference.PARAMS
+
+    def test_entries_equal_literals(self):
+        poles = 0
+        for p in self.PARAMS:
+            for n in (1, 2, 3):
+                sites = range(1, n + 1)
+                for lam in partitions_max_weight(n, 4):
+                    F = latticeop._factors(lam, p)
+                    a, up, down, mix_up, mix_down = _literal_table(lam, p)
+                    assert {key: _entry(pair) for key, pair in F.one.items()} == {
+                        **{(j, 1): up[j] for j in sites},
+                        **{(j, -1): down[j] for j in sites},
+                    }, (p, lam)
+                    assert {key: _entry(pair) for key, pair in F.mixed.items()} == {
+                        **{(j, 1, k): mix_up(j, k) for j, k in itertools.permutations(sites, 2)},
+                        **{(j, -1, k): mix_down(j, k) for j, k in itertools.permutations(sites, 2)},
+                    }, (p, lam)
+                    for j, k in itertools.combinations(sites, 2):
+                        for s, sk, stay in itertools.product((1, -1), (1, -1), (True, False)):
+                            got = _entry_outcome(lambda: F.pair[j, s, k, sk, stay])
+                            assert got == _entry_outcome(lambda: _pair_literal(a, p, lam, j, s, k, sk, stay))
+                            poles += isinstance(got, str)
+        # the q = t set reaches the in-pair pole
+        assert poles > 0
+
+
 class TestHopTableMemo:
     def test_repeated_calls_share_one_table(self):
         p = PARAM_SETS[0]

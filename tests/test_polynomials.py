@@ -19,6 +19,7 @@ from rsmorse.polynomials import (
     normalization_point,
     pieri_P,
     pieri_residual,
+    pieri_residuals,
 )
 from rsmorse.qcore import params_from_hat, qpoch_finite
 
@@ -344,6 +345,37 @@ class TestPieri:
             residual = pieri_residual(l, (2, 1), (0.37, 2.9), fam)
             assert isinstance(residual, float)
             assert abs(residual) < 1e-9
+
+    def test_grid_forms_each_hop_sum_once(self, monkeypatch):
+        # one hop sum per (l, lam) and one monomial map per point, each value
+        # equal to pieri_residual at its case (the float point in floats too)
+        p = PARAM_SETS[2]
+        fam = fitted_family_for(p)
+        labels = partitions_max_weight(2, 2)
+        points = generic_points(2, 3, p, seed=19) + [(0.37, 2.9)]
+        expected = [(l, lam, z, pieri_residual(l, lam, z, fam)) for lam in labels for l in (1, 2) for z in points]
+        sums, maps = [], []
+        real_sum, real_map = polynomials._hop_sum, polynomials._monomials_at
+
+        def hop_sum(l, lam, family, top=None):
+            sums.append((l, lam))
+            return real_sum(l, lam, family, top)
+
+        def monomials_at(z, n):
+            maps.append(z)
+            return real_map(z, n)
+
+        monkeypatch.setattr(polynomials, "_hop_sum", hop_sum)
+        monkeypatch.setattr(polynomials, "_monomials_at", monomials_at)
+        assert pieri_residuals(fam, labels, points) == expected
+        assert sums == [(l, lam) for lam in labels for l in (1, 2)]
+        assert maps == points
+        assert all(r == 0 for _, _, z, r in expected if z != points[-1])
+
+    def test_grid_refuses_a_wrong_length_point(self):
+        fam = fitted_family_for(PARAM_SETS[0])
+        with pytest.raises(ParamDomainError, match="point has length 1, expected 2"):
+            pieri_residuals(fam, [(1, 0)], [(Fraction(1, 2),)])
 
 
 def test_family_rows_are_shared(monkeypatch):

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsmorse.combinatorics import is_partition, partitions_max_weight
-from rsmorse.errors import ParamDomainError, StructureError
+from rsmorse.errors import DegeneracyError, ParamDomainError, StructureError
 from rsmorse.latticeop import LatticeFunction, epsilon0, v_minus, v_plus
 from rsmorse import spectral
-from rsmorse.qcore import params_from_hat, qpoch_infinite
+from rsmorse.qcore import params_from_hat, qpoch_finite, qpoch_infinite
 from rsmorse.spectral import (
     QuadSpec,
     conjugated_H_matrix,
@@ -25,7 +27,7 @@ from rsmorse.spectral import (
     weight_grid,
 )
 
-from conftest import PARAM_SETS, family_for
+from conftest import PARAM_SETS, family_for, in_domain_params
 
 
 def _count_calls(monkeypatch, name):
@@ -98,6 +100,69 @@ class TestWeight:
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ParamDomainError, match="tolerance"):
             weight_grid([(2.0, 1.0)], PARAM_SETS[0], tol)
+
+
+def _norm_ratio_literal(lam, p):
+    """The product formula of norm_ratio on plain Fractions, one qpoch_finite per symbol."""
+    n = len(lam)
+    q, t = p.q, p.t
+    a0, a1, a2 = p.that
+    out = Fraction(1)
+    for j in range(1, n + 1):
+        lj, tp = lam[j - 1], t ** (n - j)
+        out *= qpoch_finite(a0 * a1 * tp, lj, q) * qpoch_finite(a0 * a2 * tp, lj, q)
+        out /= a0 ** (2 * lj) * tp ** (2 * lj) * qpoch_finite(q * tp, lj, q) * qpoch_finite(a1 * a2 * tp, lj, q)
+    for j in range(1, n + 1):
+        for k in range(j + 1, n + 1):
+            d = lam[j - 1] - lam[k - 1]
+            out *= (1 - t ** (k - j) * q**d) / (1 - t ** (k - j))
+            out *= qpoch_finite(t ** (1 + k - j), d, q) / qpoch_finite(q * t ** (k - j - 1), d, q)
+    return out
+
+
+@st.composite
+def _norm_cases(draw):
+    p = draw(in_domain_params())
+    n = draw(st.integers(1, 3))
+    return p, draw(st.sampled_from(partitions_max_weight(n, 3)))
+
+
+@settings(deadline=None)
+@given(_norm_cases())
+def test_norm_ratio_equals_literal_on_the_domain(case):
+    p, lam = case
+    assert norm_ratio(lam, p) == _norm_ratio_literal(lam, p)
+
+
+class TestNormRatioLiteral:
+    """norm_ratio on integer parts against the plain-Fraction product of its formula."""
+
+    def test_equals_literal(self):
+        for p in PARAM_SETS:
+            for n in (1, 2, 3, 4):
+                for lam in partitions_max_weight(n, 5):
+                    got = norm_ratio(lam, p)
+                    assert type(got) is Fraction
+                    assert got == _norm_ratio_literal(lam, p), (p, lam)
+
+    @pytest.mark.parametrize(
+        "hat, lam, text",
+        [
+            # that1 that2 = 1: (that1 that2 t^(n-j))_(lam_j) vanishes at j = n
+            (("1/4", "1/3", ("1/2", "2", "1/2")), (1,), "vanishing norm denominator at lam=(1,), j=1"),
+            (("1/4", "1/3", ("1/2", "2", "1/2")), (2, 1), "vanishing norm denominator at lam=(2, 1), j=2"),
+            # q t = 1: (q t^(k-j-1))_d vanishes for k - j = 2
+            (("2", "1/2", ("1/2", "-1/3", "1/5")), (1, 0, 0), "vanishing norm denominator at lam=(1, 0, 0), pair (1,3)"),
+            # and (q t^2)_2 = (1 - q t^2)(1 - q^2 t^2) at j = 1 vanishes first
+            (("2", "1/2", ("1/2", "-1/3", "1/5")), (2, 1, 0), "vanishing norm denominator at lam=(2, 1, 0), j=1"),
+        ],
+    )
+    def test_degeneracy_texts(self, hat, lam, text):
+        # off the domain: params_from_hat(validate=False), as boundary studies build them
+        p = params_from_hat(*hat, validate=False)
+        with pytest.raises(DegeneracyError) as exc:
+            norm_ratio(lam, p)
+        assert str(exc.value) == text
 
 
 class TestNorms:
