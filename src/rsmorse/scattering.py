@@ -46,13 +46,19 @@ def _phase(value):
 
 
 def s_pair(x, params, tol=1e-14):
-    """Two-particle factor (q e^{ix}, t e^{-ix})_inf / (q e^{-ix}, t e^{ix})_inf."""
+    """Two-particle factor (q e^{ix}, t e^{-ix})_inf / (q e^{-ix}, t e^{ix})_inf.
+
+    q and t are real, so (c e^{-ix}; q)_inf is the complex conjugate of
+    (c e^{ix}; q)_inf: a = (q e^{ix})_inf and b = (t e^{ix})_inf are
+    formed once and the e^{-ix} factors are taken as their conjugates.
+    """
     q = float(params.q)
     t = float(params.t)
-    zp = cmath.exp(1j * x)
-    zm = cmath.exp(-1j * x)
-    num = qpoch_infinite(q * zp, q, tol) * qpoch_infinite(t * zm, q, tol)
-    den = qpoch_infinite(q * zm, q, tol) * qpoch_infinite(t * zp, q, tol)
+    z = cmath.exp(1j * x)
+    a = qpoch_infinite(q * z, q, tol)
+    b = qpoch_infinite(t * z, q, tol)
+    num = a * b.conjugate()
+    den = a.conjugate() * b
     if den == 0:
         raise PoleError("two-particle factor pole")
     return num / den
@@ -60,16 +66,20 @@ def s_pair(x, params, tol=1e-14):
 
 def s_one(x, params, tol=1e-14):
     """One-particle factor (q e^{2ix})_inf/(q e^{-2ix})_inf
-    * prod_r (that_r e^{-ix})_inf/(that_r e^{ix})_inf."""
+    * prod_r (that_r e^{-ix})_inf/(that_r e^{ix})_inf.
+
+    q and the that_r are real, so each e^{-ix} factor is the complex
+    conjugate of its e^{ix} factor, formed once.
+    """
     q = float(params.q)
-    zp = cmath.exp(1j * x)
-    zm = cmath.exp(-1j * x)
-    out = qpoch_infinite(q * zp * zp, q, tol) / qpoch_infinite(q * zm * zm, q, tol)
+    z = cmath.exp(1j * x)
+    c = qpoch_infinite(q * z * z, q, tol)
+    out = c / c.conjugate()
     for th in params.that:
-        den = qpoch_infinite(float(th) * zp, q, tol)
+        den = qpoch_infinite(float(th) * z, q, tol)
         if den == 0:
             raise PoleError("one-particle factor pole")
-        out *= qpoch_infinite(float(th) * zm, q, tol) / den
+        out *= den.conjugate() / den
     return out
 
 

@@ -45,20 +45,27 @@ def weight_grid(points, params, tol=1e-12):
     """Spectral weight evaluated on an (m, n) array of angle vectors.
 
     No alcove check: the defining product is W-invariant, so off-alcove
-    evaluation is used internally for symmetrized quadrature.
+    evaluation is used internally for symmetrized quadrature.  The
+    one-body factors depend on one angle each, so they are evaluated
+    once per distinct angle of each column and scattered back; the pair
+    factors are evaluated at every point.  A zero-width array raises
+    ParamDomainError; an (0, n) array gives an empty weight.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     m, n = points.shape
+    if n == 0:
+        raise ParamDomainError("weight_grid needs points with at least one angle, got width 0")
     q = float(params.q)
     nfac = truncation_order(1, params.q, tol)
     total = np.full(m, (2.0 * math.pi) ** (-n))
     for j in range(n):
-        zj = np.exp(1j * points[:, j])
-        num = qpoch_finite(zj * zj, nfac, q)
-        den = np.ones(m, dtype=complex)
+        angles, where = np.unique(points[:, j], return_inverse=True)
+        z = np.exp(1j * angles)
+        num = qpoch_finite(z * z, nfac, q)
+        den = np.ones(len(angles), dtype=complex)
         for th in params.that:
-            den = den * qpoch_finite(float(th) * zj, nfac, q)
-        total = total * np.abs(num / den) ** 2
+            den = den * qpoch_finite(float(th) * z, nfac, q)
+        total = total * (np.abs(num / den) ** 2)[where]
     t = float(params.t)
     for j in range(n):
         for k in range(j + 1, n):
@@ -195,21 +202,49 @@ class QuadSpec:
         return points, wgt
 
 
+def _angles(points, n):
+    """points as an (m, n) float array; another width raises ParamDomainError."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[1] != n:
+        raise ParamDomainError(f"points have width {points.shape[1]}, the rank is {n}")
+    return points
+
+
+def _monomial_grid(mu, points):
+    """Real grid of m_mu at an (m, n) array of angles.
+
+    m_mu(xi) = sum over the signed-permutation orbit of mu of
+    exp(i <nu, xi>); the orbit closes under nu -> -nu, so the sum is
+    real, and the real part of each exponential is added up.
+    """
+    mono = np.zeros(points.shape[0])
+    for nu in orbit(mu):
+        mono = mono + np.exp(1j * (points @ np.asarray(nu, dtype=float))).real
+    return mono
+
+
+def _P_grid(poly, points, grids):
+    """poly at points, combined in poly.values order from grids (mu -> _monomial_grid).
+
+    A monomial missing from grids is built and added to it, so a caller
+    that passes one dict for many polynomials builds each m_mu once.
+    """
+    total = np.zeros(points.shape[0])
+    for mu, c in poly.values.items():
+        grid = grids.get(mu)
+        if grid is None:
+            grid = grids[mu] = _monomial_grid(mu, points)
+        total = total + float(c) * grid
+    return total
+
+
 def evaluate_P_grid(poly, points):
     """Evaluate an invariant polynomial at an (m, n) array of angles.
 
-    m_mu(xi) = sum over the signed-permutation orbit of mu of
-    exp(i <nu, xi>); real for real angles, so the result is returned
-    as a real array.
+    Real for real angles, so the result is a real array; points of a
+    width other than the rank of poly raise ParamDomainError.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    total = np.zeros(points.shape[0], dtype=complex)
-    for mu, c in poly.values.items():
-        mono = np.zeros(points.shape[0], dtype=complex)
-        for nu in orbit(mu):
-            mono = mono + np.exp(1j * (points @ np.asarray(nu, dtype=float)))
-        total = total + float(c) * mono
-    return total.real
+    return _P_grid(poly, _angles(points, poly.n), {})
 
 
 def _weighted_grid(n, params, quad):
@@ -222,7 +257,8 @@ def _weighted_grid(n, params, quad):
 def _gram_table(labels, family, quad):
     """(L, L) table of (1/n!) integral over [0, pi]^n of P_a P_b weight.
 
-    One grid, one weight and one P grid per label: row a of V holds
+    One grid, one weight, one real grid per distinct monomial m_mu and
+    one P grid per label, combined from those: row a of V holds
     P_a sqrt(w rho) (Gauss weight w > 0, spectral weight rho >= 0),
     scaled in place, and the table is V V^T / n!, taken as one dot per
     pair of rows: that stays within 4.4e-16 of the sum of w P_a P_b rho,
@@ -235,8 +271,9 @@ def _gram_table(labels, family, quad):
     points, root = _weighted_grid(n, family.params, quad)
     np.sqrt(root, out=root)
     table = np.empty((len(labels), points.shape[0]))
+    grids = {}
     for row, lam in zip(table, labels):
-        row[:] = evaluate_P_grid(family.P(lam), points)
+        row[:] = _P_grid(family.P(lam), points, grids)
         row *= root
     return np.array([[np.dot(a, b) for b in table] for a in table]) / math.factorial(n)
 
@@ -245,9 +282,10 @@ def gram_report(labels, family, quad):
     """Orthogonality table rows: lambda, mu, value, target, abs_err, rel_err.
 
     The whole table is one product over one quadrature grid: the weight,
-    each P_lam grid and each norm Delta_lam are evaluated once, and row
-    lam of the product is P_lam sqrt(w rho) with w the Gauss weight and
-    rho the spectral weight.  rel_err is normalized by
+    each monomial grid m_mu, each P_lam grid and each norm Delta_lam are
+    evaluated once (the P_lam are combined from the m_mu grids they
+    share), and row lam of the product is P_lam sqrt(w rho) with w the
+    Gauss weight and rho the spectral weight.  rel_err is normalized by
     Delta_lam^(-1/2) Delta_mu^(-1/2), which on the diagonal reduces to the
     plain relative error; the square roots are taken one by one where
     the product Delta_lam Delta_mu underflows.  The norms come first, so
@@ -286,13 +324,16 @@ def fourier_forward(f, points, family):
 
     (F f)(xi) = sum_lam f(lam) conj(P_lam(xi)) Delta_lam; P_lam is real
     at real angles, so the conjugation is vacuous but kept for shape.
+    The P_lam share one real grid per distinct monomial m_mu; points of
+    a width other than the rank of f raise ParamDomainError.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _angles(points, f.n)
     params = family.params
     out = np.zeros(points.shape[0], dtype=float)
+    grids = {}
     for lam, val in f.values.items():
         dl = norm_Delta(lam, params)
-        out = out + float(val) * dl * evaluate_P_grid(family.P(lam), points)
+        out = out + float(val) * dl * _P_grid(family.P(lam), points, grids)
     return out
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,41 @@ from rsmorse.scattering import (
 
 SAMPLES = [0.3, 0.9, 1.7, 2.4, 3.0, -1.2, 5.0]
 
+Q_EQUALS_T = params_from_hat(Fraction(1, 3), Fraction(1, 3), (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)))
+
+
+def _s_pair_literal(x, p, tol=1e-14):
+    """The four q-products of s_pair, each formed at its own argument."""
+    q, t = float(p.q), float(p.t)
+    zp, zm = cmath.exp(1j * x), cmath.exp(-1j * x)
+    num = qpoch_infinite(q * zp, q, tol) * qpoch_infinite(t * zm, q, tol)
+    den = qpoch_infinite(q * zm, q, tol) * qpoch_infinite(t * zp, q, tol)
+    return num / den
+
+
+def _s_one_literal(x, p, tol=1e-14):
+    """The eight q-products of s_one, each formed at its own argument."""
+    q = float(p.q)
+    zp, zm = cmath.exp(1j * x), cmath.exp(-1j * x)
+    out = qpoch_infinite(q * zp * zp, q, tol) / qpoch_infinite(q * zm * zm, q, tol)
+    for th in p.that:
+        out *= qpoch_infinite(float(th) * zm, q, tol) / qpoch_infinite(float(th) * zp, q, tol)
+    return out
+
+
+_RNG = random.Random(22)
+_LITERAL_XS = [0.0, math.pi / 2, -math.pi / 2, math.pi] + [_RNG.uniform(-2 * math.pi, 2 * math.pi) for _ in range(40)]
+
+
+@pytest.mark.parametrize("p", PARAM_SETS + [Q_EQUALS_T], ids=["pA", "pB", "pC", "q=t"])
+def test_factors_equal_their_literal_products(p):
+    # the e^{-ix} products are taken as conjugates; that must not move a bit
+    for x in _LITERAL_XS:
+        assert s_pair(x, p) == _s_pair_literal(x, p)
+        assert s_one(x, p) == _s_one_literal(x, p)
+        assert s_pair(x, p, 1e-10) == _s_pair_literal(x, p, 1e-10)
+        assert s_one(x, p, 1e-10) == _s_one_literal(x, p, 1e-10)
+
 
 class TestPairFactor:
     def test_value_at_zero(self, any_params):
@@ -44,9 +80,8 @@ class TestPairFactor:
 
     def test_free_at_equal_couplings(self):
         # t = q collapses the quotient identically
-        p = params_from_hat(Fraction(1, 3), Fraction(1, 3), (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)))
         for x in SAMPLES:
-            assert abs(s_pair(x, p) - 1) < 1e-15
+            assert abs(s_pair(x, Q_EQUALS_T) - 1) < 1e-15
 
 
 class TestOneBodyFactor:

@@ -101,6 +101,29 @@ class TestWeight:
         with pytest.raises(ParamDomainError, match="tolerance"):
             weight_grid([(2.0, 1.0)], PARAM_SETS[0], tol)
 
+    def test_grid_equals_row_by_row(self):
+        # one-body factors once per distinct angle: no bit may move
+        p = PARAM_SETS[0]
+        points, _ = QuadSpec(24).grid(2)
+        rows = np.concatenate([weight_grid([xi], p) for xi in points])
+        assert np.array_equal(weight_grid(points, p), rows)
+
+    def test_shuffled_repeated_angles_equal_row_by_row(self, any_params):
+        rng = np.random.default_rng(22)
+        angles = rng.uniform(-math.pi, math.pi, 7)
+        points = rng.choice(angles, size=(60, 3))
+        rows = np.concatenate([weight_grid([xi], any_params) for xi in points])
+        assert np.array_equal(weight_grid(points, any_params), rows)
+
+    @pytest.mark.parametrize("points", [[], np.zeros((0, 0)), np.zeros((4, 0))], ids=["list", "0x0", "4x0"])
+    def test_zero_width_rejected(self, points):
+        with pytest.raises(ParamDomainError, match="width 0"):
+            weight_grid(points, PARAM_SETS[0])
+
+    def test_no_points_give_no_weights(self):
+        out = weight_grid(np.zeros((0, 2)), PARAM_SETS[0])
+        assert out.shape == (0,)
+
 
 def _norm_ratio_literal(lam, p):
     """The product formula of norm_ratio on plain Fractions, one qpoch_finite per symbol."""
@@ -295,19 +318,24 @@ class TestGramTable:
         fam = family_for(PARAM_SETS[0])
         labels = partitions_max_weight(2, 4)
         weights = _count_calls(monkeypatch, "weight_grid")
-        grids = _count_calls(monkeypatch, "evaluate_P_grid")
+        grids = _count_calls(monkeypatch, "_monomial_grid")
         norms = _count_calls(monkeypatch, "norm_Delta")
         rows = gram_report(labels, fam, QuadSpec(nodes=120))
         assert len(labels) == 9
         assert len(rows) == 45
         assert len(weights) == 1
-        assert len(grids) == 9
+        # one grid per distinct monomial of the nine P_lam, shared by all of them
+        assert sorted(grids) == sorted(labels)
         assert sorted(norms) == sorted(labels)
 
     @pytest.mark.parametrize(
         "n, nodes, labels",
-        [(1, 200, [(k,) for k in range(7)]), (2, 120, partitions_max_weight(2, 4))],
-        ids=["n1", "n2"],
+        [
+            (1, 200, [(k,) for k in range(7)]),
+            (2, 120, partitions_max_weight(2, 4)),
+            (3, 24, partitions_max_weight(3, 2)),
+        ],
+        ids=["n1", "n2", "n3"],
     )
     def test_matches_per_pair_sum(self, any_params, n, nodes, labels):
         fam = family_for(any_params)
@@ -365,6 +393,26 @@ class TestFourier:
         fam = family_for(p)
         with pytest.raises(ParamDomainError):
             fourier_inverse(np.zeros(7), (0,), fam, QuadSpec(nodes=20))
+
+    def test_points_of_the_wrong_width_are_refused(self):
+        fam = family_for(PARAM_SETS[0])
+        with pytest.raises(ParamDomainError, match="width 1, the rank is 2"):
+            evaluate_P_grid(fam.P((2, 1)), [(0.3,)])
+        with pytest.raises(ParamDomainError, match="width 3, the rank is 2"):
+            fourier_forward(LatticeFunction.delta((1, 0)), np.zeros((5, 3)), fam)
+
+    def test_forward_shares_grids_and_equals_the_sum(self, monkeypatch):
+        p = PARAM_SETS[1]
+        fam = family_for(p)
+        labels = partitions_max_weight(2, 3)
+        f = LatticeFunction(2, {lam: Fraction(k + 1, 3) for k, lam in enumerate(labels)})
+        points, _ = QuadSpec(12).grid(2)
+        ref = np.zeros(len(points))
+        for lam, val in f.values.items():
+            ref = ref + float(val) * norm_Delta(lam, p) * evaluate_P_grid(fam.P(lam), points)
+        grids = _count_calls(monkeypatch, "_monomial_grid")
+        assert np.array_equal(fourier_forward(f, points, fam), ref)
+        assert sorted(grids) == sorted(labels)
 
     def test_evaluate_P_grid_matches_pointwise(self):
         p = PARAM_SETS[2]
