@@ -214,7 +214,20 @@ class PartitionMap:
         return self._of_partitions(self.n, out)
 
     def minus(self, other):
-        return self.plus(other.scaled(-1))
+        """self - other, one subtraction per shared key; a key whose values
+        are equal is dropped without forming a difference."""
+        if other.n != self.n:
+            raise ParamDomainError(f"cannot add maps of ranks {self.n} and {other.n}")
+        out = dict(self.values)
+        for k, v in other.values.items():
+            a = out.get(k)
+            if a is None:
+                out[k] = -v
+            elif a == v:
+                del out[k]
+            else:
+                out[k] = a - v
+        return self._of_partitions(self.n, out)
 
 
 def _perm_parity(sigma):
@@ -503,7 +516,7 @@ class _Factors:
     s and r, in its U form if stay, else in its V form.
     Entries are reduced (numerator, denominator) int pairs (_ratio).
     stay[K, p]: U_{K,p} as an unreduced (numerator, denominator) pair,
-    filled by _hop_coefficient on first use.
+    filled by _stay on first use.
     """
 
     __slots__ = ("n", "one", "mixed", "pair", "stay")
@@ -558,15 +571,20 @@ def _stay_sum(K, p, F):
     return (-num if p % 2 else num), den
 
 
+def _stay(K, p, F):
+    """U_{K,p} from F.stay, summed (_stay_sum) and kept on first use."""
+    u = F.stay.get((K, p))
+    if u is None:
+        u = F.stay[K, p] = _stay_sum(K, p, F)
+    return u
+
+
 def _hop_coefficient(J, eps, l, F):
     """U_{J^c, l-|J|} V_{eps J}: the coefficient of the hop eps J in the l-th integral."""
     rest = tuple(k for k in range(1, F.n + 1) if k not in J)
-    key = (rest, l - len(J))
-    u = F.stay.get(key)
-    if u is None:
-        u = F.stay[key] = _stay_sum(rest, key[1], F)
+    un, ud = _stay(rest, l - len(J), F)
     vn, vd = _hop_product(J, eps, rest, F, False)
-    return Fraction(u[0] * vn, u[1] * vd)
+    return Fraction(un * vn, ud * vd)
 
 
 def _terms(l, F, move):

@@ -9,25 +9,33 @@ Hops that would leave the partition cone are excluded by an explicit
 shape check on the shifted tuple; the corresponding coefficients vanish
 anyway, and tests pin down that consistency.
 
-Hop tables are built once per (l, lam, params) and shared by every
-caller: hop_terms returns a cached tuple of (target, coefficient) pairs.
-Each table build, like each U_coeff and V_coeff call, first computes one
-factor table of (lam, params) holding the one-body and pair factors of
-that label.  The terms come from the signed-hop engine shared with the
-dual integrals (combinatorics._terms) over that table; this module only
-says how the factors are built and how a hop moves lam.
+Every level reads one record per (lam, params) (_record): the factor
+table of lam with its U sums U_{K,p}, and the V products V_{eps J} keyed
+by (J, eps), each summed or multiplied on first use.  None of them
+depends on the level.  Hop tables are built once per (l, lam, params)
+from that record and shared by every caller: hop_terms returns a cached
+tuple of (target, coefficient) pairs.  U_coeff and V_coeff build a
+factor table of their own.  The factors and the U sums and hop products
+over them come from the signed-hop engine shared with the dual integrals
+(combinatorics); this module only says how the factors are built and how
+a hop moves lam.
 
 The factors are reduced (numerator, denominator) int pairs, each formed
 once from the integer numerators and denominators of a_j, a_j/a_k and
 the parameters.  The hop products and U sums multiply and add those
-pairs unreduced, and one Fraction is formed per coefficient.  The closed
+pairs unreduced, and each coefficient is reduced once: a Fraction in a
+hop table, a reduced int pair in a column.  The closed
 forms v_plus and v_minus are their own integer products over the same
 a_j, kept apart from the hop tables so that apply_H checks
 apply_Hl(1, .) independently.
 
-apply_Hl reads the hop tables by columns: the column of (l, nu, params)
-lists every source lam whose table reaches nu, with that coefficient as
-an integer pair, and is built once and cached like the tables.  apply_Hl
+apply_Hl reads the hop coefficients by columns: the column of
+(l, nu, params) lists every source lam with a hop of level l onto nu,
+with that coefficient as a reduced integer pair, and is built once and
+cached like the tables.  Where no coefficient can meet a pole
+(_pole_free), a column forms only its own coefficients from the records
+of its sources; elsewhere it reads them off the full hop tables, so a
+pole is raised as the table build meets it.  apply_Hl
 scatters each support value along its column, sums each output entry as
 an integer pair and forms one Fraction per entry, so it takes int and
 Fraction values only.
@@ -51,11 +59,12 @@ from .combinatorics import (
     _cone_stencil,
     _Factors,
     _hop_coefficient,
+    _hop_product,
     _Lazy,
     _ratio,
     _signed_hops,
+    _stay,
     _stay_sum,
-    _terms,
     check_partition,
     is_partition,
 )
@@ -172,7 +181,8 @@ def apply_H(f, params):
     )
 
 
-# Hop tables kept, one per (l, lam, params), and as many columns, one per (l, nu, params).
+# Records kept, one per (lam, params) for every level; as many hop tables,
+# one per (l, lam, params), and as many columns, one per (l, nu, params).
 HOP_CACHE_SIZE = 4096
 
 
@@ -280,35 +290,95 @@ def hop_terms(l, lam, params):
 
 
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)
-def _hop_table(l, lam, params):
-    def move(J, eps):
-        target = _shift(lam, J, eps)
-        return target if is_partition(target) else None
+def _record(lam, params):
+    """The record of (lam, params) that every level reads: the factor table
+    of lam, whose stay dict keeps its U sums by (K, p), and a dict that
+    keeps its V products by (J, eps).  All entries are int pairs.
+    """
+    return _factors(lam, params), {}
 
-    return tuple(_terms(l, _factors(lam, params), move))
+
+def _coefficient(l, J, eps, record):
+    """U_{J^c, l-|J|} V_{eps J} at the label of record, as an unreduced
+    (numerator, denominator) pair; the U sum is read before the V product,
+    as the signed-hop engine reads them.
+    """
+    F, products = record
+    rest = tuple(k for k in range(1, F.n + 1) if k not in J)
+    un, ud = _stay(rest, l - len(J), F)
+    v = products.get((J, eps))
+    if v is None:
+        v = products[J, eps] = _hop_product(J, eps, rest, F, False)
+    return un * v[0], ud * v[1]
+
+
+@functools.lru_cache(maxsize=HOP_CACHE_SIZE)
+def _hop_table(l, lam, params):
+    record = _record(lam, params)
+    table = []
+    for J, eps in _signed_hops(len(lam), l):
+        target = _shift(lam, J, eps)
+        if is_partition(target):
+            table.append((target, Fraction(*_coefficient(l, J, eps, record))))
+    return tuple(table)
 
 
 # hit and miss counts of the hop-table memo
 hop_terms.cache_info = _hop_table.cache_info
 
 
+def _pole_free(n, params):
+    """True when no hop coefficient of rank n can meet a pole at params.
+
+    Take q, t in (0, 1) and write a_j = t**(n-j) q**lam_j.  The factors
+    of _factors divide by parts of the parameters and of a_j, by t and by
+    1 - a_j/a_k with j != k; the in-pair factors of an up site j and a
+    down site k also divide by 1 - q a_j/a_k.  For j < k,
+    a_j/a_k = t**(k-j) q**(lam_j-lam_k) is below 1 (both exponents are
+    >= 0, the first > 0), so neither 1 - a_j/a_k nor 1 - q a_j/a_k
+    vanishes; for j > k, a_j/a_k is above 1.  For j > k, with d = j - k
+    and m = lam_k - lam_j >= 0, q a_j/a_k = 1 reads q**(1-m) = t**d < 1,
+    so m = 0 and q = t**d.  Hence q a_j/a_k = 1 only if q = t**d with
+    d = j - k in [1, n-1] and lam_j = lam_k, and where q != t**d for every
+    d < n no coefficient of any label meets a pole.  The parts of the
+    parameters do not depend on the label, and every record reads them as
+    it builds its one-body factors.  Outside (0, 1), which an unvalidated
+    parameter set allows, the answer is False.
+    """
+    q, t = params.q, params.t
+    if not (0 < q < 1 and 0 < t < 1):
+        return False
+    qn, qd, tn, td = q.numerator, q.denominator, t.numerator, t.denominator
+    return all(qn * td**d != qd * tn**d for d in range(1, n))
+
+
 def _sources(l, nu):
-    """Every partition lam from which a signed hop of level l reaches nu."""
+    """(J, eps, lam) for every partition lam from which the signed hop
+    (J, eps) of level l reaches nu, in _signed_hops order."""
     for J, eps in _signed_hops(len(nu), l):
         lam = _shift(nu, J, eps, -1)
         if is_partition(lam):
-            yield lam
+            yield J, eps, lam
 
 
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)
 def _column(l, nu, params):
     """(lam, numerator, denominator) of the coefficient of each hop of H_l
-    from a source lam to nu, read off the hop table of lam.
+    from a source lam to nu, reduced, in _sources order.
+
+    Where _pole_free holds, each coefficient alone is formed from the
+    record of its source.  Elsewhere the full hop table of each source is
+    built and read, so the first pole a table meets is raised.
     """
+    lazy = _pole_free(len(nu), params)
     column = []
-    for lam in _sources(l, nu):
-        c = dict(_hop_table(l, lam, params))[nu]
-        column.append((lam, c.numerator, c.denominator))
+    for J, eps, lam in _sources(l, nu):
+        if lazy:
+            num, den = _ratio(*_coefficient(l, J, eps, _record(lam, params)))
+        else:
+            c = dict(_hop_table(l, lam, params))[nu]
+            num, den = c.numerator, c.denominator
+        column.append((lam, num, den))
     return tuple(column)
 
 
@@ -336,7 +406,7 @@ def apply_Hl(l, f, params):
         columns = None
     if columns is None:
         # name the pole that the first source in sorted order meets
-        for lam in sorted({lam for nu in values for lam in _sources(l, nu)}):
+        for lam in sorted({lam for nu in values for _, _, lam in _sources(l, nu)}):
             _hop_table(l, lam, params)
     acc = {}
     for v, column in columns:

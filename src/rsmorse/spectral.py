@@ -47,8 +47,10 @@ def weight_grid(points, params, tol=1e-12):
     No alcove check: the defining product is W-invariant, so off-alcove
     evaluation is used internally for symmetrized quadrature.  The
     one-body factors depend on one angle each, so they are evaluated
-    once per distinct angle of each column and scattered back; the pair
-    factors are evaluated at every point.  A zero-width array raises
+    once per distinct angle of each column and scattered back; the
+    (xi_j + xi_k) pair factors once per distinct sum of two columns (on a
+    tensor grid each sum occurs twice), the (xi_j - xi_k) ones at every
+    point.  A zero-width array raises
     ParamDomainError; an (0, n) array gives an empty weight.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -69,10 +71,11 @@ def weight_grid(points, params, tol=1e-12):
     t = float(params.t)
     for j in range(n):
         for k in range(j + 1, n):
-            zsum = np.exp(1j * (points[:, j] + points[:, k]))
+            sums, where = np.unique(points[:, j] + points[:, k], return_inverse=True)
+            zsum = np.exp(1j * sums)
             zdif = np.exp(1j * (points[:, j] - points[:, k]))
-            num = qpoch_finite(zsum, nfac, q) * qpoch_finite(zdif, nfac, q)
-            den = qpoch_finite(t * zsum, nfac, q) * qpoch_finite(t * zdif, nfac, q)
+            num = qpoch_finite(zsum, nfac, q)[where] * qpoch_finite(zdif, nfac, q)
+            den = qpoch_finite(t * zsum, nfac, q)[where] * qpoch_finite(t * zdif, nfac, q)
             total = total * np.abs(num / den) ** 2
     return total
 

@@ -114,6 +114,47 @@ class TestPartitionMap:
             assert all(type(k) is tuple and len(k) == 2 for k in out.values)
 
 
+def _maps(values):
+    """Pairs of rank-2 maps with overlapping keys and values drawn from values."""
+    keys = st.sampled_from(partitions_max_weight(2, 3))
+    one = st.dictionaries(keys, values, max_size=6).map(lambda d: LatticeFunction(2, d))
+    return st.tuples(one, one)
+
+
+class TestMinus:
+    """minus subtracts directly; it equals adding the negated map."""
+
+    @given(_maps(st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=6)))
+    def test_fractions_equal_plus_negated(self, fg):
+        f, g = fg
+        for a, b in ((f, g), (g, f), (f, f)):
+            got, want = a.minus(b).values, a.plus(b.scaled(-1)).values
+            # same entries in the same order, each of the same type
+            assert list(got.items()) == list(want.items())
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+    @given(_maps(st.floats(-4, 4, allow_nan=False) | st.complex_numbers(max_magnitude=4, allow_nan=False)))
+    def test_floats_and_complex_equal_plus_negated(self, fg):
+        f, g = fg
+        for a, b in ((f, g), (g, f), (f, f)):
+            assert a.minus(b).values == a.plus(b.scaled(-1)).values
+
+    def test_equal_entries_form_no_difference(self):
+        class Value(Fraction):
+            def _formed(self, *other):
+                raise AssertionError("a cancelling entry formed a new value")
+
+            __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __neg__ = _formed
+
+        f = LatticeFunction(2, {(1, 0): Value(2, 3), (2, 0): Fraction(1)})
+        g = LatticeFunction(2, {(1, 0): Value(2, 3)})
+        assert f.minus(g).values == {(2, 0): 1}
+
+    def test_rank_mismatch_text(self):
+        with pytest.raises(ParamDomainError, match=r"^cannot add maps of ranks 3 and 2$"):
+            LatticeFunction(3, {}).minus(LatticeFunction(2, {}))
+
+
 class TestDominance:
     def test_examples(self):
         assert dominance_leq((1, 1), (2, 0))
@@ -462,10 +503,19 @@ class TestStaySumMemo:
     def test_lattice_table(self, monkeypatch):
         from rsmorse.latticeop import _hop_table
 
+        # the record of (2, 1, 0) is shared by every level and every test, so
+        # this reads it at a parameter set no other test reads: a cold record
+        p = params_from_hat(Fraction(3, 11), Fraction(2, 9), (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)))
         keys = self._count_sums(monkeypatch)
-        _hop_table.__wrapped__(3, (2, 1, 0), PARAM_SETS[0])
+        _hop_table.__wrapped__(3, (2, 1, 0), p)
         assert len(keys) == 7
         assert len(set(keys)) == 7
+        # the other levels sum only their own keys: (1, 2, 3) at p = 2 and
+        # three pairs at p = 1 for l = 2, (1, 2, 3) at p = 1 for l = 1
+        for l in (3, 2, 1):
+            _hop_table.__wrapped__(l, (2, 1, 0), p)
+        assert len(keys) == 12
+        assert len(set(keys)) == 12
 
 
 class TestRatio:

@@ -566,6 +566,76 @@ def test_apply_Hl_names_the_first_pole_in_source_order():
     assert poles > 0
 
 
+def _column_reference(l, nu, p):
+    """The column of (l, nu) read off the full hop table of each source, in the
+    order of itertools.product((0, 1, -1), repeat=n) over the back-shifts."""
+    column = []
+    for signs in itertools.product((0, 1, -1), repeat=len(nu)):
+        lam = tuple(x - s for x, s in zip(nu, signs))
+        if sum(map(abs, signs)) <= l and is_partition(lam):
+            c = dict(hop_terms(l, lam, p))[nu]
+            column.append((lam, c.numerator, c.denominator))
+    return column
+
+
+_THAT = ("1/2", "-1/3", "1/5")
+
+
+class TestColumns:
+    """Columns form each coefficient from the record of its source, where no pole can arise."""
+
+    # q = t, t**2 and t**3: the rule admits the ranks below 2, 3 and 4
+    POLE_SETS = [params_from_hat(q, "1/2", _THAT) for q in ("1/2", "1/4", "1/8")]
+
+    def test_entries_equal_hop_tables(self):
+        poles = lazy = 0
+        for p in PARAM_SETS + self.POLE_SETS:
+            for n in range(1, 5):
+                lazy += latticeop._pole_free(n, p)
+                for nu in partitions_max_weight(n, 3):
+                    for l in range(1, n + 1):
+                        # past the column memo, so that every column is formed here
+                        got = _hl_outcome(lambda: list(latticeop._column.__wrapped__(l, nu, p)))
+                        assert got == _hl_outcome(lambda: _column_reference(l, nu, p)), (p, l, nu)
+                        poles += isinstance(got, str)
+        assert poles > 0
+        # 4 ranks for each set of PARAM_SETS; 1, 2 and 3 for q = t, t**2 and t**3
+        assert lazy == 4 * len(PARAM_SETS) + 6
+
+    def test_rule_outside_the_unit_interval(self):
+        for q, t in (("3/2", "1/2"), ("1/2", "3/2"), ("0", "1/2"), ("1/3", "1")):
+            p = params_from_hat(q, t, _THAT, validate=False)
+            assert not latticeop._pole_free(2, p), (q, t)
+
+    def test_pole_free_apply_builds_no_table(self, monkeypatch):
+        # a parameter set no other test reads: every column is formed cold
+        p = params_from_hat("2/11", "3/13", ("-2/9", "1/3", "4/5"))
+        real = latticeop._coefficient
+        formed = []
+
+        def counted(*args):
+            formed.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(latticeop, "_coefficient", counted)
+        for n in (2, 3, 4):
+            assert latticeop._pole_free(n, p)
+            for nu in partitions_max_weight(n, 2):
+                for l in range(1, n + 1):
+                    tables, before = hop_terms.cache_info().misses, len(formed)
+                    apply_Hl(l, LatticeFunction.delta(nu), p)
+                    assert hop_terms.cache_info().misses == tables
+                    assert len(formed) - before == len(latticeop._column(l, nu, p))
+
+
+@settings(deadline=None, max_examples=60)
+@given(in_domain_params(), st.integers(2, 4))
+def test_pole_rule_is_exact(p, n):
+    # at the empty partition every pair of sites has equal parts
+    raised = isinstance(_hl_outcome(lambda: hop_terms(2, (0,) * n, p)), str)
+    assert latticeop._pole_free(n, p) is not raised
+
+
 class TestEpsilon0:
     def test_single_particle(self):
         for p in PARAM_SETS:

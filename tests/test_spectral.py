@@ -102,7 +102,8 @@ class TestWeight:
             weight_grid([(2.0, 1.0)], PARAM_SETS[0], tol)
 
     def test_grid_equals_row_by_row(self):
-        # one-body factors once per distinct angle: no bit may move
+        # one-body factors once per distinct angle, (xi_j + xi_k) pair factors
+        # once per distinct sum (each sum occurs twice here): no bit may move
         p = PARAM_SETS[0]
         points, _ = QuadSpec(24).grid(2)
         rows = np.concatenate([weight_grid([xi], p) for xi in points])
@@ -111,6 +112,7 @@ class TestWeight:
     def test_shuffled_repeated_angles_equal_row_by_row(self, any_params):
         rng = np.random.default_rng(22)
         angles = rng.uniform(-math.pi, math.pi, 7)
+        # repeated angles repeat the pair sums too, in no order
         points = rng.choice(angles, size=(60, 3))
         rows = np.concatenate([weight_grid([xi], any_params) for xi in points])
         assert np.array_equal(weight_grid(points, any_params), rows)
