@@ -455,12 +455,13 @@ class _Monomials(dict):
 # Both families of integrals read  sum over sites J with signs eps, |J| <= l,
 # of U_{J^c, l-|J|} V_{eps J} T_{eps J}  (van Diejen's form).  Each side
 # supplies a _Factors table of its own and a way to move a label or a
-# point; how a coefficient is assembled from the table, and the order of
-# the terms, live only here.  Each side builds every factor as one reduced
-# (numerator, denominator) int pair (_ratio) from the integer parts of its
-# label or point and of the parameters (latticeop._factors, dualop._Point);
-# the hop products and the U sums multiply and add those pairs unreduced,
-# and one Fraction is formed per coefficient.
+# point; how a coefficient is assembled from the table (_hop_coefficient),
+# and the order of the terms (_terms), live only here.  Each side builds
+# every factor as one reduced (numerator, denominator) int pair (_ratio)
+# from the integer parts of its label or point and of the parameters
+# (latticeop._factors, dualop._Point); the hop products and the U sums
+# multiply and add those pairs unreduced, each is kept in its table on
+# first use, and one Fraction is formed per term.
 
 
 def _ratio(num, den):
@@ -515,15 +516,18 @@ class _Factors:
     pair[j, s, k, r, stay]: factor of j and k moved together with signs
     s and r, in its U form if stay, else in its V form.
     Entries are reduced (numerator, denominator) int pairs (_ratio).
-    stay[K, p]: U_{K,p} as an unreduced (numerator, denominator) pair,
-    filled by _stay on first use.
+    stay[K, p]: U_{K,p}, filled by _stay on first use, and hop[J, eps]:
+    V_{eps J}, filled by _hop_coefficient on first use, both unreduced
+    (numerator, denominator) pairs that every level at the label or point
+    reads.
     """
 
-    __slots__ = ("n", "one", "mixed", "pair", "stay")
+    __slots__ = ("n", "one", "mixed", "pair", "stay", "hop")
 
     def __init__(self, n, one, mixed, pair):
         self.n, self.one, self.mixed, self.pair = n, one, mixed, pair
         self.stay = {}
+        self.hop = {}
 
 
 def _hop_product(J, eps, mixed, F, stay):
@@ -580,11 +584,18 @@ def _stay(K, p, F):
 
 
 def _hop_coefficient(J, eps, l, F):
-    """U_{J^c, l-|J|} V_{eps J}: the coefficient of the hop eps J in the l-th integral."""
+    """U_{J^c, l-|J|} V_{eps J}: the coefficient of the hop eps J in the l-th
+    integral, as an unreduced (numerator, denominator) pair.
+
+    U is read before V; V_{eps J} is multiplied (_hop_product) and kept in
+    F.hop on first use.
+    """
     rest = tuple(k for k in range(1, F.n + 1) if k not in J)
     un, ud = _stay(rest, l - len(J), F)
-    vn, vd = _hop_product(J, eps, rest, F, False)
-    return Fraction(un * vn, ud * vd)
+    v = F.hop.get((J, eps))
+    if v is None:
+        v = F.hop[J, eps] = _hop_product(J, eps, rest, F, False)
+    return un * v[0], ud * v[1]
 
 
 def _terms(l, F, move):
@@ -597,7 +608,7 @@ def _terms(l, F, move):
     for J, eps in _signed_hops(F.n, l):
         target = move(J, eps)
         if target is not None:
-            yield target, _hop_coefficient(J, eps, l, F)
+            yield target, Fraction(*_hop_coefficient(J, eps, l, F))
 
 
 def elem_sym(k, z):

@@ -14,17 +14,17 @@ the action is computed by evaluation-interpolation:
   support violation cannot pass silently.
 
 The terms at a point come from the signed-hop engine shared with the
-lattice integrals (combinatorics._terms), over one factor table per
-point; this module only says how the factors are built and how a hop
-moves the point.  The same per-point record (_Point) keeps the term
-lists of each level and the monomial kernels at the point and its
+lattice integrals (combinatorics._terms and _hop_coefficient), over one
+factor table per point; this module only says how the factors are built
+and how a hop moves the point.  The same per-point record (_Point) keeps
+the factor table, whose U sums and V products every level reads, the
+term lists of each level and the monomial kernels at the point and its
 shifts.  The records of a fit live exactly as long as its matrices:
 the n matrices of one (n, params, seed) share one dict of records, so
 no point is evaluated twice by any level or growth step of that fit
 (verify pieri --n 3 --max-weight 6 builds one record for each of its
-54 distinct points).  The coefficient helpers (vhat_signed, uhat_coeff,
-dual_terms_at_point) read a record of their own;
-InvariantPolynomial.evaluate reads combinatorics._monomials_at.
+54 distinct points).  InvariantPolynomial.evaluate reads
+combinatorics._monomials_at.
 
 The fit runs on integers from the point to the solve: each factor-table
 entry is one reduced int pair formed from the integer parts of
@@ -34,8 +34,7 @@ moves up and (a_j q_d, b_j q_n) for one that moves down (_dual_terms),
 so no shifted point is formed as a Fraction; monomials come from the
 integer kernel combinatorics._Monomials at those parts; and each row of
 the linear system is a list of ints whose scale is known in closed form
-(_row).  dual_terms_at_point is the public Fraction view of the same
-terms.  _one_body and _pair_t stay only behind vhat and
+(_row).  _one_body and _pair_t stay only behind vhat and
 apply_dual_h_pointwise, the independent baseline of the l = 1 action.
 
 The matrix of Hhat_l on the monomial basis is built once per
@@ -63,12 +62,10 @@ from .combinatorics import (
     _check_sites,
     _exact_ints,
     _Factors,
-    _hop_product,
     _Lazy,
     _Monomials,
     _monomials_at,
     _ratio,
-    _stay_sum,
     _terms,
     check_partition,
     dominance_leq,
@@ -81,8 +78,6 @@ __all__ = [
     "InvariantPolynomial",
     "vhat",
     "apply_dual_h_pointwise",
-    "uhat_coeff",
-    "vhat_signed",
     "generic_points",
     "DualMatrix",
     "dual_matrix",
@@ -184,13 +179,14 @@ def _pair_factor(wn, wd, stay, params):
 
 
 class _Point:
-    """What every fit and coefficient helper reads at one point z.
+    """What every fit reads at one point z.
 
     pairs: the integer parts (a_j, b_j) of z_j = a_j/b_j, each z_j a
     nonzero int or Fraction (else ParamDomainError).  factors: the factor
-    table of z.  at: at[w] = _Monomials(w), the integer monomial kernel
-    at z (w = pairs) or at one of its shifted points, written unreduced
-    as _dual_terms builds them.  terms: {l: what _level returns for
+    table of z, with the U sums and V products every level reads.
+    at: at[w] = _Monomials(w), the integer monomial kernel at z
+    (w = pairs) or at one of its shifted points, written unreduced as
+    _dual_terms builds them.  terms: {l: what _level returns for
     Hhat_l at z}, so each shifted point is hashed once per level, not
     once per term and label.
 
@@ -274,38 +270,6 @@ def apply_dual_h_pointwise(peval, z, params):
     return total
 
 
-def vhat_signed(J, eps, z, params):
-    """Hop coefficient Vhat_{eps J}(z) of the dual integral.
-
-    One-body factors at z_j^(eps_j) for j in J; mixed factors against
-    the unshifted coordinates outside J; and for pairs inside J the extra
-    (1 - t q u_j u_k)/(1 - q u_j u_k) factor with u = z^eps.
-    """
-    z = tuple(z)
-    J = tuple(J)
-    eps = tuple(eps)
-    _check_sites(J, len(z))
-    if len(eps) != len(J) or not all(s in (1, -1) for s in eps):
-        raise ParamDomainError(f"signs {eps} must be one of +-1 per site of {J}")
-    outside = [k for k in range(1, len(z) + 1) if k not in J]
-    return Fraction(*_hop_product(J, eps, outside, _Point(z, params).factors, False))
-
-
-def uhat_coeff(K, p, z, params):
-    """Stay-put coefficient Uhat_{K,p}(z) of the dual integral.
-
-    (-1)^p sum over I in K with |I| = p and signs eps on I of one-body,
-    mixed (against K minus I) and in-pair products; the in-pair q-factor
-    here is (t - q u_j u_k)/(1 - q u_j u_k).  Uhat_{K,0} = 1.
-    """
-    z = tuple(z)
-    K = tuple(sorted(K))
-    _check_sites(K, len(z))
-    if p < 0:
-        raise ParamDomainError(f"order p must be >= 0, got {p}")
-    return Fraction(*_stay_sum(K, p, _Point(z, params).factors))
-
-
 def _dual_terms(l, rec, params):
     """((pairs, s), coefficient) of each term of Hhat_l at rec's point, from its hop.
 
@@ -326,20 +290,6 @@ def _dual_terms(l, rec, params):
         return tuple(pairs), len(J)
 
     return _terms(l, rec.factors, move)
-
-
-def dual_terms_at_point(l, z, params):
-    """All (shifted point, coefficient) pairs of Hhat_l at the point z.
-
-    The operator acts as sum over subsets J with signs eps of
-    Uhat_{J^c, l-|J|}(z) Vhat_{eps J}(z) shifting z_j -> q^(eps_j) z_j
-    for j in J.  The Fraction view of the terms the fit reads
-    (_dual_terms); returns a new list.
-    """
-    z = tuple(z)
-    _check_level(l, len(z))
-    terms = _dual_terms(l, _Point(z, params), params)
-    return [(tuple(Fraction(a, b) for a, b in pairs), c) for (pairs, _), c in terms]
 
 
 def generic_points(n, count, params, seed):

@@ -9,16 +9,14 @@ Hops that would leave the partition cone are excluded by an explicit
 shape check on the shifted tuple; the corresponding coefficients vanish
 anyway, and tests pin down that consistency.
 
-Every level reads one record per (lam, params) (_record): the factor
-table of lam with its U sums U_{K,p}, and the V products V_{eps J} keyed
-by (J, eps), each summed or multiplied on first use.  None of them
-depends on the level.  Hop tables are built once per (l, lam, params)
-from that record and shared by every caller: hop_terms returns a cached
-tuple of (target, coefficient) pairs.  U_coeff and V_coeff build a
-factor table of their own.  The factors and the U sums and hop products
-over them come from the signed-hop engine shared with the dual integrals
-(combinatorics); this module only says how the factors are built and how
-a hop moves lam.
+Every level reads one factor table per (lam, params) (_factors, cached),
+which keeps the U sums U_{K,p} and the V products V_{eps J} it has
+formed.  None of them depends on the level.  The coefficients and the
+order of the hops come from the signed-hop engine shared with the dual
+integrals (combinatorics._terms and _hop_coefficient); this module only
+says how the factors are built and how a hop moves lam.  Hop tables are
+built once per (l, lam, params) and shared by every caller: hop_terms
+returns a cached tuple of (target, coefficient) pairs.
 
 The factors are reduced (numerator, denominator) int pairs, each formed
 once from the integer numerators and denominators of a_j, a_j/a_k and
@@ -32,10 +30,10 @@ apply_Hl(1, .) independently.
 apply_Hl reads the hop coefficients by columns: the column of
 (l, nu, params) lists every source lam with a hop of level l onto nu,
 with that coefficient as a reduced integer pair, and is built once and
-cached like the tables.  Where no coefficient can meet a pole
-(_pole_free), a column forms only its own coefficients from the records
-of its sources; elsewhere it reads them off the full hop tables, so a
-pole is raised as the table build meets it.  apply_Hl
+cached like the tables.  A column forms only its own coefficients from
+the factor tables of its sources.  Where a coefficient might meet a
+pole (not _pole_free), it first builds the full hop table of each
+source, so a pole is raised as the table build meets it.  apply_Hl
 scatters each support value along its column, sums each output entry as
 an integer pair and forms one Fraction per entry, so it takes int and
 Fraction values only.
@@ -59,12 +57,10 @@ from .combinatorics import (
     _cone_stencil,
     _Factors,
     _hop_coefficient,
-    _hop_product,
     _Lazy,
     _ratio,
     _signed_hops,
-    _stay,
-    _stay_sum,
+    _terms,
     check_partition,
     is_partition,
 )
@@ -75,8 +71,6 @@ __all__ = [
     "v_plus",
     "v_minus",
     "apply_H",
-    "V_coeff",
-    "U_coeff",
     "hop_terms",
     "apply_Hl",
     "epsilon0",
@@ -181,11 +175,12 @@ def apply_H(f, params):
     )
 
 
-# Records kept, one per (lam, params) for every level; as many hop tables,
-# one per (l, lam, params), and as many columns, one per (l, nu, params).
+# Factor tables kept, one per (lam, params) for every level; as many hop
+# tables, one per (l, lam, params), and as many columns, one per (l, nu, params).
 HOP_CACHE_SIZE = 4096
 
 
+@functools.lru_cache(maxsize=HOP_CACHE_SIZE)
 def _factors(lam, params):
     """The factor table of the hop coefficients at lam (1-based sites).
 
@@ -201,6 +196,8 @@ def _factors(lam, params):
 
     Each entry is one reduced int pair (combinatorics._ratio) formed from
     the integer numerators and denominators of a_j, r and the parameters.
+    The table is shared by every level at lam, and so are the U sums and
+    V products kept in it.
     """
     n = len(lam)
     t, q = params.t, params.q
@@ -250,31 +247,6 @@ def _factors(lam, params):
     return _Factors(n, one, mixed, _Lazy(pair))
 
 
-def V_coeff(Jplus, Jminus, lam, params):
-    """Hop-product coefficient V_{J+,J-}(lam) of the integral H_l."""
-    lam = check_partition(lam)
-    Jp = tuple(sorted(set(Jplus)))
-    Jm = tuple(sorted(set(Jminus)))
-    _check_sites(Jp + Jm, len(lam))
-    # U_{rest, 0} = 1, so the coefficient at level |J+| + |J-| is V alone
-    signs = (1,) * len(Jp) + (-1,) * len(Jm)
-    return _hop_coefficient(Jp + Jm, signs, len(signs), _factors(lam, params))
-
-
-def U_coeff(K, p, lam, params):
-    """Stay-put coefficient U_{K,p}(lam) of the integral H_l.
-
-    Signed sum over disjoint I+, I- inside K with |I+| + |I-| = p of
-    one-body and pair factors; U_{K,0} = 1 and U_{K,p} = 0 for p > |K|.
-    """
-    lam = check_partition(lam)
-    if p < 0:
-        raise ParamDomainError(f"order p must be >= 0, got {p}")
-    K = tuple(sorted(set(K)))
-    _check_sites(K, len(lam))
-    return Fraction(*_stay_sum(K, p, _factors(lam, params)))
-
-
 def hop_terms(l, lam, params):
     """All admissible hops of H_l at lam, as (target, coefficient) pairs.
 
@@ -290,37 +262,12 @@ def hop_terms(l, lam, params):
 
 
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)
-def _record(lam, params):
-    """The record of (lam, params) that every level reads: the factor table
-    of lam, whose stay dict keeps its U sums by (K, p), and a dict that
-    keeps its V products by (J, eps).  All entries are int pairs.
-    """
-    return _factors(lam, params), {}
-
-
-def _coefficient(l, J, eps, record):
-    """U_{J^c, l-|J|} V_{eps J} at the label of record, as an unreduced
-    (numerator, denominator) pair; the U sum is read before the V product,
-    as the signed-hop engine reads them.
-    """
-    F, products = record
-    rest = tuple(k for k in range(1, F.n + 1) if k not in J)
-    un, ud = _stay(rest, l - len(J), F)
-    v = products.get((J, eps))
-    if v is None:
-        v = products[J, eps] = _hop_product(J, eps, rest, F, False)
-    return un * v[0], ud * v[1]
-
-
-@functools.lru_cache(maxsize=HOP_CACHE_SIZE)
 def _hop_table(l, lam, params):
-    record = _record(lam, params)
-    table = []
-    for J, eps in _signed_hops(len(lam), l):
+    def move(J, eps):
         target = _shift(lam, J, eps)
-        if is_partition(target):
-            table.append((target, Fraction(*_coefficient(l, J, eps, record))))
-    return tuple(table)
+        return target if is_partition(target) else None
+
+    return tuple(_terms(l, _factors(lam, params), move))
 
 
 # hit and miss counts of the hop-table memo
@@ -341,9 +288,9 @@ def _pole_free(n, params):
     so m = 0 and q = t**d.  Hence q a_j/a_k = 1 only if q = t**d with
     d = j - k in [1, n-1] and lam_j = lam_k, and where q != t**d for every
     d < n no coefficient of any label meets a pole.  The parts of the
-    parameters do not depend on the label, and every record reads them as
-    it builds its one-body factors.  Outside (0, 1), which an unvalidated
-    parameter set allows, the answer is False.
+    parameters do not depend on the label, and every factor table reads
+    them as it builds its one-body factors.  Outside (0, 1), which an
+    unvalidated parameter set allows, the answer is False.
     """
     q, t = params.q, params.t
     if not (0 < q < 1 and 0 < t < 1):
@@ -366,19 +313,16 @@ def _column(l, nu, params):
     """(lam, numerator, denominator) of the coefficient of each hop of H_l
     from a source lam to nu, reduced, in _sources order.
 
-    Where _pole_free holds, each coefficient alone is formed from the
-    record of its source.  Elsewhere the full hop table of each source is
-    built and read, so the first pole a table meets is raised.
+    Each coefficient alone is formed from the factor table of its source.
+    Where _pole_free fails, the full hop table of each source is built
+    first, as a probe, so the first pole a table meets is raised.
     """
-    lazy = _pole_free(len(nu), params)
+    probe = not _pole_free(len(nu), params)
     column = []
     for J, eps, lam in _sources(l, nu):
-        if lazy:
-            num, den = _ratio(*_coefficient(l, J, eps, _record(lam, params)))
-        else:
-            c = dict(_hop_table(l, lam, params))[nu]
-            num, den = c.numerator, c.denominator
-        column.append((lam, num, den))
+        if probe:
+            _hop_table(l, lam, params)
+        column.append((lam, *_ratio(*_hop_coefficient(J, eps, l, _factors(lam, params)))))
     return tuple(column)
 
 
@@ -403,11 +347,10 @@ def apply_Hl(l, f, params):
     try:
         columns = [(v, _column(l, nu, params)) for nu, v in values.items()]
     except PoleError:
-        columns = None
-    if columns is None:
         # name the pole that the first source in sorted order meets
         for lam in sorted({lam for nu in values for _, _, lam in _sources(l, nu)}):
             _hop_table(l, lam, params)
+        raise
     acc = {}
     for v, column in columns:
         vn, vd = v.numerator, v.denominator

@@ -472,7 +472,8 @@ class TestSpectralEigenvalues:
 
 
 class TestStaySumMemo:
-    """Each U_{K,p} of one factor table is summed once, not once per sign pattern."""
+    """Each U_{K,p} and each V_{eps J} of one factor table is formed once, not
+    once per sign pattern or level."""
 
     @staticmethod
     def _count_sums(monkeypatch):
@@ -489,25 +490,52 @@ class TestStaySumMemo:
         monkeypatch.setattr(comb, "_stay_sum", spy)
         return keys
 
-    def test_dual_point(self, monkeypatch):
-        from rsmorse.dualop import dual_terms_at_point
+    @staticmethod
+    def _count_products(monkeypatch):
+        """(J, eps) of each V product formed, i.e. each _hop_product(..., stay=False)."""
+        import rsmorse.combinatorics as comb
 
-        # the call reads a cold factor table of its own
+        real = comb._hop_product
+        keys = []
+
+        def spy(J, eps, mixed, F, stay):
+            if not stay:
+                keys.append((J, eps))
+            return real(J, eps, mixed, F, stay)
+
+        monkeypatch.setattr(comb, "_hop_product", spy)
+        return keys
+
+    def test_dual_point(self, monkeypatch):
+        from rsmorse.dualop import _dual_terms, _Point
+
+        # a record of the test's own: a cold factor table
         keys = self._count_sums(monkeypatch)
-        z = (Fraction(2, 3), Fraction(5, 7), Fraction(11, 13))
-        dual_terms_at_point(3, z, PARAM_SETS[0])
+        products = self._count_products(monkeypatch)
+        p = PARAM_SETS[0]
+        rec = _Point((Fraction(2, 3), Fraction(5, 7), Fraction(11, 13)), p)
+        list(_dual_terms(3, rec, p))
         # (1, 2, 3) at p = 3, three pairs at p = 2, three singletons at p = 1
         assert len(keys) == 7
         assert len(set(keys)) == 7
+        # the other levels sum only their own keys, as on the lattice side,
+        # and form no V product: level 3 holds all 3**3 signed hops
+        for l in (2, 1):
+            list(_dual_terms(l, rec, p))
+        assert len(keys) == 12
+        assert len(set(keys)) == 12
+        assert len(products) == 27
+        assert len(set(products)) == 27
 
     def test_lattice_table(self, monkeypatch):
         from rsmorse.latticeop import _hop_table
 
-        # the record of (2, 1, 0) is shared by every level and every test, so
-        # this reads it at a parameter set no other test reads: a cold record
+        # the factor table of (2, 1, 0) is shared by every level and every test,
+        # so this reads it at a parameter set no other test reads: a cold table
         p = params_from_hat(Fraction(3, 11), Fraction(2, 9), (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)))
         keys = self._count_sums(monkeypatch)
-        _hop_table.__wrapped__(3, (2, 1, 0), p)
+        products = self._count_products(monkeypatch)
+        table = _hop_table.__wrapped__(3, (2, 1, 0), p)
         assert len(keys) == 7
         assert len(set(keys)) == 7
         # the other levels sum only their own keys: (1, 2, 3) at p = 2 and
@@ -516,6 +544,10 @@ class TestStaySumMemo:
             _hop_table.__wrapped__(l, (2, 1, 0), p)
         assert len(keys) == 12
         assert len(set(keys)) == 12
+        # one V product per admissible hop of level 3, which holds those of levels 1 and 2
+        assert len(table) == 13
+        assert len(products) == 13
+        assert len(set(products)) == 13
 
 
 class TestRatio:

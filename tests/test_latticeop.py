@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsmorse.combinatorics import check_partition, is_partition, partitions_max_weight
+from rsmorse.combinatorics import _hop_coefficient, _stay_sum, check_partition, is_partition, partitions_max_weight
 from rsmorse import latticeop
 from rsmorse.errors import ParamDomainError, PoleError
 from rsmorse.latticeop import (
     LatticeFunction,
-    U_coeff,
-    V_coeff,
     apply_H,
     apply_Hl,
     commutator_on_delta,
@@ -28,6 +26,18 @@ from rsmorse.latticeop import (
 from rsmorse.qcore import params_from_hat
 
 from conftest import PARAM_SETS, in_domain_params
+
+
+def _V(Jp, Jm, lam, p):
+    """V_{J+,J-}(lam), the coefficient of the hop at level |J+| + |J-|, where U_{rest, 0} = 1,
+    over a cold factor table of lam."""
+    signs = (1,) * len(Jp) + (-1,) * len(Jm)
+    return Fraction(*_hop_coefficient(Jp + Jm, signs, len(signs), latticeop._factors.__wrapped__(lam, p)))
+
+
+def _U(K, order, lam, p):
+    """U_{K,order}(lam) over a cold factor table of lam."""
+    return Fraction(*_stay_sum(K, order, latticeop._factors.__wrapped__(lam, p)))
 
 
 def _shifted(lam, j, step):
@@ -121,14 +131,14 @@ class TestApplyH:
 
 class TestHigherIntegrals:
     def test_V_trivial(self):
-        v = V_coeff((), (), (1, 0), PARAM_SETS[0])
+        v = _V((), (), (1, 0), PARAM_SETS[0])
         assert v == 1 and type(v) is Fraction
 
     def test_U_trivial_and_overflow(self):
         p = PARAM_SETS[0]
         cases = {((1, 2), 0): 1, ((1,), 2): 0, ((), 1): 0}
         for (K, order), expected in cases.items():
-            u = U_coeff(K, order, (1, 0), p)
+            u = _U(K, order, (1, 0), p)
             assert u == expected and type(u) is Fraction
 
     def test_V_singletons_match_hop_weights(self):
@@ -136,12 +146,8 @@ class TestHigherIntegrals:
             for lam in [(1, 0), (2, 1), (3, 1, 0)]:
                 n = len(lam)
                 for j in range(1, n + 1):
-                    assert V_coeff((j,), (), lam, p) == v_plus(lam, j, p)
-                    assert V_coeff((), (j,), lam, p) == v_minus(lam, j, p)
-
-    def test_overlapping_sets_rejected(self):
-        with pytest.raises(ParamDomainError):
-            V_coeff((1,), (1,), (1, 0), PARAM_SETS[0])
+                    assert _V((j,), (), lam, p) == v_plus(lam, j, p)
+                    assert _V((), (j,), lam, p) == v_minus(lam, j, p)
 
     def test_level_one_reduces_to_H(self):
         rng = random.Random(21)
@@ -234,7 +240,7 @@ class TestClosedForms:
                                 expected *= mix_up(i, m)
                             for i in Jm:
                                 expected *= mix_down(i, m)
-                        assert V_coeff(Jp, Jm, lam, p) == expected, (lam, Jp, Jm)
+                        assert _V(Jp, Jm, lam, p) == expected, (lam, Jp, Jm)
 
     def test_U_first_and_second_order(self):
         for p in PARAM_SETS:
@@ -249,7 +255,7 @@ class TestClosedForms:
                             others = [m for m in K if m != j]
                             first += up[j] * math.prod(mix_up(j, m) for m in others)
                             first += down[j] * math.prod(mix_down(j, m) for m in others)
-                        assert U_coeff(K, 1, lam, p) == -first
+                        assert _U(K, 1, lam, p) == -first
                         second = 0
                         for j, k in itertools.combinations(K, 2):
                             rest = [m for m in K if m not in (j, k)]
@@ -264,7 +270,7 @@ class TestClosedForms:
                             for m in rest:
                                 term *= mix_up(j, m) * mix_down(k, m)
                             second += term
-                        assert U_coeff(K, 2, lam, p) == second, (lam, K)
+                        assert _U(K, 2, lam, p) == second, (lam, K)
 
 
 def _pair_literal(a, p, lam, j, s, k, sk, stay):
@@ -340,7 +346,7 @@ def _outcome(fn):
 
 
 class TestLiteralReference:
-    """hop_terms and U_coeff against plain-Fraction sums written from the formulas."""
+    """hop_terms and the U sums against plain-Fraction sums written from the formulas."""
 
     PARAMS = PARAM_SETS + [
         params_from_hat("1/2", "1/2", ("1/2", "-1/3", "1/5")),  # q = t
@@ -365,7 +371,7 @@ class TestLiteralReference:
                 for size in range(4):
                     for K in itertools.combinations((1, 2, 3), size):
                         for order in range(size + 2):
-                            assert U_coeff(K, order, lam, p) == _U_literal(K, order, lam, p)
+                            assert _U(K, order, lam, p) == _U_literal(K, order, lam, p)
 
     def test_pole_text_at_q_equal_t(self):
         p = self.PARAMS[3]
@@ -610,14 +616,14 @@ class TestColumns:
     def test_pole_free_apply_builds_no_table(self, monkeypatch):
         # a parameter set no other test reads: every column is formed cold
         p = params_from_hat("2/11", "3/13", ("-2/9", "1/3", "4/5"))
-        real = latticeop._coefficient
+        real = latticeop._hop_coefficient
         formed = []
 
         def counted(*args):
             formed.append(args)
             return real(*args)
 
-        monkeypatch.setattr(latticeop, "_coefficient", counted)
+        monkeypatch.setattr(latticeop, "_hop_coefficient", counted)
         for n in (2, 3, 4):
             assert latticeop._pole_free(n, p)
             for nu in partitions_max_weight(n, 2):
