@@ -266,17 +266,6 @@ class SignedPermutation:
         if any(s not in (1, -1) for s in self.signs):
             raise ParamDomainError(f"signs must be +-1, got {self.signs}")
 
-    @classmethod
-    def identity(cls, n):
-        return cls(tuple(range(n)), (1,) * n)
-
-    @classmethod
-    def random(cls, n, rng):
-        sigma = list(range(n))
-        rng.shuffle(sigma)
-        signs = tuple(rng.choice((1, -1)) for _ in range(n))
-        return cls(tuple(sigma), signs)
-
     def apply(self, vec):
         n = len(self.sigma)
         if len(vec) != n:
@@ -291,13 +280,6 @@ class SignedPermutation:
         for e in self.signs:
             s *= e
         return s
-
-    def compose(self, other):
-        """self after other: (self*other)(v) = self(other(v))."""
-        n = len(self.sigma)
-        sigma = tuple(self.sigma[other.sigma[i]] for i in range(n))
-        signs = tuple(other.signs[i] * self.signs[other.sigma[i]] for i in range(n))
-        return SignedPermutation(sigma, signs)
 
 
 # Orbits kept, one per distinct mu.
@@ -519,13 +501,15 @@ class _Factors:
     stay[K, p]: U_{K,p}, filled by _stay on first use, and hop[J, eps]:
     V_{eps J}, filled by _hop_coefficient on first use, both unreduced
     (numerator, denominator) pairs that every level at the label or point
-    reads.
+    reads.  pole: the first (j, k), in (j, k) order, whose in-pair factors
+    of up site j and down site k divide by zero (latticeop._factors); None
+    where there is none, and at every dual point.
     """
 
-    __slots__ = ("n", "one", "mixed", "pair", "stay", "hop")
+    __slots__ = ("n", "one", "mixed", "pair", "pole", "stay", "hop")
 
-    def __init__(self, n, one, mixed, pair):
-        self.n, self.one, self.mixed, self.pair = n, one, mixed, pair
+    def __init__(self, n, one, mixed, pair, pole=None):
+        self.n, self.one, self.mixed, self.pair, self.pole = n, one, mixed, pair, pole
         self.stay = {}
         self.hop = {}
 

@@ -31,12 +31,14 @@ apply_Hl reads the hop coefficients by columns: the column of
 (l, nu, params) lists every source lam with a hop of level l onto nu,
 with that coefficient as a reduced integer pair, and is built once and
 cached like the tables.  A column forms only its own coefficients from
-the factor tables of its sources.  Where a coefficient might meet a
-pole (not _pole_free), it first builds the full hop table of each
-source, so a pole is raised as the table build meets it.  apply_Hl
-scatters each support value along its column, sums each output entry as
-an integer pair and forms one Fraction per entry, so it takes int and
-Fraction values only.
+the factor tables of its sources and builds no hop table.  Each factor
+table records the first pair of sites whose in-pair factors divide by
+zero (_Factors.pole), and every hop table of level l >= 2 meets that
+pair first, so a column raises the pole of its first source that has
+one, with the text that source's table raises (_checked_factors).
+apply_Hl scatters each support value along its column, sums each output
+entry as an integer pair and forms one Fraction per entry, so it takes
+int and Fraction values only.
 
 Sign convention for the square-root prefactors of the hop coefficients:
 sqrt(q*t0/(t1*t2)) = 1/that0 and sqrt(t1*t2/(q*t0)) = that0, which is an
@@ -192,7 +194,8 @@ def _factors(lam, params):
     (1 - t r)/(1 - r) times (1/t - q r)/(1 - q r) in V or
     (1 - q r/t)/(1 - q r) in U: the only factors with a pole on the
     parameter domain (1 - q r = 0, e.g. at q = t**(j-k) when
-    lam_j = lam_k), raised as a PoleError naming lam and the pair.
+    lam_j = lam_k), raised as a PoleError naming lam and the pair.  The
+    first such (j, k), in (j, k) order, is kept as the table's pole.
 
     Each entry is one reduced int pair (combinatorics._ratio) formed from
     the integer numerators and denominators of a_j, r and the parameters.
@@ -208,7 +211,7 @@ def _factors(lam, params):
     ad = [None] + [td ** (n - j) * qd ** lam[j - 1] for j in range(1, n + 1)]
     h0n, h0d = params.that0.numerator, params.that0.denominator
     t0, t1, t2 = params.t0, params.t1, params.t2
-    one, mixed = {}, {}
+    one, mixed, pole = {}, {}, None
     for j in range(1, n + 1):
         x, y = an[j], ad[j]
         one[j, 1] = _ratio(
@@ -225,6 +228,8 @@ def _factors(lam, params):
                 rn, rd = x * ad[k], y * an[k]
                 mixed[j, 1, k] = _ratio(td * rd - tn * rn, tn * (rd - rn))
                 mixed[j, -1, k] = _ratio(tn * rd - td * rn, td * (rd - rn))
+                if pole is None and qd * rd == qn * rn:
+                    pole = j, k
 
     def pair(j, s, k, sk, stay):
         if s == sk:
@@ -236,15 +241,38 @@ def _factors(lam, params):
             j, k = k, j
         rn, rd = an[j] * ad[k], ad[j] * an[k]
         if qd * rd == qn * rn:
-            factor = "(1 - q r/t)/(1 - q r)" if stay else "(1/t - q r)/(1 - q r)"
-            raise PoleError(
-                f"pole of H_l at lam={lam}: the factor {factor} of the pair "
-                f"(j, k) = ({j}, {k}) divides by 1 - q a_j/a_k = 0"
-            )
+            raise _pole_error(lam, j, k, stay)
         head = (tn * qd * rd - td * qn * rn) if stay else (td * qd * rd - tn * qn * rn)
         return _ratio((td * rd - tn * rn) * head, td * tn * (rd - rn) * (qd * rd - qn * rn))
 
-    return _Factors(n, one, mixed, _Lazy(pair))
+    return _Factors(n, one, mixed, _Lazy(pair), pole)
+
+
+def _pole_error(lam, j, k, stay):
+    """The PoleError of the in-pair factor of up site j and down site k at lam."""
+    factor = "(1 - q r/t)/(1 - q r)" if stay else "(1/t - q r)/(1 - q r)"
+    return PoleError(
+        f"pole of H_l at lam={lam}: the factor {factor} of the pair "
+        f"(j, k) = ({j}, {k}) divides by 1 - q a_j/a_k = 0"
+    )
+
+
+def _checked_factors(l, lam, params):
+    """The factor table of lam, after raising the pole every hop table of
+    level l at lam meets.
+
+    Every hop table first forms U_{[n],l} of the staying hop (J empty,
+    always admissible).  For l >= 2 its terms with |I+| = 1 read the U
+    form of the in-pair factor of each up site j and down site k, and the
+    first pole they meet is at the first such pair in (j, k) order; level
+    1 reads no in-pair factor.  So, for any q and t, a hop table of level
+    l raises exactly when l >= 2 and the table has a pole, and this raises
+    the same PoleError.
+    """
+    F = _factors(lam, params)
+    if l > 1 and F.pole:
+        raise _pole_error(lam, *F.pole, True)
+    return F
 
 
 def hop_terms(l, lam, params):
@@ -274,31 +302,6 @@ def _hop_table(l, lam, params):
 hop_terms.cache_info = _hop_table.cache_info
 
 
-def _pole_free(n, params):
-    """True when no hop coefficient of rank n can meet a pole at params.
-
-    Take q, t in (0, 1) and write a_j = t**(n-j) q**lam_j.  The factors
-    of _factors divide by parts of the parameters and of a_j, by t and by
-    1 - a_j/a_k with j != k; the in-pair factors of an up site j and a
-    down site k also divide by 1 - q a_j/a_k.  For j < k,
-    a_j/a_k = t**(k-j) q**(lam_j-lam_k) is below 1 (both exponents are
-    >= 0, the first > 0), so neither 1 - a_j/a_k nor 1 - q a_j/a_k
-    vanishes; for j > k, a_j/a_k is above 1.  For j > k, with d = j - k
-    and m = lam_k - lam_j >= 0, q a_j/a_k = 1 reads q**(1-m) = t**d < 1,
-    so m = 0 and q = t**d.  Hence q a_j/a_k = 1 only if q = t**d with
-    d = j - k in [1, n-1] and lam_j = lam_k, and where q != t**d for every
-    d < n no coefficient of any label meets a pole.  The parts of the
-    parameters do not depend on the label, and every factor table reads
-    them as it builds its one-body factors.  Outside (0, 1), which an
-    unvalidated parameter set allows, the answer is False.
-    """
-    q, t = params.q, params.t
-    if not (0 < q < 1 and 0 < t < 1):
-        return False
-    qn, qd, tn, td = q.numerator, q.denominator, t.numerator, t.denominator
-    return all(qn * td**d != qd * tn**d for d in range(1, n))
-
-
 def _sources(l, nu):
     """(J, eps, lam) for every partition lam from which the signed hop
     (J, eps) of level l reaches nu, in _signed_hops order."""
@@ -313,17 +316,15 @@ def _column(l, nu, params):
     """(lam, numerator, denominator) of the coefficient of each hop of H_l
     from a source lam to nu, reduced, in _sources order.
 
-    Each coefficient alone is formed from the factor table of its source.
-    Where _pole_free fails, the full hop table of each source is built
-    first, as a probe, so the first pole a table meets is raised.
+    Each coefficient alone is formed from the factor table of its source,
+    read through _checked_factors, so the column raises the pole that the
+    full hop table of its first source in _sources order with a pole
+    would meet, and builds no hop table.
     """
-    probe = not _pole_free(len(nu), params)
-    column = []
-    for J, eps, lam in _sources(l, nu):
-        if probe:
-            _hop_table(l, lam, params)
-        column.append((lam, *_ratio(*_hop_coefficient(J, eps, l, _factors(lam, params)))))
-    return tuple(column)
+    return tuple(
+        (lam, *_ratio(*_hop_coefficient(J, eps, l, _checked_factors(l, lam, params))))
+        for J, eps, lam in _sources(l, nu)
+    )
 
 
 def apply_Hl(l, f, params):
@@ -349,7 +350,7 @@ def apply_Hl(l, f, params):
     except PoleError:
         # name the pole that the first source in sorted order meets
         for lam in sorted({lam for nu in values for _, _, lam in _sources(l, nu)}):
-            _hop_table(l, lam, params)
+            _checked_factors(l, lam, params)
         raise
     acc = {}
     for v, column in columns:

@@ -105,13 +105,15 @@ def _qpoch_ints(xn, xd, qn, qd, m):
 def truncation_order(x, q, tol):
     """Smallest N with |x| |q|^N < tol (N = 0 when |x| < tol already).
 
-    Computed in floats, also for exact x and q.  tol must be a finite
-    number > 0; raises TruncationCapError when N exceeds
+    Computed in floats, also for exact x and q.  |x| and tol must be
+    finite and tol > 0; raises TruncationCapError when N exceeds
     ``MAX_QPOCH_FACTORS`` (q extremely close to 1, or rounding to 1).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ParamDomainError(f"truncation tolerance must be a finite number > 0, got {tol}")
     ax = float(abs(x))
+    if not math.isfinite(ax):
+        raise ParamDomainError(f"truncation order needs a finite |x|, got x={x!r}")
     if ax < tol:
         return 0
     aq = float(abs(q))

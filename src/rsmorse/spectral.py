@@ -372,6 +372,18 @@ class ConjugatedMatrix:
 
 
 def conjugated_H_matrix(l, cutoff, params, n):
+    """The symmetric matrix of H_l on the labels partitions_max_weight(n, cutoff).
+
+    Read from the hop tables of the labels (hop_terms).  The diagonal
+    entry at lam is the staying coefficient c(lam -> lam), plus epsilon0
+    at l = 1.  The off-diagonal entries at (lam, mu) and (mu, lam) are
+    sqrt(c c_back) with the sign of c, where c = c(lam -> mu) and
+    c_back = c(mu -> lam).  dropped lists each hop from a label to a
+    target past the cutoff, as {"source", "target", "coeff"} with a float
+    coefficient.  Raises StructureError when a hop inside the cutoff has
+    no reverse hop, when detailed balance (norm_ratio(lam) c =
+    norm_ratio(mu) c_back) fails, or when c and c_back differ in sign.
+    """
     labels = partitions_max_weight(n, cutoff)
     index = {lam: i for i, lam in enumerate(labels)}
     eps = epsilon0(params, n) if l == 1 else Fraction(0)

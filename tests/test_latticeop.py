@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rsmorse.combinatorics import _hop_coefficient, _stay_sum, check_partition, is_partition, partitions_max_weight
@@ -587,31 +587,44 @@ def _column_reference(l, nu, p):
 _THAT = ("1/2", "-1/3", "1/5")
 
 
-class TestColumns:
-    """Columns form each coefficient from the record of its source, where no pole can arise."""
+def _result(fn):
+    """fn(), or the type and text of the PoleError or ZeroDivisionError it raises."""
+    try:
+        return fn()
+    except (PoleError, ZeroDivisionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
-    # q = t, t**2 and t**3: the rule admits the ranks below 2, 3 and 4
+
+class TestColumns:
+    """Columns form each coefficient from the record of its source and raise the pole its table meets."""
+
+    # q = t, t**2 and t**3: poles from rank 2, 3 and 4 on
     POLE_SETS = [params_from_hat(q, "1/2", _THAT) for q in ("1/2", "1/4", "1/8")]
+    # unvalidated q, t outside (0, 1), q = t, t**2 and 1/t among them
+    OUTSIDE_SETS = [
+        params_from_hat(q, t, _THAT, validate=False)
+        for q, t in (
+            ("3/2", "1/2"),
+            ("1/2", "3/2"),
+            ("0", "1/2"),
+            ("1/3", "1"),
+            ("9/4", "3/2"),
+            ("-1/2", "-1/2"),
+            ("3/2", "2/3"),
+        )
+    ]
 
     def test_entries_equal_hop_tables(self):
-        poles = lazy = 0
-        for p in PARAM_SETS + self.POLE_SETS:
+        poles = 0
+        for p in PARAM_SETS + self.POLE_SETS + self.OUTSIDE_SETS:
             for n in range(1, 5):
-                lazy += latticeop._pole_free(n, p)
                 for nu in partitions_max_weight(n, 3):
                     for l in range(1, n + 1):
                         # past the column memo, so that every column is formed here
-                        got = _hl_outcome(lambda: list(latticeop._column.__wrapped__(l, nu, p)))
-                        assert got == _hl_outcome(lambda: _column_reference(l, nu, p)), (p, l, nu)
+                        got = _result(lambda: list(latticeop._column.__wrapped__(l, nu, p)))
+                        assert got == _result(lambda: _column_reference(l, nu, p)), (p, l, nu)
                         poles += isinstance(got, str)
         assert poles > 0
-        # 4 ranks for each set of PARAM_SETS; 1, 2 and 3 for q = t, t**2 and t**3
-        assert lazy == 4 * len(PARAM_SETS) + 6
-
-    def test_rule_outside_the_unit_interval(self):
-        for q, t in (("3/2", "1/2"), ("1/2", "3/2"), ("0", "1/2"), ("1/3", "1")):
-            p = params_from_hat(q, t, _THAT, validate=False)
-            assert not latticeop._pole_free(2, p), (q, t)
 
     def test_pole_free_apply_builds_no_table(self, monkeypatch):
         # a parameter set no other test reads: every column is formed cold
@@ -625,21 +638,43 @@ class TestColumns:
 
         monkeypatch.setattr(latticeop, "_hop_coefficient", counted)
         for n in (2, 3, 4):
-            assert latticeop._pole_free(n, p)
             for nu in partitions_max_weight(n, 2):
                 for l in range(1, n + 1):
                     tables, before = hop_terms.cache_info().misses, len(formed)
                     apply_Hl(l, LatticeFunction.delta(nu), p)
                     assert hop_terms.cache_info().misses == tables
                     assert len(formed) - before == len(latticeop._column(l, nu, p))
+        # q = t, where the levels l >= 2 have poles: level 1 builds no table either
+        p = params_from_hat("3/7", "3/7", ("-2/9", "1/3", "4/5"))
+        tables = hop_terms.cache_info().misses
+        for nu in partitions_max_weight(3, 3):
+            apply_Hl(1, LatticeFunction.delta(nu), p)
+        assert hop_terms.cache_info().misses == tables
 
 
-@settings(deadline=None, max_examples=60)
-@given(in_domain_params(), st.integers(2, 4))
-def test_pole_rule_is_exact(p, n):
-    # at the empty partition every pair of sites has equal parts
-    raised = isinstance(_hl_outcome(lambda: hop_terms(2, (0,) * n, p)), str)
-    assert latticeop._pole_free(n, p) is not raised
+@st.composite
+def _outside_params(draw):
+    """Unvalidated rational q, t, not both in (0, 1); q = t**k for k = 1, 2, 3 in half the cases."""
+    t = draw(st.fractions(-2, 3, max_denominator=7))
+    k = draw(st.integers(0, 5))
+    q = t**k if k in (1, 2, 3) else draw(st.fractions(-2, 3, max_denominator=7))
+    assume(not (0 < q < 1 and 0 < t < 1))
+    return params_from_hat(q, t, _THAT, validate=False)
+
+
+@settings(deadline=None, max_examples=40)
+@given(in_domain_params() | _outside_params())
+def test_label_pole_is_the_table_pole(p):
+    # every label of weight <= 3 at n <= 4 and every level
+    for n in range(1, 5):
+        for lam in partitions_max_weight(n, 3):
+            for l in range(1, n + 1):
+                want = _result(lambda: hop_terms(l, lam, p))
+                got = _result(lambda: latticeop._checked_factors(l, lam, p))
+                if isinstance(want, str):
+                    assert got == want, (p, l, lam)
+                else:
+                    assert not isinstance(got, str), (p, l, lam, got)
 
 
 class TestEpsilon0:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rsmorse.qcore as qcore
+from rsmorse import scattering
 from rsmorse.dualop import dual_matrix
 from rsmorse.errors import ParamDomainError, TruncationCapError
 from rsmorse.latticeop import hop_terms
@@ -179,6 +180,21 @@ class TestTruncationOrder:
             truncation_order(0.5, 0.5, tol)
         with pytest.raises(ParamDomainError, match="tolerance"):
             qpoch_infinite(0.5, 0.5, tol)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: truncation_order(float("nan"), 0.5, 1e-12),
+            lambda: qpoch_infinite(float("nan"), 0.5),
+            lambda: scattering.S_hat([float("nan")], PARAM_SETS[0]),
+            lambda: scattering.s_pair(float("inf"), PARAM_SETS[0]),
+        ],
+        ids=["truncation_order-nan", "qpoch_infinite-nan", "S_hat-nan", "s_pair-inf"],
+    )
+    def test_non_finite_x_rejected(self, call):
+        # math.ceil of nan or inf raised a bare ValueError or OverflowError
+        with pytest.raises(ParamDomainError, match=r"finite \|x\|, got x=\(?(nan|inf)"):
+            call()
 
     def test_minimality(self):
         rng = random.Random(3)
