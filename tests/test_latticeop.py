@@ -626,6 +626,18 @@ class TestColumns:
                         poles += isinstance(got, str)
         assert poles > 0
 
+    def test_rule_outside_the_unit_interval(self):
+        # at the empty partition every pair of sites has equal parts; the label
+        # rule raises at level 2 exactly when the hop table does
+        for p in self.OUTSIDE_SETS:
+            for n in (2, 3, 4):
+                lam = (0,) * n
+                want = _result(lambda: hop_terms(2, lam, p))
+                got = _result(lambda: latticeop._checked_factors(2, lam, p))
+                assert isinstance(got, str) is isinstance(want, str), (p, n, got, want)
+                if isinstance(want, str):
+                    assert got == want, (p, n)
+
     def test_pole_free_apply_builds_no_table(self, monkeypatch):
         # a parameter set no other test reads: every column is formed cold
         p = params_from_hat("2/11", "3/13", ("-2/9", "1/3", "4/5"))
@@ -664,7 +676,7 @@ def _outside_params(draw):
 
 @settings(deadline=None, max_examples=40)
 @given(in_domain_params() | _outside_params())
-def test_label_pole_is_the_table_pole(p):
+def test_pole_rule_is_exact(p):
     # every label of weight <= 3 at n <= 4 and every level
     for n in range(1, 5):
         for lam in partitions_max_weight(n, 3):
