@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -33,7 +34,7 @@ from .latticeop import (
 )
 from .polynomials import FittedFamily, PolynomialFamily, pieri_residuals
 from .qcore import params_from_hat, parse_rational
-from .scattering import S_hat, s_one, s_pair, sqrt_branch_s, sqrt_branch_s0
+from .scattering import S_hat, branch_deviation
 from .spectral import QuadSpec, detailed_balance_residual, evolve, gram_report
 
 DEFAULTS = {
@@ -375,8 +376,7 @@ def cmd_scatter(config):
     for _ in range(100):
         xi = sorted((rng.uniform(1e-3, math.pi - 1e-3) for _ in range(config.n)), reverse=True)
         val = S_hat(xi, config.params, tol)
-        b2 = sqrt_branch_s(xi[0], config.params, tol) ** 2 - s_pair(xi[0], config.params, tol)
-        b02 = sqrt_branch_s0(xi[0], config.params, tol) ** 2 - s_one(xi[0], config.params, tol)
+        branch_dev = max(branch_deviation(xi[0], config.params, tol))
         rows.append(
             {
                 "xi": list(xi),
@@ -384,7 +384,7 @@ def cmd_scatter(config):
                 "im": val.imag,
                 "arg": math.atan2(val.imag, val.real),
                 "abs_dev": abs(abs(val) - 1.0),
-                "branch_dev": max(abs(b2), abs(b02)),
+                "branch_dev": branch_dev,
             }
         )
     payload = {"config": config.describe(), "rows": rows}
@@ -413,7 +413,9 @@ def cmd_evolve(config):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every main call after it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int)
     common.add_argument("--q")

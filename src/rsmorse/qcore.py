@@ -37,6 +37,9 @@ __all__ = [
 #: hard cap on the number of factors kept in an infinite q-product
 MAX_QPOCH_FACTORS = 10**6
 
+#: truncation orders kept by qpoch_infinite, one per (|x|, |q|, tol)
+ORDER_CACHE_SIZE = 1024
+
 
 def parse_rational(text):
     """Parse ``"p/q"`` or a decimal string into an exact Fraction.
@@ -140,14 +143,20 @@ def qpoch_infinite(x, q, tol=1e-16):
     once tol <= 1/2, which is the documented accuracy of this routine.
 
     Requires |q| < 1; raises TruncationCapError when the needed number of
-    factors exceeds ``MAX_QPOCH_FACTORS`` (see truncation_order).
+    factors exceeds ``MAX_QPOCH_FACTORS`` (see truncation_order).  N is
+    computed once per (|x|, |q|, tol) and kept; ``qpoch_infinite.cache_info``
+    reports the hits and misses of that memo.
     """
     aq = abs(q)
     if aq >= 1:
         raise ParamDomainError(f"qpoch_infinite requires |q| < 1, got |q| = {aq}")
     xf = complex(x) if isinstance(x, complex) else float(x)
     qf = complex(q) if isinstance(q, complex) else float(q)
-    n = truncation_order(xf, qf, tol)
+    ax = abs(xf)
+    if math.isfinite(ax):
+        n = _order(ax, abs(qf), tol, MAX_QPOCH_FACTORS)
+    else:  # refused by truncation_order, in a message that names x
+        n = truncation_order(xf, qf, tol)
     out = 1.0
     term = xf
     for _ in range(n):
@@ -158,6 +167,21 @@ def qpoch_infinite(x, q, tol=1e-16):
     ):
         raise ParamDomainError(f"qpoch_infinite produced a non-finite value for x={x!r}, q={q!r}")
     return out
+
+
+@functools.lru_cache(maxsize=ORDER_CACHE_SIZE)
+def _order(ax, aq, tol, cap):
+    """truncation_order at the floats |x|, |q| and tol, the only values it reads.
+
+    cap is the MAX_QPOCH_FACTORS the order is found under, so an order
+    kept under another cap is not reused.  A refusal is not kept, so it
+    is raised again on every call.
+    """
+    return truncation_order(ax, aq, tol)
+
+
+# hit and miss counts of the truncation-order memo
+qpoch_infinite.cache_info = _order.cache_info
 
 
 def _check_open_unit(name, value):

@@ -26,6 +26,7 @@ __all__ = [
     "S_hat",
     "sqrt_branch_s",
     "sqrt_branch_s0",
+    "branch_deviation",
     "chi",
     "apply_H0",
     "free_eigen_residual",
@@ -45,6 +46,61 @@ def _phase(value):
     return value / mod
 
 
+def _pair_products(x, params, tol):
+    """Yield (q e^{ix})_inf, then (t e^{ix})_inf: the q-products of s(x), each formed when read."""
+    q = float(params.q)
+    t = float(params.t)
+    z = cmath.exp(1j * x)
+    yield qpoch_infinite(q * z, q, tol)
+    yield qpoch_infinite(t * z, q, tol)
+
+
+def _one_body_products(x, params, tol):
+    """Yield (q e^{2ix})_inf, then (that_r e^{ix})_inf for r = 0, 1, 2: the q-products
+    of s0(x), each formed when read."""
+    q = float(params.q)
+    z = cmath.exp(1j * x)
+    yield qpoch_infinite(q * z * z, q, tol)
+    for th in params.that:
+        yield qpoch_infinite(float(th) * z, q, tol)
+
+
+def _branch(products):
+    """(phase of the first product divided by the phase of each later one, the products read).
+
+    Each product is checked as it is read, so a vanishing one raises
+    before the next is formed.
+    """
+    products = iter(products)
+    read = [next(products)]
+    out = _phase(read[0])
+    for value in products:
+        out /= _phase(value)
+        read.append(value)
+    return out, read
+
+
+def _pair_quotient(a, b):
+    """a conj(b) / (conj(a) b): s(x) from its products a = (q e^{ix})_inf, b = (t e^{ix})_inf."""
+    num = a * b.conjugate()
+    den = a.conjugate() * b
+    if den == 0:
+        raise PoleError("two-particle factor pole")
+    return num / den
+
+
+def _one_body_quotient(products):
+    """s0(x) from its products (q e^{2ix})_inf, (that_r e^{ix})_inf, read in that order."""
+    products = iter(products)
+    c = next(products)
+    out = c / c.conjugate()
+    for den in products:
+        if den == 0:
+            raise PoleError("one-particle factor pole")
+        out *= den.conjugate() / den
+    return out
+
+
 def s_pair(x, params, tol=1e-14):
     """Two-particle factor (q e^{ix}, t e^{-ix})_inf / (q e^{-ix}, t e^{ix})_inf.
 
@@ -52,16 +108,7 @@ def s_pair(x, params, tol=1e-14):
     (c e^{ix}; q)_inf: a = (q e^{ix})_inf and b = (t e^{ix})_inf are
     formed once and the e^{-ix} factors are taken as their conjugates.
     """
-    q = float(params.q)
-    t = float(params.t)
-    z = cmath.exp(1j * x)
-    a = qpoch_infinite(q * z, q, tol)
-    b = qpoch_infinite(t * z, q, tol)
-    num = a * b.conjugate()
-    den = a.conjugate() * b
-    if den == 0:
-        raise PoleError("two-particle factor pole")
-    return num / den
+    return _pair_quotient(*_pair_products(x, params, tol))
 
 
 def s_one(x, params, tol=1e-14):
@@ -71,16 +118,7 @@ def s_one(x, params, tol=1e-14):
     q and the that_r are real, so each e^{-ix} factor is the complex
     conjugate of its e^{ix} factor, formed once.
     """
-    q = float(params.q)
-    z = cmath.exp(1j * x)
-    c = qpoch_infinite(q * z * z, q, tol)
-    out = c / c.conjugate()
-    for th in params.that:
-        den = qpoch_infinite(float(th) * z, q, tol)
-        if den == 0:
-            raise PoleError("one-particle factor pole")
-        out *= den.conjugate() / den
-    return out
+    return _one_body_quotient(_one_body_products(x, params, tol))
 
 
 def S_hat(xi, params, tol=1e-14):
@@ -98,20 +136,26 @@ def S_hat(xi, params, tol=1e-14):
 
 def sqrt_branch_s(x, params, tol=1e-14):
     """Branch (q e^{ix})_inf/|...| * |(t e^{ix})_inf|/(t e^{ix})_inf; squares to s(x)."""
-    q = float(params.q)
-    t = float(params.t)
-    z = cmath.exp(1j * x)
-    return _phase(qpoch_infinite(q * z, q, tol)) / _phase(qpoch_infinite(t * z, q, tol))
+    return _branch(_pair_products(x, params, tol))[0]
 
 
 def sqrt_branch_s0(x, params, tol=1e-14):
     """Branch (q e^{2ix})_inf/|...| * prod_r |(that_r e^{ix})_inf|/(that_r e^{ix})_inf."""
-    q = float(params.q)
-    z = cmath.exp(1j * x)
-    out = _phase(qpoch_infinite(q * z * z, q, tol))
-    for th in params.that:
-        out /= _phase(qpoch_infinite(float(th) * z, q, tol))
-    return out
+    return _branch(_one_body_products(x, params, tol))[0]
+
+
+def branch_deviation(x, params, tol=1e-14):
+    """(|sqrt_branch_s(x)^2 - s_pair(x)|, |sqrt_branch_s0(x)^2 - s_one(x)|).
+
+    Each factor forms its q-products once and reads both its branch and
+    its value from them; the products, the float operations and the
+    exceptions raised are those of the four separate calls, in the same
+    order.
+    """
+    root, (a, b) = _branch(_pair_products(x, params, tol))
+    pair = abs(root**2 - _pair_quotient(a, b))
+    root0, products = _branch(_one_body_products(x, params, tol))
+    return pair, abs(root0**2 - _one_body_quotient(products))
 
 
 def _signed_group(n):

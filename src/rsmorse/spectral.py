@@ -176,9 +176,20 @@ def norm_Delta(lam, params):
     return norm_delta0_n(len(lam), params) * float(norm_ratio(lam, params))
 
 
+#: most nodes of a 1-D rule (leggauss builds a nodes x nodes matrix)
+MAX_QUAD_NODES = 1000
+#: most points of a tensor grid, nodes**n
+MAX_QUAD_POINTS = 10**6
+
+
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tensor Gauss-Legendre rule on [0, pi]^n."""
+    """Tensor Gauss-Legendre rule on [0, pi]^n.
+
+    A rule of more than MAX_QUAD_NODES nodes, or a grid of more than
+    MAX_QUAD_POINTS points, is refused with ParamDomainError before any
+    array is allocated.
+    """
 
     nodes: int
     tol: float = 1e-12
@@ -186,6 +197,10 @@ class QuadSpec:
     def __post_init__(self):
         if not isinstance(self.nodes, numbers.Integral) or self.nodes < 1:
             raise ParamDomainError(f"quadrature nodes must be an integer >= 1, got {self.nodes!r}")
+        if self.nodes > MAX_QUAD_NODES:
+            raise ParamDomainError(
+                f"quadrature rule of {self.nodes} nodes exceeds the bound of {MAX_QUAD_NODES}"
+            )
 
     @functools.cached_property
     def _rule(self):
@@ -195,6 +210,11 @@ class QuadSpec:
 
     def grid(self, n):
         """Fresh (points, weights) arrays of the n-fold tensor rule."""
+        size = int(self.nodes) ** n
+        if size > MAX_QUAD_POINTS:
+            raise ParamDomainError(
+                f"quadrature grid of {self.nodes}^{n} = {size} points exceeds the bound of {MAX_QUAD_POINTS}"
+            )
         x, wx = self._rule
         axes = np.meshgrid(*([x] * n), indexing="ij")
         points = np.stack([a.reshape(-1) for a in axes], axis=-1)
@@ -218,11 +238,17 @@ def _monomial_grid(mu, points):
 
     m_mu(xi) = sum over the signed-permutation orbit of mu of
     exp(i <nu, xi>); the orbit closes under nu -> -nu, so the sum is
-    real, and the real part of each exponential is added up.
+    real, and the real part cos <nu, xi> of each exponential is added
+    up in orbit order.  nu and -nu share one cosine grid, taken at the
+    first of the two and reused at the second.
     """
     mono = np.zeros(points.shape[0])
+    unpaired = {}
     for nu in orbit(mu):
-        mono = mono + np.exp(1j * (points @ np.asarray(nu, dtype=float))).real
+        grid = unpaired.pop(tuple(-v for v in nu), None)
+        if grid is None:
+            grid = unpaired[nu] = np.cos(points @ np.asarray(nu, dtype=float))
+        mono = mono + grid
     return mono
 
 

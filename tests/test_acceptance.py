@@ -38,11 +38,10 @@ from rsmorse.polynomials import leading_coeff, normalization_point, pieri_identi
 from rsmorse.qcore import params_from_hat
 from rsmorse.scattering import (
     S_hat,
+    branch_deviation,
     free_eigen_residual,
     s_one,
     s_pair,
-    sqrt_branch_s,
-    sqrt_branch_s0,
 )
 from rsmorse.spectral import (
     QuadSpec,
@@ -300,10 +299,7 @@ def test_criterion_09_scattering(record_criterion):
                 abs(abs(S_hat(xi2, p)) - 1),
             )
             worst_mod = max(worst_mod, *devs)
-            branch = max(
-                abs(sqrt_branch_s(x, p) ** 2 - s_pair(x, p)),
-                abs(sqrt_branch_s0(x, p) ** 2 - s_one(x, p)),
-            )
+            branch = max(branch_deviation(x, p))
             worst_branch = max(worst_branch, branch)
     if worst_mod > 1e-12:
         bad.append(("modulus", worst_mod))

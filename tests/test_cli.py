@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PARAM_SETS, in_domain_params
-from rsmorse import cli, dualop, latticeop, spectral
+from rsmorse import cli, dualop, latticeop, qcore, spectral
 from rsmorse.cli import balance_cases, commute_cases, main, nonneg_violations, pieri_cases, qdiff_cases
 from rsmorse.combinatorics import partitions_max_weight
 from rsmorse.dualop import dual_matrix, generic_points
@@ -422,6 +422,33 @@ class TestScatter:
             rows[tol] = json.loads(out)["rows"]
         assert rows["1"] == rows["1e-10"]
 
+    def test_memo_keeps_the_truncation_orders(self, capsys):
+        # |c e^{ix}| is |c| up to rounding at every angle, so 3,000 products need few orders
+        before = qcore.qpoch_infinite.cache_info()
+        code, _, _ = run(capsys, ["scatter", "--n", "3"])
+        after = qcore.qpoch_infinite.cache_info()
+        assert code == 0
+        assert after.misses - before.misses <= 16
+        assert after.hits - before.hits >= 2900
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_shared_parser_after_refusals(self, capsys, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            code, fresh, _ = run(capsys, ["scatter", "--n", "2"])
+        assert code == 0
+        parser = cli.build_parser()
+        with pytest.raises(SystemExit):
+            main(["scatter", "--n", "2", "--no-such-flag"])
+        capsys.readouterr()
+        assert run(capsys, ["scatter", "--n", "0"])[0] == 2
+        assert run(capsys, ["scatter", "--n", "2"]) == (0, fresh, "")
+        assert cli.build_parser() is parser
+
 
 class TestEvolve:
     def test_series(self, capsys):
@@ -458,6 +485,22 @@ class TestEvolve:
         code, _, _ = run(capsys, ["evolve", "--n", "1", "--max-weight", "5", "--time", "0.3"])
         assert code == 0
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["ortho", "--n", "1", "--max-weight", "2", "--quad-nodes", "100000000"], "rule of 100000000 nodes"),
+        (["ortho", "--n", "3", "--max-weight", "0", "--force", "--quad-nodes", "101"], "101^3 = 1030301 points"),
+    ],
+    ids=["nodes", "points"],
+)
+def test_quadrature_budget_exits_two(capsys, argv, bound):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: quadrature ") and bound in err
 
 
 class TestNearOne:

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -167,6 +169,59 @@ class TestQpochInfinite:
         monkeypatch.setattr(qcore, "MAX_QPOCH_FACTORS", 10)
         with pytest.raises(TruncationCapError):
             qpoch_infinite(0.5, 0.99, tol=1e-16)
+
+
+def _qpoch_infinite_literal(x, q, tol):
+    """(x; q)_inf cut at truncation_order(x, q, tol), with no memo in between."""
+    xf = complex(x) if isinstance(x, complex) else float(x)
+    qf = float(q)
+    out = 1.0
+    term = xf
+    for _ in range(truncation_order(xf, qf, tol)):
+        out = out * (1.0 - term)
+        term = term * qf
+    return out
+
+
+_Q_EQUALS_T = params_from_hat(Fraction(1, 3), Fraction(1, 3), (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)))
+
+
+class TestOrderMemo:
+    """qpoch_infinite reads its truncation order from a memo keyed on (|x|, |q|, tol)."""
+
+    @pytest.mark.parametrize("p", PARAM_SETS + [_Q_EQUALS_T], ids=["pA", "pB", "pC", "q=t"])
+    def test_equals_the_literal_product(self, p):
+        # the arguments of the scattering factors and of the norm prefactor
+        q, t = float(p.q), float(p.t)
+        th = [float(v) for v in p.that]
+        rng = random.Random(26)
+        zs = [cmath.exp(1j * x) for x in [0.0, math.pi, 1e-3] + [rng.uniform(-7, 7) for _ in range(12)]]
+        args = [c * z for z in zs for c in [q, t, *th]] + [q * z * z for z in zs]
+        args += [q, t, t**2, t**3] + [th[r] * th[s] * t**k for r in range(3) for s in range(r + 1, 3) for k in range(3)]
+        for tol in (1e-16, 1e-14, 1e-10, 0.3):
+            for x in args:
+                ref = _qpoch_infinite_literal(x, q, tol)
+                assert qpoch_infinite(x, q, tol) == ref
+                assert qpoch_infinite(x, q, tol) == ref  # now from the memo
+
+    def test_refusals_recur(self):
+        before = qpoch_infinite.cache_info()
+        for _ in range(2):
+            with pytest.raises(ParamDomainError, match=r"finite \|x\|, got x=nan"):
+                qpoch_infinite(float("nan"), 0.5)
+            with pytest.raises(TruncationCapError, match="cap is 1000000"):
+                qpoch_infinite(0.5, 1 - 1e-7, 1e-16)
+        after = qpoch_infinite.cache_info()
+        # the non-finite |x| never reaches the memo; each cap refusal is a miss, and none is kept
+        assert after.misses - before.misses == 2
+        assert after.currsize == before.currsize
+
+    def test_lowered_cap_is_not_answered_from_the_memo(self, monkeypatch):
+        assert qpoch_infinite(0.5, 0.98, 1e-16) == _qpoch_infinite_literal(0.5, 0.98, 1e-16)
+        monkeypatch.setattr(qcore, "MAX_QPOCH_FACTORS", 10)
+        for _ in range(2):
+            with pytest.raises(TruncationCapError, match="needs 1790 factors .* cap is 10$"):
+                qpoch_infinite(0.5, 0.98, 1e-16)
 
 
 class TestTruncationOrder:

@@ -9,13 +9,14 @@ import pytest
 
 from conftest import PARAM_SETS
 from rsmorse.combinatorics import SignedPermutation
-from rsmorse.errors import IrregularPointError, ParamDomainError
+from rsmorse.errors import IrregularPointError, ParamDomainError, PoleError
 from rsmorse.latticeop import LatticeFunction
 from rsmorse.qcore import params_from_hat, qpoch_infinite
 from rsmorse.scattering import (
     S_hat,
     S_hat_sorted,
     apply_H0,
+    branch_deviation,
     chi,
     free_eigen_residual,
     s_one,
@@ -61,6 +62,104 @@ def test_factors_equal_their_literal_products(p):
         assert s_one(x, p) == _s_one_literal(x, p)
         assert s_pair(x, p, 1e-10) == _s_pair_literal(x, p, 1e-10)
         assert s_one(x, p, 1e-10) == _s_one_literal(x, p, 1e-10)
+
+
+def _four_calls(x, p, tol):
+    """branch_deviation as the four separate calls form it."""
+    return (
+        abs(sqrt_branch_s(x, p, tol) ** 2 - s_pair(x, p, tol)),
+        abs(sqrt_branch_s0(x, p, tol) ** 2 - s_one(x, p, tol)),
+    )
+
+
+def _phase_literal(v):
+    if abs(v) == 0:
+        raise PoleError("vanishing modulus in a square-root branch quotient")
+    return v / abs(v)
+
+
+@pytest.mark.parametrize("p", PARAM_SETS + [Q_EQUALS_T], ids=["pA", "pB", "pC", "q=t"])
+def test_branches_and_deviation_equal_their_literal_forms(p):
+    q, t = float(p.q), float(p.t)
+    for tol in (1e-14, 1e-10):
+        for x in _LITERAL_XS:
+            z = cmath.exp(1j * x)
+            root = _phase_literal(qpoch_infinite(q * z, q, tol)) / _phase_literal(qpoch_infinite(t * z, q, tol))
+            root0 = _phase_literal(qpoch_infinite(q * z * z, q, tol))
+            for th in p.that:
+                root0 /= _phase_literal(qpoch_infinite(float(th) * z, q, tol))
+            assert sqrt_branch_s(x, p, tol) == root
+            assert sqrt_branch_s0(x, p, tol) == root0
+            assert branch_deviation(x, p, tol) == _four_calls(x, p, tol)
+
+
+def _sqrt_s_literal(x, p, tol):
+    q, t = float(p.q), float(p.t)
+    z = cmath.exp(1j * x)
+    return _phase_literal(qpoch_infinite(q * z, q, tol)) / _phase_literal(qpoch_infinite(t * z, q, tol))
+
+
+def _sqrt_s0_literal(x, p, tol):
+    q = float(p.q)
+    z = cmath.exp(1j * x)
+    out = _phase_literal(qpoch_infinite(q * z * z, q, tol))
+    for th in p.that:
+        out /= _phase_literal(qpoch_infinite(float(th) * z, q, tol))
+    return out
+
+
+def _s_pair_checked(x, p, tol):
+    """s_pair with its conjugate products and its pole check."""
+    q, t = float(p.q), float(p.t)
+    z = cmath.exp(1j * x)
+    a = qpoch_infinite(q * z, q, tol)
+    b = qpoch_infinite(t * z, q, tol)
+    den = a.conjugate() * b
+    if den == 0:
+        raise PoleError("two-particle factor pole")
+    return a * b.conjugate() / den
+
+
+def _s_one_checked(x, p, tol):
+    """s_one with each conjugate product formed and checked in turn."""
+    q = float(p.q)
+    z = cmath.exp(1j * x)
+    c = qpoch_infinite(q * z * z, q, tol)
+    out = c / c.conjugate()
+    for th in p.that:
+        den = qpoch_infinite(float(th) * z, q, tol)
+        if den == 0:
+            raise PoleError("one-particle factor pole")
+        out *= den.conjugate() / den
+    return out
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # the type and text are compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("q", ["998/1000", "9995/10000"])
+@pytest.mark.parametrize("hats", [("1/2", "-1/3", "1/5"), ("-9/10", "1/3", "2/3")], ids=["pA-hats", "neg-that0"])
+def test_near_one_raises_as_the_literal_calls(q, hats):
+    # near q = 1 a q-product can underflow to 0 or overflow; each product is
+    # formed and checked in turn, so the first failure is the one raised
+    p = params_from_hat(q, "1/3", hats)
+    outcomes = []
+    for x in (0.05, 0.6, 1.5, 3.0):
+        args = (x, p, 1e-10)
+        for got, ref in [
+            (sqrt_branch_s, _sqrt_s_literal),
+            (s_pair, _s_pair_checked),
+            (sqrt_branch_s0, _sqrt_s0_literal),
+            (s_one, _s_one_checked),
+        ]:
+            outcomes.append(_outcome(got, *args))
+            assert outcomes[-1] == _outcome(ref, *args)
+        assert _outcome(branch_deviation, *args) == _outcome(_four_calls, *args)
+    assert any(isinstance(o, tuple) for o in outcomes)
 
 
 class TestPairFactor:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rsmorse.combinatorics import is_partition, partitions_max_weight
+from rsmorse.combinatorics import is_partition, orbit, partitions_max_weight
 from rsmorse.errors import DegeneracyError, ParamDomainError, StructureError
 from rsmorse.latticeop import LatticeFunction, epsilon0, v_minus, v_plus
 from rsmorse import spectral
@@ -275,6 +275,62 @@ class TestQuadSpec:
 
     def test_integral_node_types_pass(self):
         assert QuadSpec(nodes=np.int64(3)).grid(1)[0].shape == (3, 1)
+
+    @pytest.mark.parametrize("nodes", [spectral.MAX_QUAD_NODES + 1, 10**8, np.int64(10**8)])
+    def test_rule_past_the_node_bound_refused(self, nodes):
+        with pytest.raises(ParamDomainError, match=f"rule of {nodes} nodes exceeds the bound of 1000"):
+            QuadSpec(nodes=nodes)
+
+    # just past the bound, so a missing refusal costs tens of MB, not the grid of 1000^3 points
+    @pytest.mark.parametrize("nodes, n", [(101, 3), (32, 4), (16, 5)])
+    def test_grid_past_the_point_bound_refused(self, nodes, n):
+        quad = QuadSpec(nodes=nodes)
+        with pytest.raises(ParamDomainError, match=rf"grid of {nodes}\^{n} = {nodes**n} points exceeds"):
+            quad.grid(n)
+        assert "_rule" not in vars(quad)  # refused before the rule was solved
+
+    def test_bounds_admit_the_counts_in_use(self):
+        # the CLI defaults (200 at n = 1, 120 at n = 2), the forced n = 3 runs and the test grids
+        assert 200 <= spectral.MAX_QUAD_NODES
+        for nodes, n in [(200, 1), (120, 2), (24, 3), (20, 3), (17, 2), (12, 2)]:
+            assert nodes**n <= spectral.MAX_QUAD_POINTS
+
+
+def _monomial_grid_literal(mu, points):
+    """The orbit sum of m_mu, one complex exponential per orbit element."""
+    mono = np.zeros(points.shape[0])
+    for nu in orbit(mu):
+        mono = mono + np.exp(1j * (points @ np.asarray(nu, dtype=float))).real
+    return mono
+
+
+class TestMonomialGrid:
+    """nu and -nu share one cosine grid; no bit may move against the exponential sum."""
+
+    @pytest.mark.parametrize("n, nodes, weight", [(1, 200, 8), (2, 120, 6), (3, 24, 4)])
+    def test_equals_the_exponential_sum(self, n, nodes, weight):
+        points, _ = QuadSpec(nodes).grid(n)
+        rng = np.random.default_rng(26 + n)
+        shuffled = rng.permutation(points) * rng.choice((-1.0, 1.0), size=points.shape)
+        drawn = rng.uniform(-2 * math.pi, 2 * math.pi, size=(500, n))
+        for mu in partitions_max_weight(n, weight):
+            for pts in (points, shuffled, drawn):
+                assert np.array_equal(spectral._monomial_grid(mu, pts), _monomial_grid_literal(mu, pts))
+
+    def test_one_cosine_per_pair(self, monkeypatch):
+        taken = []
+        real = np.cos
+
+        def counting(x, *args, **kwargs):
+            taken.append(x.shape)
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(spectral.np, "cos", counting)
+        points, _ = QuadSpec(6).grid(3)
+        for mu, pairs in [((0, 0, 0), 1), ((1, 0, 0), 3), ((2, 1, 0), 12), ((3, 2, 1), 24)]:
+            taken.clear()
+            spectral._monomial_grid(mu, points)
+            assert len(taken) == pairs == (len(orbit(mu)) + 1) // 2
 
 
 class TestOrthogonality:
