@@ -8,7 +8,7 @@ every identity exposed as a checkable residual.
 Each object has one home, its module: for example
 ``from rsmorse.polynomials import PolynomialFamily``.  Importing the
 package alone loads none of its modules; numpy loads with ``spectral``
-and ``cli`` only.
+only, which the CLI imports for ``ortho`` and ``evolve``.
 """
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@ commute_cases, nonneg_violations, balance_cases).  Configuration comes
 from flags, optionally seeded by a key=value config file (flags win).
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (also a q-product past its factor cap) or a pole of an operator at the
-chosen parameters.
+chosen parameters.  Only ortho and evolve import spectral, so the other
+commands run without numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import DegeneracyError, ParamDomainError, PoleError, RSMorseError, 
 from .latticeop import (
     LatticeFunction,
     commutator_on_delta,
+    detailed_balance_residual,
     morse_vanishing_limit_check,
     ruijsenaars_limit_check,
     symmetrization_identity_sides,
@@ -35,7 +37,6 @@ from .latticeop import (
 from .polynomials import FittedFamily, PolynomialFamily, pieri_residuals
 from .qcore import params_from_hat, parse_rational
 from .scattering import S_hat, branch_deviation
-from .spectral import QuadSpec, detailed_balance_residual, evolve, gram_report
 
 DEFAULTS = {
     "n": "2",
@@ -354,6 +355,8 @@ def cmd_verify(config, suite):
 
 
 def cmd_ortho(config):
+    from .spectral import QuadSpec, gram_report
+
     if config.n > 2 and not config.force:
         raise ParamDomainError(
             f"orthogonality quadrature at n={config.n} is expensive; pass --force to allow"
@@ -393,6 +396,8 @@ def cmd_scatter(config):
 
 
 def cmd_evolve(config):
+    from .spectral import evolve
+
     initial = LatticeFunction.delta((0,) * config.n)
     times = [0.0, config.time / 2.0, config.time]
     series = []

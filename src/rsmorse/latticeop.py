@@ -27,6 +27,12 @@ forms v_plus and v_minus are their own integer products over the same
 a_j, kept apart from the hop tables so that apply_H checks
 apply_Hl(1, .) independently.
 
+The lattice measure lives here too: norm_ratio is Delta_lam/Delta_0 as
+one Fraction over integer q-Pochhammer products (qcore._qpoch_ints), and
+detailed_balance_residual is the detailed balance of v_plus against
+v_minus under that measure, exactly zero.  spectral turns the ratio into
+the float norm.
+
 apply_Hl reads the hop coefficients by columns: the column of
 (l, nu, params) lists every source lam with a hop of level l onto nu,
 with that coefficient as a reduced integer pair, and is built once and
@@ -66,12 +72,15 @@ from .combinatorics import (
     check_partition,
     is_partition,
 )
-from .errors import ParamDomainError, PoleError
+from .errors import DegeneracyError, ParamDomainError, PoleError
+from .qcore import _qpoch_ints
 
 __all__ = [
     "LatticeFunction",
     "v_plus",
     "v_minus",
+    "norm_ratio",
+    "detailed_balance_residual",
     "apply_H",
     "hop_terms",
     "apply_Hl",
@@ -156,6 +165,65 @@ def v_minus(lam, j, params):
     Vanishes exactly when lam - e_j leaves the partition cone.
     """
     return _one_site(lam, j, params, -1)
+
+
+def norm_ratio(lam, params):
+    """Exact lattice norm divided by its value at the empty partition.
+
+    prod_j (that0 that1 t^(n-j))_{lam_j} (that0 that2 t^(n-j))_{lam_j}
+         / (that0^(2 lam_j) t^(2(n-j) lam_j) (q t^(n-j))_{lam_j} (that1 that2 t^(n-j))_{lam_j})
+    * prod_{j<k} (1 - t^(k-j) q^(lam_j-lam_k))/(1 - t^(k-j))
+                 * (t^(1+k-j))_{lam_j-lam_k} / (q t^(k-j-1))_{lam_j-lam_k}.
+
+    The product runs on the integer numerators and denominators of the
+    parameters, each (x; q)_m read from the exact body of qpoch_finite
+    (qcore._qpoch_ints); one Fraction is formed.
+    """
+    lam = check_partition(lam)
+    n = len(lam)
+    qn, qd = params.q.numerator, params.q.denominator
+    tn, td = params.t.numerator, params.t.denominator
+    (h0n, h0d), (h1n, h1d), (h2n, h2d) = ((th.numerator, th.denominator) for th in params.that)
+    num = den = 1
+    for j in range(1, n + 1):
+        lj = lam[j - 1]
+        # t^(n-j) = pn/pd
+        pn, pd = tn ** (n - j), td ** (n - j)
+        an, ad = _qpoch_ints(h0n * h1n * pn, h0d * h1d * pd, qn, qd, lj)
+        bn, bd = _qpoch_ints(h0n * h2n * pn, h0d * h2d * pd, qn, qd, lj)
+        cn, cd = _qpoch_ints(qn * pn, qd * pd, qn, qd, lj)
+        dn, dd = _qpoch_ints(h1n * h2n * pn, h1d * h2d * pd, qn, qd, lj)
+        # the numerator of the j-th denominator
+        dj = (h0n * pn) ** (2 * lj) * cn * dn
+        if dj == 0:
+            raise DegeneracyError(f"vanishing norm denominator at lam={lam}, j={j}")
+        num *= an * bn * (h0d * pd) ** (2 * lj) * cd * dd
+        den *= ad * bd * dj
+    for j in range(1, n + 1):
+        for k in range(j + 1, n + 1):
+            d = lam[j - 1] - lam[k - 1]
+            # t^(k-j) = pn/pd, and (1 - t^(k-j) q^d)/(1 - t^(k-j))
+            pn, pd = tn ** (k - j), td ** (k - j)
+            num *= pd * qd**d - pn * qn**d
+            den *= (pd - pn) * qd**d
+            cn, cd = _qpoch_ints(qn * tn ** (k - j - 1), qd * td ** (k - j - 1), qn, qd, d)
+            if cn == 0:
+                raise DegeneracyError(f"vanishing norm denominator at lam={lam}, pair ({j},{k})")
+            an, ad = _qpoch_ints(pn * tn, pd * td, qn, qd, d)
+            num *= an * cd
+            den *= ad * cn
+    return Fraction(num, den)
+
+
+def detailed_balance_residual(lam, j, params):
+    """ratio(lam+e_j)/ratio(lam) * v_minus(lam+e_j, j) - v_plus(lam, j); zero exactly."""
+    lam = check_partition(lam)
+    _check_sites((j,), len(lam))
+    up = list(lam)
+    up[j - 1] += 1
+    up = check_partition(up)
+    ratio = norm_ratio(up, params) / norm_ratio(lam, params)
+    return ratio * v_minus(up, j, params) - v_plus(lam, j, params)
 
 
 def _shift(lam, J, eps, sign=1):

@@ -95,7 +95,7 @@ def _qpoch_ints(xn, xd, qn, qd, m):
 
     The numerator is the product of (xd qd^l - xn qn^l) for l < m, the
     denominator xd^m qd^(m(m-1)/2); xd and qd must be nonzero.  The exact
-    body of qpoch_finite, also read by spectral.norm_ratio.
+    body of qpoch_finite, also read by latticeop.norm_ratio.
     """
     num, pn, pd = 1, 1, 1
     for _ in range(m):

@@ -90,9 +90,15 @@ def _pair_quotient(a, b):
 
 
 def _one_body_quotient(products):
-    """s0(x) from its products (q e^{2ix})_inf, (that_r e^{ix})_inf, read in that order."""
+    """s0(x) from its products (q e^{2ix})_inf, (that_r e^{ix})_inf, read in that order.
+
+    Each product is checked as it is read, so a vanishing one raises
+    before the next is formed.
+    """
     products = iter(products)
     c = next(products)
+    if c == 0:
+        raise PoleError("one-particle factor pole")
     out = c / c.conjugate()
     for den in products:
         if den == 0:

@@ -1,10 +1,11 @@
 """Spectral weight, norms, orthogonality quadrature, and lattice dynamics.
 
-Exact content (rational norm ratios, detailed balance, symmetric
-conjugated matrices) is kept separate from transcendental content
-(infinite q-products, Gauss-Legendre integrals): every identity that
-can be checked in rational arithmetic is, and floats only enter where
-an infinite product or an integral is genuinely required.
+This is the float side and the only module that loads numpy.  The exact
+norm ratios and their detailed balance live in latticeop, next to the
+hop coefficients they balance; here the ratio is read by norm_Delta
+(times the transcendental prefactor norm_delta0_n) and by the symmetric
+conjugated matrices.  Floats only enter where an infinite product or an
+integral is genuinely required.
 """
 
 from __future__ import annotations
@@ -19,17 +20,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import _check_sites, check_partition, orbit, partitions_max_weight
-from .errors import DegeneracyError, ParamDomainError, StructureError
-from .latticeop import LatticeFunction, epsilon0, hop_terms, v_minus, v_plus
-from .qcore import _qpoch_ints, qpoch_finite, qpoch_infinite, truncation_order
+from .combinatorics import check_partition, orbit, partitions_max_weight
+from .errors import ParamDomainError, StructureError
+# detailed_balance_residual stays bound here: bench/workload.py reads it from spectral
+from .latticeop import LatticeFunction, detailed_balance_residual, epsilon0, hop_terms, norm_ratio
+from .qcore import qpoch_finite, qpoch_infinite, truncation_order
 
 __all__ = [
     "weight_grid",
-    "norm_ratio",
     "norm_delta0_n",
     "norm_Delta",
-    "detailed_balance_residual",
     "QuadSpec",
     "evaluate_P_grid",
     "gram_report",
@@ -78,65 +78,6 @@ def weight_grid(points, params, tol=1e-12):
             den = qpoch_finite(t * zsum, nfac, q)[where] * qpoch_finite(t * zdif, nfac, q)
             total = total * np.abs(num / den) ** 2
     return total
-
-
-def norm_ratio(lam, params):
-    """Exact lattice norm divided by its value at the empty partition.
-
-    prod_j (that0 that1 t^(n-j))_{lam_j} (that0 that2 t^(n-j))_{lam_j}
-         / (that0^(2 lam_j) t^(2(n-j) lam_j) (q t^(n-j))_{lam_j} (that1 that2 t^(n-j))_{lam_j})
-    * prod_{j<k} (1 - t^(k-j) q^(lam_j-lam_k))/(1 - t^(k-j))
-                 * (t^(1+k-j))_{lam_j-lam_k} / (q t^(k-j-1))_{lam_j-lam_k}.
-
-    The product runs on the integer numerators and denominators of the
-    parameters, each (x; q)_m read from the exact body of qpoch_finite
-    (qcore._qpoch_ints); one Fraction is formed.
-    """
-    lam = check_partition(lam)
-    n = len(lam)
-    qn, qd = params.q.numerator, params.q.denominator
-    tn, td = params.t.numerator, params.t.denominator
-    (h0n, h0d), (h1n, h1d), (h2n, h2d) = ((th.numerator, th.denominator) for th in params.that)
-    num = den = 1
-    for j in range(1, n + 1):
-        lj = lam[j - 1]
-        # t^(n-j) = pn/pd
-        pn, pd = tn ** (n - j), td ** (n - j)
-        an, ad = _qpoch_ints(h0n * h1n * pn, h0d * h1d * pd, qn, qd, lj)
-        bn, bd = _qpoch_ints(h0n * h2n * pn, h0d * h2d * pd, qn, qd, lj)
-        cn, cd = _qpoch_ints(qn * pn, qd * pd, qn, qd, lj)
-        dn, dd = _qpoch_ints(h1n * h2n * pn, h1d * h2d * pd, qn, qd, lj)
-        # the numerator of the j-th denominator
-        dj = (h0n * pn) ** (2 * lj) * cn * dn
-        if dj == 0:
-            raise DegeneracyError(f"vanishing norm denominator at lam={lam}, j={j}")
-        num *= an * bn * (h0d * pd) ** (2 * lj) * cd * dd
-        den *= ad * bd * dj
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            d = lam[j - 1] - lam[k - 1]
-            # t^(k-j) = pn/pd, and (1 - t^(k-j) q^d)/(1 - t^(k-j))
-            pn, pd = tn ** (k - j), td ** (k - j)
-            num *= pd * qd**d - pn * qn**d
-            den *= (pd - pn) * qd**d
-            cn, cd = _qpoch_ints(qn * tn ** (k - j - 1), qd * td ** (k - j - 1), qn, qd, d)
-            if cn == 0:
-                raise DegeneracyError(f"vanishing norm denominator at lam={lam}, pair ({j},{k})")
-            an, ad = _qpoch_ints(pn * tn, pd * td, qn, qd, d)
-            num *= an * cd
-            den *= ad * cn
-    return Fraction(num, den)
-
-
-def detailed_balance_residual(lam, j, params):
-    """ratio(lam+e_j)/ratio(lam) * v_minus(lam+e_j, j) - v_plus(lam, j); zero exactly."""
-    lam = check_partition(lam)
-    _check_sites((j,), len(lam))
-    up = list(lam)
-    up[j - 1] += 1
-    up = check_partition(up)
-    ratio = norm_ratio(up, params) / norm_ratio(lam, params)
-    return ratio * v_minus(up, j, params) - v_plus(lam, j, params)
 
 
 # truncation tolerance of the infinite q-products in the lattice norms

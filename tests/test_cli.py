@@ -307,7 +307,7 @@ class TestConfigHandling:
         def no_work(*args, **kwargs):
             raise AssertionError("evolve ran")
 
-        monkeypatch.setattr("rsmorse.cli.evolve", no_work)
+        monkeypatch.setattr("rsmorse.spectral.evolve", no_work)
         argv = ["evolve", "--n", "1", "--max-weight", "4"]
         if route == "flag":
             argv += ["--format", "csv"]
@@ -525,6 +525,14 @@ class TestNearOne:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("configuration error: ")
+
+    def test_one_body_pole_exits_two(self, capsys):
+        # (q e^{2ix}; q)_inf underflows to 0 at one of the drawn angles: a pole of
+        # s_one, refused like a vanishing (that_r e^{ix}; q)_inf
+        code, out, err = run(capsys, ["scatter", "--n", "1", "--q", "9999/10000", "--seed", "2"])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["pole: one-particle factor pole"]
 
     def test_rel_err_survives_norm_underflow(self, capsys):
         # at n = 2 the norms are near 1e-246, so their product underflows to 0.0

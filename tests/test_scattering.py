@@ -125,6 +125,8 @@ def _s_one_checked(x, p, tol):
     q = float(p.q)
     z = cmath.exp(1j * x)
     c = qpoch_infinite(q * z * z, q, tol)
+    if c == 0:
+        raise PoleError("one-particle factor pole")
     out = c / c.conjugate()
     for th in p.that:
         den = qpoch_infinite(float(th) * z, q, tol)

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 
 from rsmorse.combinatorics import is_partition, orbit, partitions_max_weight
 from rsmorse.errors import DegeneracyError, ParamDomainError, StructureError
-from rsmorse.latticeop import LatticeFunction, epsilon0, v_minus, v_plus
+from rsmorse.latticeop import LatticeFunction, detailed_balance_residual, epsilon0, norm_ratio, v_minus, v_plus
 from rsmorse import spectral
 from rsmorse.qcore import params_from_hat, qpoch_finite, qpoch_infinite
 from rsmorse.spectral import (
     QuadSpec,
     conjugated_H_matrix,
-    detailed_balance_residual,
     evaluate_P_grid,
     evolve,
     fourier_forward,
@@ -23,7 +22,6 @@ from rsmorse.spectral import (
     gram_report,
     norm_Delta,
     norm_delta0_n,
-    norm_ratio,
     weight_grid,
 )
 
