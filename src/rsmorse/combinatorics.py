@@ -15,7 +15,9 @@ Each exact loop that two modules need has its body here: the cone walk
 (_cone_steps) and the stencil over it (_cone_stencil) behind the lattice
 Hamiltonian and the free Laplacian; the monomial values at a point
 (_monomials_at) behind monomial_eval and InvariantPolynomial.evaluate;
-and the signed-hop engine behind H_l and Hhat_l (below).
+the one accumulator of exact linear combinations (_pair_sums) behind
+apply_Hl, the Pieri sums and apply_Hhat_l; and the signed-hop engine
+behind H_l and Hhat_l (below).
 """
 
 from __future__ import annotations
@@ -359,13 +361,13 @@ def _check_point(z, n):
 def _monomials_at(z, n):
     """mu -> m_mu(z) for the length-n partitions mu, at the point z.
 
-    At an int or Fraction point every value is read from one integer
-    kernel _Monomials, as a Fraction.  Anywhere else (floats, complex,
-    numpy arrays) it is the orbit sum.
+    At an int or Fraction point the map is the integer kernel _Monomials
+    itself, whose call gives each value as a Fraction.  Anywhere else
+    (floats, complex, numpy arrays) it is the orbit sum.
     """
     z = _check_point(z, n)
     if all(isinstance(zj, (int, Fraction)) for zj in z):
-        return _Monomials(tuple((zj.numerator, zj.denominator) for zj in z)).value
+        return _Monomials(tuple((zj.numerator, zj.denominator) for zj in z))
 
     def orbit_sum(mu):
         total = 0
@@ -408,7 +410,7 @@ class _Monomials(dict):
             self.g *= a * b
         self.tables = {}
 
-    def value(self, mu):
+    def __call__(self, mu):
         """m_mu(z) as a Fraction: N_mu / g^M."""
         return Fraction(self[mu], self.g ** (mu[0] if mu else 0))
 
@@ -431,6 +433,57 @@ class _Monomials(dict):
 
 
 # ---------------------------------------------------------------------------
+# exact linear combinations
+# ---------------------------------------------------------------------------
+
+
+def _pair_sums(groups, acc=None):
+    """The one accumulator of exact linear combinations, on unreduced int pairs.
+
+    Adds num/den times n/d at key, for each (num, den, terms) of groups
+    and each (key, n, d) of its terms, into acc = {key: (numerator,
+    denominator)} (a new dict by default), and returns acc.  Equal
+    denominators add their numerators; other pairs are cross-multiplied,
+    unreduced.  Keys keep the order in which they were first added.
+    apply_Hl, the Pieri sums and residuals and the row sums of
+    apply_Hhat_l sum here, and the caller forms one Fraction per output
+    coefficient (_fractions).
+    """
+    acc = {} if acc is None else acc
+    get = acc.get
+    for num, den, terms in groups:
+        for key, n, d in terms:
+            n *= num
+            d *= den
+            pair = get(key)
+            if pair is None:
+                acc[key] = n, d
+            else:
+                pn, pd = pair
+                if pd == d:
+                    acc[key] = pn + n, d
+                else:
+                    acc[key] = pn * d + n * pd, pd * d
+    return acc
+
+
+def _fractions(acc, keys=None):
+    """{key: acc[key] as a Fraction} over keys (every key of acc, in order, by default),
+    one Fraction per nonzero pair of a _pair_sums dict."""
+    out = {}
+    for key in acc if keys is None else keys:
+        n, d = acc[key]
+        if n:
+            out[key] = Fraction(n, d)
+    return out
+
+
+def _pairs_of(values):
+    """(key, numerator, denominator) of each item of a map with int or Fraction values."""
+    return ((key, v.numerator, v.denominator) for key, v in values.items())
+
+
+# ---------------------------------------------------------------------------
 # signed hops: the one engine behind the coefficients of H_l and Hhat_l
 # ---------------------------------------------------------------------------
 #
@@ -443,7 +496,8 @@ class _Monomials(dict):
 # from the integer parts of its label or point and of the parameters
 # (latticeop._factors, dualop._Point); the hop products and the U sums
 # multiply and add those pairs unreduced, each is kept in its table on
-# first use, and one Fraction is formed per term.
+# first use, and each coefficient is reduced once: a Fraction in a lattice
+# hop table, a reduced int pair in a dual fit.
 
 
 def _ratio(num, den):
@@ -583,7 +637,8 @@ def _hop_coefficient(J, eps, l, F):
 
 
 def _terms(l, F, move):
-    """(target, coefficient) of each signed hop of the l-th integral over F.
+    """(target, coefficient) of each signed hop of the l-th integral over F,
+    the coefficient an unreduced (numerator, denominator) pair.
 
     move(J, eps) returns the label or point the hop reaches, or None to
     skip the hop; a skipped hop's coefficient is never formed, since an
@@ -592,7 +647,7 @@ def _terms(l, F, move):
     for J, eps in _signed_hops(F.n, l):
         target = move(J, eps)
         if target is not None:
-            yield target, Fraction(*_hop_coefficient(J, eps, l, F))
+            yield target, _hop_coefficient(J, eps, l, F)
 
 
 def elem_sym(k, z):

@@ -31,10 +31,14 @@ entry is one reduced int pair formed from the integer parts of
 z_j = a_j/b_j and of the parameters; each hop writes the integer parts
 of its shifted point directly, (a_j q_n, b_j q_d) for a coordinate that
 moves up and (a_j q_d, b_j q_n) for one that moves down (_dual_terms),
-so no shifted point is formed as a Fraction; monomials come from the
-integer kernel combinatorics._Monomials at those parts; and each row of
-the linear system is a list of ints whose scale is known in closed form
-(_row).  _one_body and _pair_t stay only behind vhat and
+so no shifted point is formed as a Fraction; each term's coefficient
+reaches _level as one reduced int pair, not as a Fraction; monomials
+come from the integer kernel combinatorics._Monomials at those parts;
+and each row of the linear system is a list of ints whose scale is
+known in closed form (_row).  The solve forms the Fractions of the
+rows, and apply_Hhat_l sums those rows in the one accumulator of exact
+linear combinations (combinatorics._pair_sums): one Fraction per output
+coefficient.  _one_body and _pair_t stay only behind vhat and
 apply_dual_h_pointwise, the independent baseline of the l = 1 action.
 
 The matrix of Hhat_l on the monomial basis is built once per
@@ -46,7 +50,9 @@ one memo (_dual_matrices) holds the matrices of every level of
 
 Points are drawn from ratios of small primes with a seeded RNG; hitting
 a pole of a coefficient or a singular interpolation matrix triggers a
-resample with the seed advanced.
+resample with the seed advanced.  The draw of each seed (_Draw) is kept
+with the fit's point records, shared by its levels and extended when it
+grows, and gives the points of a fresh generic_points call.
 """
 
 from __future__ import annotations
@@ -62,9 +68,12 @@ from .combinatorics import (
     _check_sites,
     _exact_ints,
     _Factors,
+    _fractions,
     _Lazy,
     _Monomials,
     _monomials_at,
+    _pair_sums,
+    _pairs_of,
     _ratio,
     _terms,
     check_partition,
@@ -271,7 +280,8 @@ def apply_dual_h_pointwise(peval, z, params):
 
 
 def _dual_terms(l, rec, params):
-    """((pairs, s), coefficient) of each term of Hhat_l at rec's point, from its hop.
+    """((pairs, s), (numerator, denominator)) of each term of Hhat_l at rec's
+    point, from its hop, the coefficient a reduced int pair.
 
     The hop (J, eps) moves z_j -> q^(eps_j) z_j for j in J.  pairs holds
     the integer parts of the shifted point, written unreduced: (a_j, b_j)
@@ -289,7 +299,7 @@ def _dual_terms(l, rec, params):
             pairs[j - 1] = (a * qn, b * qd) if s == 1 else (a * qd, b * qn)
         return tuple(pairs), len(J)
 
-    return _terms(l, rec.factors, move)
+    return [(target, _ratio(*c)) for target, c in _terms(l, rec.factors, move)]
 
 
 def generic_points(n, count, params, seed):
@@ -298,48 +308,67 @@ def generic_points(n, count, params, seed):
     Coordinates are ratios of distinct small primes, redrawn until the
     obvious pole conditions against q are avoided; remaining collisions
     (exact poles, singular interpolation matrices) surface as exceptions
-    and the caller resamples with an advanced seed.
+    and the caller resamples with an advanced seed.  Needing more than
+    400 candidates per point asked for raises PoleError.
     """
-    if n < 1:
-        raise ParamDomainError(f"interpolation points need n >= 1 coordinates, got n = {n}")
-    rng = random.Random(seed)
-    qn, qd = params.q.numerator, params.q.denominator
-    points = []
-    used = set()
-    guard = 0
-    while len(points) < count:
-        guard += 1
-        if guard > 400 * count:
+    return _Draw(n, params, seed).take(count)
+
+
+class _Draw:
+    """The points of generic_points(n, ., params, seed), drawn on demand and kept.
+
+    The points come from one stream of the seeded RNG, so the first
+    count of them do not depend on how many are asked for: take(count)
+    returns, or raises, exactly what generic_points(n, count, params,
+    seed) does, its guard of 400 candidates per point included.
+    tries[i] is the number of candidates drawn up to point i.
+    """
+
+    __slots__ = ("n", "qn", "qd", "rng", "points", "tries", "used", "guard")
+
+    def __init__(self, n, params, seed):
+        if n < 1:
+            raise ParamDomainError(f"interpolation points need n >= 1 coordinates, got n = {n}")
+        self.n, self.qn, self.qd = n, params.q.numerator, params.q.denominator
+        self.rng = random.Random(seed)
+        self.points, self.tries, self.used, self.guard = [], [], set(), 0
+
+    def take(self, count):
+        if count < 1:
+            return []
+        limit = 400 * count
+        while len(self.points) < count and self.guard < limit:
+            self.guard += 1
+            pt = self._candidate()
+            if pt is not None and pt not in self.used:
+                self.used.add(pt)
+                self.points.append(tuple(Fraction(a, b) for a, b in pt))
+                self.tries.append(self.guard)
+        if len(self.points) < count or self.tries[count - 1] > limit:
             raise PoleError("could not draw enough admissible interpolation points")
+        return self.points[:count]
+
+    def _candidate(self):
+        """One candidate point as integer pairs (a_j, b_j), or None if it meets a pole condition."""
+        rng, qn, qd = self.rng, self.qn, self.qd
         # the coordinate v = a/b against each w = c/d drawn before, on integers
         coords = []
-        ok = True
-        for _ in range(n):
+        for _ in range(self.n):
             a, b = rng.sample(_PRIMES, 2)
             # v = w or v w = 1
             if (a, b) in coords or any(a * c == b * d for c, d in coords):
-                ok = False
-                break
+                return None
             # v^2 = q or q v^2 = 1
             if a * a * qd == b * b * qn or qn * a * a == qd * b * b:
-                ok = False
-                break
+                return None
             # q v w = 1, q v = w or q w = v
             if any(
                 qn * a * c == qd * b * d or qn * a * d == qd * b * c or qn * c * b == qd * d * a
                 for c, d in coords
             ):
-                ok = False
-                break
+                return None
             coords.append((a, b))
-        if not ok:
-            continue
-        pt = tuple(coords)
-        if pt in used:
-            continue
-        used.add(pt)
-        points.append(tuple(Fraction(a, b) for a, b in pt))
-    return points
+        return tuple(coords)
 
 
 def _level(l, rec, params):
@@ -351,10 +380,10 @@ def _level(l, rec, params):
     coefficient, an int.  Hence prod_j a_j b_j of w is g (q_n q_d)^s,
     and m_mu(w) is at[w][mu] / (g (q_n q_d)^s)^M with M = mu_1.
     """
-    terms = [(rec.at[pairs], s, c) for (pairs, s), c in _dual_terms(l, rec, params) if c != 0]
-    D = lcm(*(c.denominator for _, _, c in terms))
-    L = max((s for _, s, _ in terms), default=0)
-    return L, D, [(nums, s, c.numerator * (D // c.denominator)) for nums, s, c in terms]
+    terms = [(rec.at[pairs], s, cn, cd) for (pairs, s), (cn, cd) in _dual_terms(l, rec, params) if cn]
+    D = lcm(*(cd for _, _, _, cd in terms))
+    L = max((s for _, s, _, _ in terms), default=0)
+    return L, D, [(nums, s, cn * (D // cd)) for nums, s, cn, cd in terms]
 
 
 def _row(l, rec, support, new, params):
@@ -402,10 +431,17 @@ def _interpolate(l, n, support, new, params, seed, records):
     (_row), read from its record in records (z -> _Point), which is
     built only for a point records does not hold yet, so a point of
     another level or an earlier growth step is not evaluated again.
+    The points of attempt a are the first len(support) + 1 of the draw
+    kept in records under its seed, seed + 1009 a (an int key, where
+    points are tuples), grown when the fit grows.
     """
     for attempt in range(MAX_RESAMPLE_ATTEMPTS):
+        key = seed + 1009 * attempt
         try:
-            pts = generic_points(n, len(support) + 1, params, seed + 1009 * attempt)
+            draw = records.get(key)
+            if draw is None:
+                draw = records[key] = _Draw(n, params, key)
+            pts = draw.take(len(support) + 1)
             records.update({z: _Point(z, params) for z in pts if z not in records})
             rows = [_row(l, records[z], support, new, params) for z in pts]
             X = solve_exact([A for A, _ in rows[:-1]], [B for _, B in rows[:-1]])
@@ -440,8 +476,9 @@ class DualMatrix:
     downward in dominance, so an entry at nu not below mu is a genuine
     triangularity violation and raises StructureError naming the pairs.
     Rows are shared by every caller and must not be mutated.  records
-    (z -> _Point) holds the point records the fit reads, shared by the
-    matrices of every level of (n, params, seed).
+    (z -> _Point, and seed -> _Draw for each seed drawn from) holds the
+    point records and draws the fit reads, shared by the matrices of
+    every level of (n, params, seed).
     """
 
     def __init__(self, l, n, params, seed, records):
@@ -493,16 +530,15 @@ dual_matrix.cache_clear = _dual_matrices.cache_clear
 def apply_Hhat_l(l, p, params, seed=0):
     """Apply the dual integral Hhat_l to an invariant polynomial exactly.
 
-    Sums the rows of the shared dual_matrix(l, n, params, seed).
+    Sums the rows of the shared dual_matrix(l, n, params, seed) in
+    _pair_sums, one Fraction per image coefficient; the coefficients of p
+    must be ints or Fractions.
     """
     mat = dual_matrix(l, p.n, params, seed)
     if p.values:
         mat.grow(max(sum(mu) for mu in p.values))
-    out = {}
-    for mu, c in p.values.items():
-        for nu, v in mat.rows[mu].items():
-            out[nu] = out.get(nu, 0) + c * v
-    return InvariantPolynomial(p.n, out)
+    acc = _pair_sums((c.numerator, c.denominator, _pairs_of(mat.rows[mu])) for mu, c in p.values.items())
+    return InvariantPolynomial._of_partitions(p.n, _fractions(acc))
 
 
 def commutator_on_monomial(l, m, mu, params, seed=0):

@@ -42,9 +42,10 @@ table records the first pair of sites whose in-pair factors divide by
 zero (_Factors.pole), and every hop table of level l >= 2 meets that
 pair first, so a column raises the pole of its first source that has
 one, with the text that source's table raises (_checked_factors).
-apply_Hl scatters each support value along its column, sums each output
-entry as an integer pair and forms one Fraction per entry, so it takes
-int and Fraction values only.
+apply_Hl scatters each support value along its column and sums the
+entries in the one accumulator of exact linear combinations
+(combinatorics._pair_sums), one Fraction per output coefficient, so it
+takes int and Fraction values only.
 
 Sign convention for the square-root prefactors of the hop coefficients:
 sqrt(q*t0/(t1*t2)) = 1/that0 and sqrt(t1*t2/(q*t0)) = that0, which is an
@@ -64,8 +65,10 @@ from .combinatorics import (
     _check_sites,
     _cone_stencil,
     _Factors,
+    _fractions,
     _hop_coefficient,
     _Lazy,
+    _pair_sums,
     _ratio,
     _signed_hops,
     _terms,
@@ -180,6 +183,7 @@ def norm_ratio(lam, params):
     (qcore._qpoch_ints); one Fraction is formed.
     """
     lam = check_partition(lam)
+    _check_boundary(params)
     n = len(lam)
     qn, qd = params.q.numerator, params.q.denominator
     tn, td = params.t.numerator, params.t.denominator
@@ -250,6 +254,23 @@ def apply_H(f, params):
 HOP_CACHE_SIZE = 4096
 
 
+def _check_boundary(params):
+    """Refuse q = 0, t = 0 or 1 and that0 = 0, where the hop factors or the
+    norm ratios divide by zero, with a ParamDomainError naming the parameter.
+
+    params_from_hat(..., validate=False) admits them; that2 = 0, the
+    Morse-vanishing reduction, stays admitted.
+    """
+    # on the integer parts, which is cheaper than comparing Fractions: norm_ratio checks on every call
+    t = params.t
+    if not params.q.numerator:
+        raise ParamDomainError("parameter q must be nonzero, got 0")
+    if not t.numerator or t.numerator == t.denominator:
+        raise ParamDomainError(f"parameter t must not be 0 or 1, got {t}")
+    if not params.that0.numerator:
+        raise ParamDomainError("parameter that0 must be nonzero, got 0")
+
+
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)
 def _factors(lam, params):
     """The factor table of the hop coefficients at lam (1-based sites).
@@ -268,8 +289,10 @@ def _factors(lam, params):
     Each entry is one reduced int pair (combinatorics._ratio) formed from
     the integer numerators and denominators of a_j, r and the parameters.
     The table is shared by every level at lam, and so are the U sums and
-    V products kept in it.
+    V products kept in it.  Boundary parameters are refused first
+    (_check_boundary).
     """
+    _check_boundary(params)
     n = len(lam)
     t, q = params.t, params.q
     tn, td = t.numerator, t.denominator
@@ -363,7 +386,7 @@ def _hop_table(l, lam, params):
         target = _shift(lam, J, eps)
         return target if is_partition(target) else None
 
-    return tuple(_terms(l, _factors(lam, params), move))
+    return tuple((target, Fraction(*c)) for target, c in _terms(l, _factors(lam, params), move))
 
 
 # hit and miss counts of the hop-table memo
@@ -399,11 +422,11 @@ def apply_Hl(l, f, params):
     """Apply the l-th commuting integral H_l to a lattice function.
 
     Exact only: the values of f must be ints or Fractions.  Each support
-    point nu of f is scattered along its cached column: f(nu) times the
-    coefficient of every hop that reaches nu, added as an unreduced
-    integer pair to the entry of the hop's source.  One Fraction is formed
-    per entry, in sorted key order.  A pole is raised as the first source
-    in sorted order meets it.
+    point nu of f is scattered along its cached column into _pair_sums:
+    f(nu) times the coefficient of every hop that reaches nu, added as an
+    unreduced integer pair to the entry of the hop's source.  One Fraction
+    is formed per entry, in sorted key order.  A pole is raised as the
+    first source in sorted order meets it.
     """
     n = f.n
     _check_level(l, n)
@@ -420,24 +443,8 @@ def apply_Hl(l, f, params):
         for lam in sorted({lam for nu in values for _, _, lam in _sources(l, nu)}):
             _checked_factors(l, lam, params)
         raise
-    acc = {}
-    for v, column in columns:
-        vn, vd = v.numerator, v.denominator
-        for lam, cn, cd in column:
-            cn *= vn
-            cd *= vd
-            pair = acc.get(lam)
-            if pair is None:
-                acc[lam] = cn, cd
-            else:
-                num, den = pair
-                acc[lam] = num * cd + cn * den, den * cd
-    out = {}
-    for lam in sorted(acc):
-        num, den = acc[lam]
-        if num:
-            out[lam] = Fraction(num, den)
-    return LatticeFunction._of_partitions(n, out)
+    acc = _pair_sums([(v.numerator, v.denominator, column) for v, column in columns])
+    return LatticeFunction._of_partitions(n, _fractions(acc, sorted(acc)))
 
 
 # hit and miss counts of the column memo

@@ -29,6 +29,15 @@ the point and evaluates sum c P_target - Ehat_l(z) P_lam once
 (_residual_form).  pieri_residuals runs the same body over a grid of
 labels and points, with one hop sum per (l, lam) and one monomial map
 per point.
+
+Every one of these sums is taken in the one accumulator of exact linear
+combinations, combinatorics._pair_sums, on unreduced int pairs, with one
+Fraction per output coefficient: _hop_sum and _pieri_sum add each term
+c v as a pair, pieri_P forms each coefficient of P_mu once from its pair
+and c_mu, and at an int or Fraction point _residual_form sums
+(h_nu - Ehat_l(z) c_nu) N_nu / g^(nu_1) over the integer monomial kernel
+of the point, one Fraction per residual.  Float and complex points take
+the orbit sums.
 """
 
 from __future__ import annotations
@@ -40,7 +49,11 @@ from fractions import Fraction
 
 from .combinatorics import (
     _check_point,
+    _fractions,
+    _Monomials,
     _monomials_at,
+    _pair_sums,
+    _pairs_of,
     _times_elementary,
     check_partition,
     cosines_from_point,
@@ -210,16 +223,29 @@ def pieri_residuals(family, labels, points):
 def _residual_form(l, lam, family):
     """(z, mono) -> the Pieri residual at z, from mono = _monomials_at(z, n).
 
-    The hop sum over hop_terms(l, lam) and P_lam are read once; at each
-    point the polynomial sum c P_target - Ehat_l(z) P_lam is formed and
-    summed over the monomial values of the point.
+    The hop sum over hop_terms(l, lam) and P_lam are read once.  At an
+    int or Fraction point mono is the integer kernel _Monomials, and
+    sum_nu (h_nu - Ehat_l(z) c_nu) N_nu / g^(nu_1), with h the hop sum
+    and c the coefficients of P_lam, is summed in _pair_sums: one
+    Fraction per residual.  At any other point the polynomial
+    c P_target - Ehat_l(z) P_lam is formed and summed over the orbit sums.
     """
-    hops = InvariantPolynomial(len(lam), _hop_sum(l, lam, family)[0])
+    hops = _hop_sum(l, lam, family)[0]
     p_lam = family.P(lam)
+    n = len(lam)
 
     def residual(z, mono):
         ehat = eval_Ehat_l(l, cosines_from_point(z), family.params)
-        return hops.minus(p_lam.scaled(ehat))._sum_over(mono)
+        if not isinstance(mono, _Monomials):
+            poly = InvariantPolynomial._of_partitions(n, _fractions(hops))
+            return poly.minus(p_lam.scaled(ehat))._sum_over(mono)
+        g = mono.g
+        hop_part = ((None, hn * mono[nu], hd * g ** nu[0]) for nu, (hn, hd) in hops.items())
+        lam_part = (
+            (None, v.numerator * mono[nu], v.denominator * g ** nu[0]) for nu, v in p_lam.coeffs.items()
+        )
+        acc = _pair_sums([(1, 1, hop_part), (-ehat.numerator, ehat.denominator, lam_part)])
+        return Fraction(*acc[None])
 
     return residual
 
@@ -242,37 +268,36 @@ def _ehat_elementary(l, n, params):
 
 
 def _hop_sum(l, lam, family, top=None):
-    """sum over hop_terms(l, lam) of c P_target, as {mu: coefficient}.
+    """sum over hop_terms(l, lam) of c P_target, as a _pair_sums dict {mu: (numerator, denominator)}.
 
     The hop to top is left out of the sum; its coefficient is returned
-    next to the dict (0 if no hop reaches top).
+    next to the sum (0 if no hop reaches top).
     """
-    out = {}
+    groups = []
     c_top = 0
     for target, c in hop_terms(l, lam, family.params):
         if target == top:
             c_top = c
-            continue
-        for nu, v in family.P(target).coeffs.items():
-            out[nu] = out.get(nu, 0) + c * v
-    return out, c_top
+        else:
+            groups.append((c.numerator, c.denominator, _pairs_of(family.P(target).coeffs)))
+    return _pair_sums(groups), c_top
 
 
 def _pieri_sum(l, lam, family, top=None):
-    """_hop_sum minus Ehat_l P_lam, as {mu: coefficient}, and the coefficient of the hop to top.
+    """_hop_sum minus Ehat_l P_lam, as a _pair_sums dict, and the coefficient of the hop to top.
 
     Ehat_l P_lam is expanded in the monomial basis through
     _ehat_elementary and _times_elementary.
     """
     out, c_top = _hop_sum(l, lam, family, top)
     ehat = _ehat_elementary(l, len(lam), family.params)
-    for nu, v in family.P(lam).coeffs.items():
-        for a, products in zip(ehat, _times_elementary(nu)):
-            if a:
-                av = a * v
-                for gamma, count in products:
-                    out[gamma] = out.get(gamma, 0) - count * av
-    return out, c_top
+    products_of_lam = (
+        (-a.numerator * v.numerator, a.denominator * v.denominator, ((gamma, k, 1) for gamma, k in products))
+        for nu, v in family.P(lam).coeffs.items()
+        for a, products in zip(ehat, _times_elementary(nu))
+        if a
+    )
+    return _pair_sums(products_of_lam, out), c_top
 
 
 def pieri_P(mu, family):
@@ -298,8 +323,12 @@ def pieri_P(mu, family):
             f"Pieri recursion has no value at label {mu}: the hop {lam} -> {mu} of H_{l} has coefficient 0"
         )
     # descending graded-lex, the order build_P writes, so float sums over P run alike
-    order = sorted(rest, key=total_order_key, reverse=True)
-    return InvariantPolynomial(n, {nu: -rest[nu] / c_mu for nu in order})
+    coeffs = {}
+    for nu in sorted(rest, key=total_order_key, reverse=True):
+        num, den = rest[nu]
+        if num:
+            coeffs[nu] = Fraction(-num * c_mu.denominator, den * c_mu.numerator)
+    return InvariantPolynomial._of_partitions(n, coeffs)
 
 
 def pieri_identity(l, lam, family):
@@ -310,4 +339,4 @@ def pieri_identity(l, lam, family):
     point.
     """
     lam = check_partition(lam)
-    return InvariantPolynomial(len(lam), _pieri_sum(l, lam, family)[0])
+    return InvariantPolynomial._of_partitions(len(lam), _fractions(_pieri_sum(l, lam, family)[0]))

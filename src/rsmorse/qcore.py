@@ -203,7 +203,8 @@ class ParamSet:
     q and t are rationals in (0, 1); the three hatted couplings are
     nonzero rationals in (-1, 1).  The derived unhatted couplings
     t0, t1, t2 (t3 is identically 1) are exact rationals, each computed
-    on first use and kept.
+    on first use and kept; t0 = that1 that2 / q refuses q = 0 with a
+    ParamDomainError.
     """
 
     q: Fraction
@@ -232,6 +233,8 @@ class ParamSet:
 
     @functools.cached_property
     def t0(self):
+        if self.q == 0:
+            raise ParamDomainError("parameter q must be nonzero: t0 = that1 that2 / q")
         return self.that[1] * self.that[2] / self.q
 
     @functools.cached_property

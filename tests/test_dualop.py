@@ -1,7 +1,9 @@
 import functools
 import itertools
 import math
+import random
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,7 @@ from rsmorse.dualop import (
     generic_points,
     vhat,
 )
-from rsmorse.errors import ParamDomainError, PoleError, StructureError
+from rsmorse.errors import ParamDomainError, PoleError, SingularMatrixError, StructureError
 from rsmorse.qcore import params_from_hat
 
 from conftest import PARAM_SETS
@@ -203,7 +205,7 @@ def _outcome(fn):
 def _terms_at_point(l, z, p):
     """(shifted point, coefficient) of each term of Hhat_l at z, from a cold record of z."""
     terms = dualop._dual_terms(l, dualop._Point(z, p), p)
-    return [(tuple(Fraction(a, b) for a, b in pairs), c) for (pairs, _), c in terms]
+    return [(tuple(Fraction(a, b) for a, b in pairs), Fraction(*c)) for (pairs, _), c in terms]
 
 
 def _vhat_signed(J, eps, z, p):
@@ -651,8 +653,12 @@ class TestApplyHhat:
         real = dualop._dual_terms
 
         def crooked(l, rec, params):
-            z0 = Fraction(*rec.pairs[0])
-            return [((pairs, s), c * (1 + z0) if s else c) for (pairs, s), c in real(l, rec, params)]
+            # times 1 + z0 = (b + a)/b on the int pair of each moved term, z0 = a/b
+            a, b = rec.pairs[0]
+            return [
+                ((pairs, s), (cn * (b + a), cd * b) if s else (cn, cd))
+                for (pairs, s), (cn, cd) in real(l, rec, params)
+            ]
 
         monkeypatch.setattr(dualop, "_dual_terms", crooked)
         # a matrix already held would answer without fitting anything
@@ -859,7 +865,7 @@ class TestPointMemo:
         real = dualop._dual_terms
 
         def crooked(l, z, params):
-            return [(target, 2 * c) for target, c in real(l, z, params)]
+            return [(target, (2 * cn, cd)) for target, (cn, cd) in real(l, z, params)]
 
         monkeypatch.setattr(dualop, "_dual_terms", crooked)
         dual_matrix.cache_clear()
@@ -870,3 +876,115 @@ class TestPointMemo:
             dual_matrix.cache_clear()
         assert _dense(1, (0,), p) == [[0]]
         assert _row((1,), p) == before
+
+
+def _points_literal(n, count, p, seed, rng=None):
+    """generic_points as one loop on a fresh RNG: 400 candidates per point asked for at most."""
+    rng = random.Random(seed) if rng is None else rng
+    qn, qd = p.q.numerator, p.q.denominator
+    points, used, guard = [], set(), 0
+    while len(points) < count:
+        guard += 1
+        if guard > 400 * count:
+            raise PoleError("could not draw enough admissible interpolation points")
+        coords = []
+        for _ in range(n):
+            a, b = rng.sample(dualop._PRIMES, 2)
+            v = Fraction(a, b)
+            if any(v == w or v * w == 1 or p.q * v * w == 1 or p.q * v == w or p.q * w == v for w in coords):
+                break
+            if v * v == p.q or p.q * v * v == 1:
+                break
+            coords.append(v)
+        else:
+            pt = tuple(coords)
+            if pt not in used:
+                used.add(pt)
+                points.append(pt)
+    return points
+
+
+class _Scripted:
+    """An RNG whose first 2 * 450 samples are 2/3, 3/2 in turn: 450 candidates of two
+    coordinates with v w = 1, all refused; then the RNG of the seed."""
+
+    def __init__(self, seed):
+        self.real = random.Random(seed)
+        self.calls = 0
+
+    def sample(self, pool, k):
+        self.calls += 1
+        if self.calls <= 900:
+            return [2, 3] if self.calls % 2 else [3, 2]
+        return self.real.sample(pool, k)
+
+
+class TestSharedDraw:
+    """One draw of interpolation points per seed, kept with the fit's records."""
+
+    def test_draw_answers_as_fresh_points(self):
+        # q = 4/9 at n = 1 runs out of points after 180
+        exhausted = params_from_hat("4/9", "1/3", ("1/2", "-1/3", "1/5"))
+        counts = (3, 1, 8, 5, 12, 2)
+        cases = [(p, n, seed, counts) for p in PARAM_SETS for n in (1, 2, 3) for seed in (0, 5, 1009)]
+        cases.append((exhausted, 1, 3, (181, 180, 5)))
+        for p, n, seed, counts in cases:
+            draw = dualop._Draw(n, p, seed)
+            for count in counts:
+                want = _outcome(lambda: _points_literal(n, count, p, seed))
+                assert _outcome(lambda: draw.take(count)) == want, (p, n, seed, count)
+
+    def test_guard_counts_candidates_per_point(self, monkeypatch):
+        # the first point comes after 450 candidates: past the guard of one point, within that of two
+        p = PARAM_SETS[0]
+        monkeypatch.setattr(dualop, "random", types.SimpleNamespace(Random=_Scripted))
+        draw = dualop._Draw(2, p, 8)
+        for count in (1, 2, 1, 3, 1):
+            want = _outcome(lambda: _points_literal(2, count, p, 8, _Scripted(8)))
+            assert _outcome(lambda: draw.take(count)) == want, count
+        assert isinstance(want, str)
+        assert draw.tries[0] == 451
+
+    def test_one_draw_across_growth_and_levels(self, monkeypatch):
+        p = PARAM_SETS[2]
+        dual_matrix.cache_clear()
+        draws = _count_calls(monkeypatch, "_Draw")
+        first = dual_matrix(1, 2, p, 4)
+        first.grow(1)
+        first.grow(3)
+        dual_matrix(2, 2, p, 4).grow(2)
+        dual_matrix(2, 2, p, 4).grow(3)
+        assert draws == [(2, p, 4)]
+        points = [z for z in first.records if isinstance(z, tuple)]
+        assert points == generic_points(2, len(partitions_max_weight(2, 3)) + 1, p, 4)
+
+    def test_resample_draws_from_the_next_seed(self, monkeypatch):
+        # the first solve fails: that fit moves to seed + 1009, the next growth step starts at seed again
+        p = PARAM_SETS[0]
+        dual_matrix.cache_clear()
+        real = dualop.solve_exact
+        refused = []
+
+        def once(A, B):
+            if not refused:
+                refused.append(len(A))
+                raise SingularMatrixError("refused once")
+            return real(A, B)
+
+        monkeypatch.setattr(dualop, "solve_exact", once)
+        draws = _count_calls(monkeypatch, "_Draw")
+        mat = dual_matrix(1, 2, p, 6)
+        mat.grow(2)
+        mat.grow(3)
+        dual_matrix(2, 2, p, 6).grow(3)
+        assert refused == [len(partitions_max_weight(2, 2))]
+        assert [args[2] for args in draws] == [6, 6 + 1009]
+        points = {z for z in mat.records if isinstance(z, tuple)}
+        box2, box3 = (len(partitions_max_weight(2, w)) for w in (2, 3))
+        drawn = set(generic_points(2, box3 + 1, p, 6)) | set(generic_points(2, box2 + 1, p, 6 + 1009))
+        assert points == drawn
+        monkeypatch.undo()
+        fresh = DualMatrix(1, 2, p, 6, {})
+        fresh.grow(3)
+        assert fresh.rows == mat.rows
+        dual_matrix.cache_clear()

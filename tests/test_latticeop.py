@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rsmorse.combinatorics import _hop_coefficient, _stay_sum, check_partition, is_partition, partitions_max_weight
 from rsmorse import latticeop
-from rsmorse.errors import ParamDomainError, PoleError
+from rsmorse.errors import ParamDomainError, PoleError, RSMorseError
 from rsmorse.latticeop import (
     LatticeFunction,
     apply_H,
@@ -18,6 +18,7 @@ from rsmorse.latticeop import (
     epsilon0,
     hop_terms,
     morse_vanishing_limit_check,
+    norm_ratio,
     ruijsenaars_limit_check,
     symmetrization_identity_sides,
     v_minus,
@@ -588,10 +589,14 @@ _THAT = ("1/2", "-1/3", "1/5")
 
 
 def _result(fn):
-    """fn(), or the type and text of the PoleError or ZeroDivisionError it raises."""
+    """fn(), or the type and text of the package error or ZeroDivisionError it raises.
+
+    The package errors include the ParamDomainError that refuses q = 0,
+    t = 0 or 1 and that0 = 0.
+    """
     try:
         return fn()
-    except (PoleError, ZeroDivisionError) as exc:
+    except (RSMorseError, ZeroDivisionError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -687,6 +692,43 @@ def test_pole_rule_is_exact(p):
                     assert got == want, (p, l, lam)
                 else:
                     assert not isinstance(got, str), (p, l, lam, got)
+
+
+class TestBoundary:
+    """q = 0, t = 0 or 1 and that0 = 0, admitted by params_from_hat(validate=False),
+    are refused by name where the hop factors and the norm ratios are formed."""
+
+    @pytest.mark.parametrize(
+        "q, t, that0, name",
+        [
+            ("0", "1/2", "1/2", "q"),
+            ("1/3", "1", "1/2", "t"),
+            ("1/3", "0", "1/2", "t"),
+            ("1/3", "1/2", "0", "that0"),
+        ],
+    )
+    def test_refused_by_name(self, q, t, that0, name):
+        # hop_terms(1, (1, 0)) raised Fraction(-1, 0), Fraction(3, 0) and Fraction(36, 0) at
+        # q = 0, t = 0 and that0 = 0, and norm_ratio((1, 0)) raised Fraction(0, 0) at t = 1
+        p = params_from_hat(q, t, (that0, "-1/3", "1/5"), validate=False)
+        calls = [
+            lambda: hop_terms(1, (1, 0), p),
+            lambda: hop_terms(2, (1, 0), p),
+            lambda: apply_Hl(1, LatticeFunction.delta((1, 0)), p),
+            lambda: norm_ratio((1, 0), p),
+        ]
+        for call in calls:
+            with pytest.raises(RSMorseError) as exc:
+                call()
+            assert isinstance(exc.value, ParamDomainError)
+            assert str(exc.value).startswith(f"parameter {name} ")
+
+    def test_vanishing_morse_coupling_admitted(self):
+        # that2 = 0, the reduction of criterion 08 and verify limits
+        for base in PARAM_SETS:
+            p = params_from_hat(base.q, base.t, (base.that0, base.that1, 0), validate=False)
+            assert p.t0 == p.t1 == 0
+            assert hop_terms(1, (1, 0), p) and norm_ratio((1, 0), p)
 
 
 class TestEpsilon0:

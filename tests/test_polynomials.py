@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,8 +9,22 @@ from hypothesis import strategies as st
 
 import rsmorse.dualop as dualop
 import rsmorse.polynomials as polynomials
-from rsmorse.combinatorics import eval_E, ideal, partitions_max_weight
-from rsmorse.dualop import apply_dual_h_pointwise, apply_Hhat_l, dual_matrix, generic_points
+from rsmorse.combinatorics import (
+    _times_elementary,
+    cosines_from_point,
+    eval_E,
+    eval_Ehat_l,
+    ideal,
+    partitions_max_weight,
+    total_order_key,
+)
+from rsmorse.dualop import (
+    InvariantPolynomial,
+    apply_dual_h_pointwise,
+    apply_Hhat_l,
+    dual_matrix,
+    generic_points,
+)
 from rsmorse.errors import DegeneracyError, ParamDomainError, RSMorseError
 from rsmorse.polynomials import (
     FittedFamily,
@@ -409,3 +424,142 @@ def test_check_seed_is_its_own_matrix():
     assert check.rows[(1, 0)] is not fit.rows[(1, 0)]
     assert check.rows[(1, 0)] == fit.rows[(1, 0)]
     assert image.minus(poly.scaled(eval_E((1, 0), p))).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the sums on integer pairs against a Fraction reference of the term-by-term loops
+# ---------------------------------------------------------------------------
+
+
+def _hop_sum_literal(l, lam, family, top=None):
+    """sum over hop_terms(l, lam) of c P_target, added Fraction by Fraction; the hop to top apart."""
+    out, c_top = {}, 0
+    for target, c in polynomials.hop_terms(l, lam, family.params):
+        if target == top:
+            c_top = c
+            continue
+        for nu, v in family.P(target).coeffs.items():
+            out[nu] = out.get(nu, 0) + c * v
+    return out, c_top
+
+
+def _pieri_sum_literal(l, lam, family, top=None):
+    out, c_top = _hop_sum_literal(l, lam, family, top)
+    ehat = polynomials._ehat_elementary(l, len(lam), family.params)
+    for nu, v in family.P(lam).coeffs.items():
+        for a, products in zip(ehat, _times_elementary(nu)):
+            if a:
+                for gamma, count in products:
+                    out[gamma] = out.get(gamma, 0) - count * (a * v)
+    return out, c_top
+
+
+def _pieri_P_literal(mu, family):
+    """pieri_P on Fractions: {nu: coefficient} in descending graded-lex order, zeros dropped."""
+    l = sum(1 for part in mu if part)
+    if l == 0:
+        return {mu: Fraction(1)}
+    lam = tuple(part - 1 for part in mu[:l]) + mu[l:]
+    rest, c_mu = _pieri_sum_literal(l, lam, family, top=mu)
+    if c_mu == 0:
+        raise DegeneracyError(
+            f"Pieri recursion has no value at label {mu}: the hop {lam} -> {mu} of H_{l} has coefficient 0"
+        )
+    order = sorted(rest, key=total_order_key, reverse=True)
+    return {nu: -rest[nu] / c_mu for nu in order if rest[nu] != 0}
+
+
+def _orbit_value(mu, z):
+    """m_mu(z) as the sum of z^nu over the distinct signed permutations nu of mu."""
+    orbit = {
+        tuple(s * e for s, e in zip(signs, perm))
+        for perm in itertools.permutations(mu)
+        for signs in itertools.product((1, -1), repeat=len(mu))
+    }
+    total = 0
+    for nu in orbit:
+        term = 1
+        for zj, e in zip(z, nu):
+            term *= zj**e
+        total += term
+    return total
+
+
+def _residual_literal(l, lam, z, family):
+    """The Pieri residual: the polynomial sum c P_target - Ehat_l(z) P_lam summed over the orbits at z."""
+    hops = InvariantPolynomial(len(lam), _hop_sum_literal(l, lam, family)[0])
+    ehat = eval_Ehat_l(l, cosines_from_point(z), family.params)
+    poly = hops.minus(family.P(lam).scaled(ehat))
+    # scale: a bound on sum |c m_mu(z)| on the unit torus, for the float comparison
+    total = scale = 0
+    for mu, c in poly.coeffs.items():
+        total += c * _orbit_value(mu, z)
+        scale += abs(c) * len(set(itertools.permutations(mu))) * 2 ** len(mu)
+    return total, scale
+
+
+def _apply_Hhat_literal(l, poly, params, seed):
+    mat = dual_matrix(l, poly.n, params, seed)
+    mat.grow(max(sum(mu) for mu in poly.coeffs))
+    out = {}
+    for mu, c in poly.coeffs.items():
+        for nu, v in mat.rows[mu].items():
+            out[nu] = out.get(nu, 0) + c * v
+    return {nu: v for nu, v in out.items() if v != 0}
+
+
+def _outcome(fn):
+    """fn(), or the type and text of the package error it raises."""
+    try:
+        return fn()
+    except RSMorseError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_COORDS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    in_domain_params(),
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.sampled_from(partitions_max_weight(n, 3)),
+            st.integers(1, n),
+            st.lists(_COORDS, min_size=n, max_size=n),
+            st.lists(st.floats(0.1, 3.0), min_size=n, max_size=n),
+        )
+    ),
+)
+def test_pair_sums_equal_the_fraction_loops(p, case):
+    # a third of the draws put q = t^k, where H_l (l >= 2) has poles and the family fits
+    lam, l, z, angles = case
+    n = len(lam)
+    family = PolynomialFamily(params=p)
+    # every P of the box the recursion builds, in values and in key order
+    for mu in partitions_max_weight(n, 3):
+        want = _outcome(lambda: _pieri_P_literal(mu, family))
+        got = _outcome(lambda: pieri_P(mu, family).coeffs)
+        assert got == want, mu
+        if isinstance(want, dict):
+            assert list(got.items()) == list(family.P(mu).coeffs.items()) == list(want.items()), mu
+    # the identity and the residuals read labels of weight |lam| + l at most: keep it within the box
+    if sum(lam) + l <= 3:
+        want = _outcome(lambda: {k: v for k, v in _pieri_sum_literal(l, lam, family)[0].items() if v != 0})
+        got = _outcome(lambda: polynomials.pieri_identity(l, lam, family).coeffs)
+        assert got == want and (isinstance(got, str) or list(got) == list(want))
+        want = _outcome(lambda: _residual_literal(l, lam, tuple(z), family)[0])
+        got = _outcome(lambda: pieri_residual(l, lam, tuple(z), family))
+        assert got == want and (isinstance(got, str) or type(got) is Fraction)
+        w = tuple(cmath.exp(1j * a) for a in angles)
+        want = _outcome(lambda: _residual_literal(l, lam, w, family))
+        got = _outcome(lambda: pieri_residual(l, lam, w, family))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            value, scale = want
+            assert abs(got - value) <= 1e-12 * max(1, scale)
+    # the dual images of P_lam, at the check seed
+    poly = family.P(lam)
+    got = apply_Hhat_l(l, poly, p, seed=1).coeffs
+    assert list(got.items()) == list(_apply_Hhat_literal(l, poly, p, 1).items())

@@ -308,6 +308,12 @@ class TestParamSet:
         assert p.that2 == 0
         assert p.t0 == 0
 
+    def test_t0_refuses_q_zero(self):
+        # t0 = that1 that2 / q raised a bare Fraction(-1, 0)
+        p = params_from_hat("0", "1/2", ("1/2", "-1/3", "1/5"), validate=False)
+        with pytest.raises(ParamDomainError, match="parameter q must be nonzero"):
+            p.t0
+
     def test_wrong_coupling_count(self):
         with pytest.raises(ParamDomainError):
             params_from_hat("1/3", "1/2", ("1/2", "1/3"))
