@@ -9,6 +9,7 @@ exact rational arithmetic.
 
 from fractions import Fraction
 
+from rsmorse.checks import ruijsenaars_limit_check
 from rsmorse.latticeop import (
     LatticeFunction,
     apply_H,
@@ -16,11 +17,10 @@ from rsmorse.latticeop import (
     commutator_on_delta,
     hop_terms,
     morse_vanishing_limit_check,
-    ruijsenaars_limit_check,
     v_minus,
     v_plus,
 )
-from rsmorse.qcore import params_from_hat
+from rsmorse.qcore import morse_vanishing_params, params_from_hat
 
 params = params_from_hat(
     Fraction(1, 4), Fraction(1, 3), (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5))
@@ -63,9 +63,7 @@ print()
 
 # degeneration 1: switching off the Morse coupling (that2 = 0) collapses
 # the one-body dressing to the reduced two-coupling form
-reduced = params_from_hat(
-    params.q, params.t, (params.that[0], params.that[1], Fraction(0)), validate=False
-)
+reduced = morse_vanishing_params(params.q, params.t, params.that0, params.that1)
 rep = morse_vanishing_limit_check(reduced, 2, 4)
 print(f"vanishing Morse coupling: {rep.checked} coefficients match exactly -> {rep.ok}")
 

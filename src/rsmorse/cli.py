@@ -1,9 +1,9 @@
-"""Command-line front end: tables, verification suites, reports.
+"""Command-line front end: configuration, commands and reports.
 
 Subcommands: poly, verify {pieri,qdiff,commute,nonneg,limits,balance},
-ortho, scatter, evolve.  The verify suites and the acceptance criteria
-run the same public case functions (pieri_cases, qdiff_cases,
-commute_cases, nonneg_violations, balance_cases).  Configuration comes
+ortho, scatter, evolve.  Each verify suite adapts the run configuration
+to the case functions of rsmorse.checks, which the acceptance criteria
+run too; this module defines no check of its own.  Configuration comes
 from flags, optionally seeded by a key=value config file (flags win).
 Exit codes: 0 success, 1 verification failure, 2 configuration error
 (also a q-product past its factor cap) or a pole of an operator at the
@@ -21,20 +21,13 @@ import json
 import math
 import random
 import sys
-from fractions import Fraction
 
-from .combinatorics import eval_E_l, eval_E_l_via_Eln, ideal, partitions_max_weight
-from .dualop import apply_Hhat_l, commutator_on_monomial, dual_matrix, generic_points
+from . import checks
+from .combinatorics import partitions_max_weight
+from .dualop import generic_points
 from .errors import DegeneracyError, ParamDomainError, PoleError, RSMorseError, TruncationCapError
-from .latticeop import (
-    LatticeFunction,
-    commutator_on_delta,
-    detailed_balance_residual,
-    morse_vanishing_limit_check,
-    ruijsenaars_limit_check,
-    symmetrization_identity_sides,
-)
-from .polynomials import FittedFamily, PolynomialFamily, pieri_residuals
+from .latticeop import LatticeFunction
+from .polynomials import FittedFamily, PolynomialFamily
 from .qcore import params_from_hat, parse_rational
 from .scattering import S_hat, branch_deviation
 
@@ -179,163 +172,18 @@ def cmd_poly(config):
     return 0
 
 
-def _case(name, ok, detail=""):
-    return {"case": name, "pass": bool(ok), "detail": detail}
-
-
-def pieri_cases(family, labels, points):
-    """Lattice Pieri recurrence of the family at each label, level and point.
-
-    A PolynomialFamily builds its P from this recurrence, so the checks
-    pass it a FittedFamily, whose P come from the eigen-solve.
-    """
-    return [
-        _case(f"pieri l={l} lam={lam} z={tuple(map(str, z))}", r == 0, f"residual={r}")
-        for l, lam, z, r in pieri_residuals(family, labels, points)
-    ]
-
-
-def qdiff_cases(family, labels):
-    """Dual eigen-identity Hhat_l P_lam = E_(lam,l) P_lam at each label and level.
-
-    Hhat_l is fitted at the family seed + 1.  For a label the family
-    builds by the eigen-solve fallback (a pole of H_l, as at q = t^k, or
-    a vanishing top hop), the l = 1 check is then not read back from the
-    very matrix P was solved from; the Pieri recursion reads no dual
-    matrix.
-    """
-    params = family.params
-    cases = []
-    for lam in labels:
-        poly = family.P(lam)
-        for l in range(1, len(lam) + 1):
-            lhs = apply_Hhat_l(l, poly, params, seed=family.seed + 1)
-            diff = lhs.minus(poly.scaled(eval_E_l(lam, l, params)))
-            detail = "exact zero" if diff.is_zero() else f"nonzero on {diff.support()}"
-            cases.append(_case(f"qdiff l={l} lam={lam}", diff.is_zero(), detail))
-    return cases
-
-
-def commute_cases(params, labels, root, seed):
-    """Commutators of the lattice and of the dual integrals.
-
-    Lattice [H_l, H_m] (l <= m) on the delta at each label, then dual
-    [Hhat_l, Hhat_m] (l < m) on each monomial of the ideal of root, fitted
-    with seed.
-    """
-    cases = []
-    for lam0 in labels:
-        for l in range(1, len(lam0) + 1):
-            for m in range(l, len(lam0) + 1):
-                comm = commutator_on_delta(l, m, lam0, params)
-                detail = "exact zero" if comm.is_zero() else f"support {comm.support()}"
-                cases.append(_case(f"lattice [H_{l},H_{m}] at {lam0}", comm.is_zero(), detail))
-    n = len(root)
-    # fit each level's whole box once up front, not one weight per monomial;
-    # at n = 1 there is no pair l < m, so nothing is fitted
-    if n > 1:
-        for l in range(1, n + 1):
-            dual_matrix(l, n, params, seed).grow(sum(root))
-    for l in range(1, n + 1):
-        for m in range(l + 1, n + 1):
-            ok = all(commutator_on_monomial(l, m, mu, params, seed).is_zero() for mu in ideal(root))
-            cases.append(_case(f"dual [Hhat_{l},Hhat_{m}] on ideal({root})", ok))
-    return cases
-
-
-def nonneg_violations(params, labels):
-    """Violations of E_(lam,l) >= 0 and of its two-route agreement.
-
-    (lam, l, value) for a negative value, (lam, l, "route mismatch") where
-    the product formula and the E_(l,n) route disagree.
-    """
-    bad = []
-    for lam in labels:
-        for l in range(1, len(lam) + 1):
-            val = eval_E_l(lam, l, params)
-            if val < 0:
-                bad.append((lam, l, val))
-            if eval_E_l_via_Eln(lam, l, params) != val:
-                bad.append((lam, l, "route mismatch"))
-    return bad
-
-
-def balance_cases(params, labels):
-    """Detailed balance of each up-hop lam -> lam + e_j that stays a partition."""
-    cases = []
-    for lam in labels:
-        for j in range(1, len(lam) + 1):
-            if j > 1 and lam[j - 2] == lam[j - 1]:
-                continue
-            r = detailed_balance_residual(lam, j, params)
-            cases.append(_case(f"balance lam={lam} j={j}", r == 0, f"residual={r}"))
-    return cases
-
-
-def _suite_nonneg(config):
-    bad = nonneg_violations(config.params, _labels(config))
-    return [
-        _case(
-            f"E_(lam,l) >= 0 and two-route agreement, n={config.n}, |lam|<={config.max_weight}",
-            not bad,
-            "" if not bad else f"violations: {bad[:5]}",
-        )
-    ]
-
-
-def _suite_limits(config):
-    cases = []
-    rng = random.Random(config.seed + 5)
-    t = config.params.t
-    ok = True
-    for _ in range(50):
-        z = tuple(Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(config.n))
-        if len(set(z)) < config.n or any(v == 0 for v in z):
-            continue
-        lhs, rhs = symmetrization_identity_sides(t, z)
-        if lhs != rhs:
-            ok = False
-    cases.append(_case("symmetrization identity at random rational points", ok))
-    reduced = params_from_hat(
-        config.params.q,
-        config.params.t,
-        (config.params.that0, config.params.that1, Fraction(0)),
-        validate=False,
-    )
-    rep = morse_vanishing_limit_check(reduced, config.n, min(config.max_weight, 3))
-    cases.append(
-        _case(
-            "vanishing Morse coupling reduces the lattice coefficients",
-            rep.ok,
-            f"checked {rep.checked} entries, mismatches {len(rep.mismatches)}",
-        )
-    )
-    rl = ruijsenaars_limit_check(config.n, config.params)
-    ratios_ok = all(abs(r - 100.0) <= 10.0 for r in rl["error_ratios"])
-    cases.append(
-        _case(
-            "pair-potential limit is linear in the coupling",
-            ratios_ok,
-            f"error ratios {rl['error_ratios']}",
-        )
-    )
-    return cases
-
-
-# adapters from a RunConfig to the case functions
+# adapters from a RunConfig to the case functions of checks
 _SUITES = {
-    "pieri": lambda c: pieri_cases(
+    "pieri": lambda c: checks.pieri_cases(
         FittedFamily(params=c.params, seed=c.seed),
         _labels(c),
         generic_points(c.n, 3, c.params, c.seed + 17),
     ),
-    "qdiff": lambda c: qdiff_cases(_family(c), _labels(c)),
-    "commute": lambda c: commute_cases(
-        c.params, _labels(c), (c.max_weight,) + (0,) * (c.n - 1), c.seed
-    ),
-    "nonneg": _suite_nonneg,
-    "limits": _suite_limits,
-    "balance": lambda c: balance_cases(c.params, _labels(c)),
+    "qdiff": lambda c: checks.qdiff_cases(_family(c), _labels(c)),
+    "commute": lambda c: checks.commute_cases(c.params, _labels(c), (c.max_weight,) + (0,) * (c.n - 1), c.seed),
+    "nonneg": lambda c: checks.nonneg_cases(c.params, c.n, c.max_weight),
+    "limits": lambda c: checks.limit_cases(c.params, c.n, c.max_weight, c.seed),
+    "balance": lambda c: checks.balance_cases(c.params, _labels(c)),
 }
 
 

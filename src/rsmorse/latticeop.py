@@ -50,12 +50,18 @@ takes int and Fraction values only.
 Sign convention for the square-root prefactors of the hop coefficients:
 sqrt(q*t0/(t1*t2)) = 1/that0 and sqrt(t1*t2/(q*t0)) = that0, which is an
 exact rational on the hatted parameter domain (also for negative that0).
+
+Boundary parameters that params_from_hat(..., validate=False) admits
+(q = 0, t = 0 or 1, that0 = 0) are refused by name before any
+arithmetic, by the factor tables, the closed forms and norm_ratio alike
+(_check_boundary).  The case checks live in rsmorse.checks; the one
+check kept here is morse_vanishing_limit_check with its LimitReport,
+which the lattice-exact benchmark workload calls through this module.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,8 +96,6 @@ __all__ = [
     "epsilon0",
     "commutator_on_delta",
     "morse_vanishing_limit_check",
-    "symmetrization_identity_sides",
-    "ruijsenaars_limit_check",
 ]
 
 
@@ -118,7 +122,9 @@ def _one_site(lam, j, params, s):
 
     The product runs on the integer numerators and denominators of
     a_k = t**(n-k) q**lam_k and of the parameters; one Fraction is formed.
+    Boundary parameters are refused first (_check_boundary).
     """
+    _check_boundary(params)
     lam = check_partition(lam)
     n = len(lam)
     _check_sites((j,), n)
@@ -470,34 +476,9 @@ def commutator_on_delta(l, m, lam0, params):
 
 
 # ---------------------------------------------------------------------------
-# limit checks
+# the Morse-vanishing limit, read by checks.degenerations and, through this
+# module, by the lattice-exact benchmark workload
 # ---------------------------------------------------------------------------
-
-
-def symmetrization_identity_sides(t, z):
-    """Both sides of the symmetrization identity behind the Morse diagonal.
-
-    sum_j (1 + z_j) prod_{k != j} (t - z_j/z_k)/(1 - z_j/z_k)
-        = sum_j (z_j + t^(n-j)).
-
-    Returns (lhs, rhs); the coordinates must be pairwise distinct and
-    nonzero.
-    """
-    z = list(z)
-    n = len(z)
-    if len(set(z)) != n or any(v == 0 for v in z):
-        raise ParamDomainError("identity requires pairwise distinct nonzero coordinates")
-    lhs = 0
-    for j in range(n):
-        term = 1 + z[j]
-        for k in range(n):
-            if k == j:
-                continue
-            r = z[j] / z[k]
-            term *= (t - r) / (1 - r)
-        lhs += term
-    rhs = sum(z[j] + t ** (n - 1 - j) for j in range(n))
-    return lhs, rhs
 
 
 @dataclass
@@ -560,40 +541,3 @@ def morse_vanishing_limit_check(params, n, max_weight):
         if -diag_full != diag_red:
             mismatches.append(("diag", lam, None, -diag_full, diag_red))
     return LimitReport(checked=checked, mismatches=mismatches)
-
-
-def ruijsenaars_limit_check(n, params):
-    """Degenerate the Morse coupling: t0 = eps t^(n-1)/q, t1 = t2 = t3 = eps.
-
-    As eps -> 0 the one-body weights converge to the constants
-    t^(+-(n-1)/2), with error linear in eps.  Returns a report with the
-    worst absolute errors per eps and the error ratios between
-    consecutive eps values (ratio approx eps_i/eps_{i+1} for a linear
-    rate).  Floating-point path; q, t are taken from params.
-    """
-    q = float(params.q)
-    t = float(params.t)
-    target_p = t ** ((n - 1) / 2)
-    target_m = t ** (-(n - 1) / 2)
-    eps_values = (1e-4, 1e-6)
-    errors = []
-    for eps in eps_values:
-        # the generic four-parameter one-body weights at t1 = t2 = t3 = eps:
-        # w_plus = s (1 - t1 q^x)(1 - t2 q^x), w_minus = (1 - t0 q^x)(1 - t3 q^x)/s
-        # with s = sqrt(q t0 t3/(t1 t2))
-        t0 = eps * t ** (n - 1) / q
-        s = math.sqrt((q * t0 * eps) / (eps * eps))
-        worst = 0.0
-        for j in range(1, n + 1):
-            qx = t ** (n - j)
-            wp = s * (1 - eps * qx) * (1 - eps * qx)
-            wm = (1 - t0 * qx) * (1 - eps * qx) / s
-            worst = max(worst, abs(wp - target_p), abs(wm - target_m))
-        errors.append(worst)
-    ratios = [errors[i] / errors[i + 1] for i in range(len(errors) - 1)]
-    return {
-        "eps": list(eps_values),
-        "max_abs_error": errors,
-        "error_ratios": ratios,
-        "targets": (target_p, target_m),
-    }

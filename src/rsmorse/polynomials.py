@@ -63,7 +63,7 @@ from .combinatorics import (
 )
 from .dualop import InvariantPolynomial, dual_matrix
 from .errors import DegeneracyError, PoleError
-from .latticeop import hop_terms
+from .latticeop import _check_boundary, hop_terms
 from .qcore import qpoch_finite
 
 __all__ = [
@@ -85,7 +85,11 @@ def leading_coeff(lam, params):
     prod_j that0^lam_j t^((n-j) lam_j)
            / ((that0 that1 t^(n-j); q)_{lam_j} (that0 that2 t^(n-j); q)_{lam_j})
     * prod_{j<k} (t^(k-j); q)_{lam_j - lam_k} / (t^(1+k-j); q)_{lam_j - lam_k}.
+
+    q = 0, t = 0 or 1 and that0 = 0 are refused first, by name
+    (latticeop._check_boundary).
     """
+    _check_boundary(params)
     lam = check_partition(lam)
     n = len(lam)
     q, t = params.q, params.t
@@ -155,9 +159,11 @@ def build_P(lam, params, seed=0):
     lam, where E is the diagonal matrix entry at lam, reading the rows of
     dual_matrix(1, n, params, seed) grown to |lam|; a vanishing gap
     E - Hhat_1[mu, mu] for mu below lam raises DegeneracyError naming
-    the colliding pair.
+    the colliding pair.  The leading coefficient is formed first, so
+    boundary parameters are refused before any fit (leading_coeff).
     """
     lam = check_partition(lam)
+    scale = leading_coeff(lam, params)
     mat = dual_matrix(1, len(lam), params, seed)
     mat.grow(sum(lam))
     rows = mat.rows
@@ -179,7 +185,6 @@ def build_P(lam, params, seed=0):
             )
         if acc != 0:
             coeffs[nu] = acc / gap
-    scale = leading_coeff(lam, params)
     return InvariantPolynomial(len(lam), {mu: scale * c for mu, c in coeffs.items()})
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "truncation_order",
     "ParamSet",
     "params_from_hat",
+    "morse_vanishing_params",
 ]
 
 #: hard cap on the number of factors kept in an infinite q-product
@@ -259,12 +260,21 @@ class ParamSet:
         }
 
 
+def _check_domain(q, t, that):
+    _check_open_unit("q", q)
+    _check_open_unit("t", t)
+    for r, value in enumerate(that):
+        _check_hat(f"that{r}", value)
+
+
 def params_from_hat(q, t, that, validate=True):
     """Build a ParamSet from hatted parameters, validating the domain.
 
     Accepts Fractions or strings ("p/q" or decimal).  With
     ``validate=False`` the domain checks are skipped; that path exists
-    for boundary studies such as the vanishing-Morse limit that2 = 0.
+    for tests that draw values off the domain on purpose.  The
+    vanishing-Morse limit that2 = 0 has its own constructor,
+    morse_vanishing_params.
     """
     q = parse_rational(q)
     t = parse_rational(t)
@@ -272,8 +282,16 @@ def params_from_hat(q, t, that, validate=True):
     if len(that) != 3:
         raise ParamDomainError(f"expected exactly three hatted couplings, got {len(that)}")
     if validate:
-        _check_open_unit("q", q)
-        _check_open_unit("t", t)
-        for r, value in enumerate(that):
-            _check_hat(f"that{r}", value)
+        _check_domain(q, t, that)
     return ParamSet(q=q, t=t, that=that)
+
+
+def morse_vanishing_params(q, t, that0, that1):
+    """The Morse-vanishing reduction: the ParamSet with that2 = 0.
+
+    q, t, that0 and that1 are parsed and validated as params_from_hat
+    does; only that2 = 0 (so t0 = t1 = 0) lies off the domain.
+    """
+    p = params_from_hat(q, t, (that0, that1, 0), validate=False)
+    _check_domain(p.q, p.t, p.that[:2])
+    return p

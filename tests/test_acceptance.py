@@ -3,10 +3,10 @@
 Every criterion loops over the three frozen parameter sets from conftest
 and prints a single summary line through record_criterion; the assert
 keeps pytest honest.  Exact checks compare Fractions with ==, numerical
-checks carry the stated tolerances.  Criteria 01, 02, 03, 06 (balance)
-and 07 (eigenvalues) run the case functions of rsmorse.cli, the same
-ones `rsmorse verify` runs, and count or collect failures from their
-records.  Criterion 01 reads the eigen-solve P (FittedFamily), since
+checks carry the stated tolerances.  Criteria 01, 02, 03, 06 (balance),
+07 (eigenvalues) and 08 (limits) run the case functions of rsmorse.checks,
+the same ones `rsmorse verify` runs, and count or collect failures from
+their records.  Criterion 01 reads the eigen-solve P (FittedFamily), since
 the other criteria's P are built from the Pieri identity it checks;
 criterion 12 ties the two constructions together.
 """
@@ -19,23 +19,18 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import PARAM_SETS, family_for, fitted_family_for
-from rsmorse.cli import (
+from rsmorse.checks import (
     balance_cases,
     commute_cases,
+    degenerations,
     nonneg_violations,
     pieri_cases,
     qdiff_cases,
 )
 from rsmorse.combinatorics import eval_Eln, partitions_max_weight
 from rsmorse.dualop import generic_points
-from rsmorse.latticeop import (
-    LatticeFunction,
-    morse_vanishing_limit_check,
-    ruijsenaars_limit_check,
-    symmetrization_identity_sides,
-)
+from rsmorse.latticeop import LatticeFunction
 from rsmorse.polynomials import leading_coeff, normalization_point, pieri_identity
-from rsmorse.qcore import params_from_hat
 from rsmorse.scattering import (
     S_hat,
     branch_deviation,
@@ -243,40 +238,25 @@ def test_criterion_07_nonnegativity(record_criterion):
 
 
 def test_criterion_08_limits(record_criterion):
-    bad = []
-    entries = 0
-    for p in PARAM_SETS:
-        reduced = params_from_hat(p.q, p.t, (p.that[0], p.that[1], Fraction(0)), validate=False)
-        for n in (1, 2, 3):
-            rep = morse_vanishing_limit_check(reduced, n, 4)
-            entries += rep.checked
-            if not rep.ok:
-                bad.append(("morse", p.q, n, rep.mismatches[:2]))
-
     rng = random.Random(515)
-    sym_checked = 0
-    while sym_checked < 50:
+    points = []
+    while len(points) < 50:
         n = rng.randint(2, 4)
         t = Fraction(rng.randint(1, 8), rng.randint(9, 17))
         z = tuple(Fraction(rng.randint(-30, 30) or 3, rng.randint(1, 30)) for _ in range(n))
         if len(set(z)) < n or any(v == 0 for v in z):
             continue
-        lhs, rhs = symmetrization_identity_sides(t, z)
-        sym_checked += 1
-        if lhs != rhs:
-            bad.append(("symmetrization", t, z))
-
-    ratios = []
-    for p in PARAM_SETS:
-        rl = ruijsenaars_limit_check(2, p)
-        ratios.extend(rl["error_ratios"])
-        if any(abs(r - 100.0) > 10.0 for r in rl["error_ratios"]):
-            bad.append(("pair-potential", p.q, rl["error_ratios"]))
+        points.append((t, z))
+    # the verify limits engine, on the Morse boxes n <= 3, weight <= 4 and the pair potential at n = 2
+    cases, entries, ratios = degenerations(
+        [(p, n, 4) for p in PARAM_SETS for n in (1, 2, 3)], points, [(2, p) for p in PARAM_SETS]
+    )
+    bad = [c for c in cases if not c["pass"]]
     record_criterion(
         8,
         "degenerations: vanishing Morse coupling, symmetrization, pair-potential scaling",
         not bad,
-        f"{entries} coefficients exact, {sym_checked} identities exact, "
+        f"{entries} coefficients exact, {len(points)} identities exact, "
         f"error ratios {['%.1f' % r for r in ratios]}"
         if not bad
         else f"failures {bad[:2]}",

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PARAM_SETS, in_domain_params
-from rsmorse import cli, dualop, latticeop, qcore, spectral
-from rsmorse.cli import balance_cases, commute_cases, main, nonneg_violations, pieri_cases, qdiff_cases
+from rsmorse import checks, cli, combinatorics, dualop, latticeop, qcore, spectral
+from rsmorse.checks import balance_cases, commute_cases, nonneg_violations, pieri_cases, qdiff_cases
+from rsmorse.cli import main
 from rsmorse.combinatorics import partitions_max_weight
 from rsmorse.dualop import dual_matrix, generic_points
 from rsmorse.errors import DegeneracyError, PoleError, RSMorseError
@@ -44,7 +45,7 @@ class TestVerify:
         def broken(l, m, lam0, params):
             return LatticeFunction(1, {(1,): 1})
 
-        monkeypatch.setattr("rsmorse.cli.commutator_on_delta", broken)
+        monkeypatch.setattr(latticeop, "commutator_on_delta", broken)
         code, out, _ = run(capsys, ["verify", "commute", "--n", "1", "--max-weight", "0"])
         assert code == 1
         payload = json.loads(out)
@@ -80,7 +81,7 @@ class TestVerify:
 
     def test_nonneg_violations_name_both_kinds(self, monkeypatch, capsys):
         # a negative eigenvalue that the E_(l,n) route does not reproduce
-        monkeypatch.setattr(cli, "eval_E_l", lambda lam, l, params: -1)
+        monkeypatch.setattr(combinatorics, "eval_E_l", lambda lam, l, params: -1)
         bad = nonneg_violations(PARAM_SETS[0], [(1, 0)])
         assert bad == [
             ((1, 0), 1, -1),
@@ -94,7 +95,7 @@ class TestVerify:
 
     def test_limits_ratio_off_linear_fails(self, capsys, monkeypatch):
         # an error ratio far from eps_1/eps_2 = 100 is not a linear rate in the coupling
-        monkeypatch.setattr("rsmorse.cli.ruijsenaars_limit_check", lambda n, params: {"error_ratios": [10.0]})
+        monkeypatch.setattr(checks, "ruijsenaars_limit_check", lambda n, params: {"error_ratios": [10.0]})
         code, out, _ = run(capsys, ["verify", "limits", "--n", "2", "--max-weight", "3"])
         assert code == 1
         failing = [c["case"] for c in json.loads(out)["cases"] if not c["pass"]]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-NUMPY_FREE = ("qcore", "combinatorics", "linalg", "latticeop", "dualop", "polynomials", "scattering", "cli")
+NUMPY_FREE = ("qcore", "combinatorics", "linalg", "latticeop", "dualop", "polynomials", "scattering", "checks", "cli")
 
 PROBE = "\n".join(
     ["import sys"]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rsmorse.checks import ruijsenaars_limit_check, symmetrization_identity_sides
 from rsmorse.combinatorics import _hop_coefficient, _stay_sum, check_partition, is_partition, partitions_max_weight
 from rsmorse import latticeop
 from rsmorse.errors import ParamDomainError, PoleError, RSMorseError
@@ -19,11 +20,10 @@ from rsmorse.latticeop import (
     hop_terms,
     morse_vanishing_limit_check,
     norm_ratio,
-    ruijsenaars_limit_check,
-    symmetrization_identity_sides,
     v_minus,
     v_plus,
 )
+from rsmorse.polynomials import build_P, leading_coeff
 from rsmorse.qcore import params_from_hat
 
 from conftest import PARAM_SETS, in_domain_params
@@ -698,15 +698,14 @@ class TestBoundary:
     """q = 0, t = 0 or 1 and that0 = 0, admitted by params_from_hat(validate=False),
     are refused by name where the hop factors and the norm ratios are formed."""
 
-    @pytest.mark.parametrize(
-        "q, t, that0, name",
-        [
-            ("0", "1/2", "1/2", "q"),
-            ("1/3", "1", "1/2", "t"),
-            ("1/3", "0", "1/2", "t"),
-            ("1/3", "1/2", "0", "that0"),
-        ],
-    )
+    BOUNDARY = [
+        ("0", "1/2", "1/2", "q"),
+        ("1/3", "1", "1/2", "t"),
+        ("1/3", "0", "1/2", "t"),
+        ("1/3", "1/2", "0", "that0"),
+    ]
+
+    @pytest.mark.parametrize("q, t, that0, name", BOUNDARY)
     def test_refused_by_name(self, q, t, that0, name):
         # hop_terms(1, (1, 0)) raised Fraction(-1, 0), Fraction(3, 0) and Fraction(36, 0) at
         # q = 0, t = 0 and that0 = 0, and norm_ratio((1, 0)) raised Fraction(0, 0) at t = 1
@@ -722,6 +721,23 @@ class TestBoundary:
                 call()
             assert isinstance(exc.value, ParamDomainError)
             assert str(exc.value).startswith(f"parameter {name} ")
+
+    @pytest.mark.parametrize("entry", ["v_plus", "v_minus", "apply_H", "leading_coeff", "build_P"])
+    @pytest.mark.parametrize("q, t, that0, name", BOUNDARY)
+    def test_closed_forms_refused_by_name(self, entry, q, t, that0, name):
+        # v_plus and apply_H raised Fraction(396, 0) at that0 = 0 and Fraction(3240, 0) at
+        # t = 0, and apply_H, leading_coeff and build_P raised Fraction(0, 0) at t = 1; build_P
+        # returned the zero polynomial at t = 0 and that0 = 0, and at q = 0 gave up after its resamples
+        p = params_from_hat(q, t, (that0, "-1/3", "1/5"), validate=False)
+        calls = {
+            "v_plus": lambda: v_plus((1, 0), 1, p),
+            "v_minus": lambda: v_minus((1, 0), 1, p),
+            "apply_H": lambda: apply_H(LatticeFunction.delta((1, 0)), p),
+            "leading_coeff": lambda: leading_coeff((1, 0), p),
+            "build_P": lambda: build_P((1, 0), p),
+        }
+        with pytest.raises(ParamDomainError, match=f"^parameter {name} "):
+            calls[entry]()
 
     def test_vanishing_morse_coupling_admitted(self):
         # that2 = 0, the reduction of criterion 08 and verify limits

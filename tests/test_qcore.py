@@ -14,6 +14,7 @@ from rsmorse.dualop import dual_matrix
 from rsmorse.errors import ParamDomainError, TruncationCapError
 from rsmorse.latticeop import hop_terms
 from rsmorse.qcore import (
+    morse_vanishing_params,
     params_from_hat,
     parse_rational,
     qpoch_finite,
@@ -307,6 +308,38 @@ class TestParamSet:
         p = params_from_hat("1/3", "1/2", ("1/2", "1/3", "0"), validate=False)
         assert p.that2 == 0
         assert p.t0 == 0
+
+    def test_morse_vanishing_params_is_the_reduction(self):
+        # the that2 = 0 set that the limit checks built with validate=False
+        for p in PARAM_SETS:
+            reduced = morse_vanishing_params(p.q, p.t, p.that0, p.that1)
+            old = params_from_hat(p.q, p.t, (p.that0, p.that1, Fraction(0)), validate=False)
+            assert reduced == old and hash(reduced) == hash(old)
+            assert reduced.that2 == reduced.t0 == reduced.t1 == 0
+
+    @pytest.mark.parametrize(
+        "q, t, that0, that1",
+        [
+            ("0", "1/2", "1/2", "1/3"),
+            ("1", "1/2", "1/2", "1/3"),
+            ("-1/3", "1/2", "1/2", "1/3"),
+            ("1/3", "0", "1/2", "1/3"),
+            ("1/3", "1", "1/2", "1/3"),
+            ("1/3", "1/2", "0", "1/3"),
+            ("1/3", "1/2", "-1", "1/3"),
+            ("1/3", "1/2", "1/2", "0"),
+            ("1/3", "1/2", "1/2", "3/2"),
+            ("2", "0", "0", "0"),
+        ],
+    )
+    def test_morse_vanishing_params_refuses_the_domain(self, q, t, that0, that1):
+        # the same refusal, text included, as params_from_hat with an in-domain that2
+        with pytest.raises(ParamDomainError) as want:
+            params_from_hat(q, t, (that0, that1, "1/5"))
+        with pytest.raises(ParamDomainError) as got:
+            morse_vanishing_params(q, t, that0, that1)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("parameter ")
 
     def test_t0_refuses_q_zero(self):
         # t0 = that1 that2 / q raised a bare Fraction(-1, 0)
