@@ -702,20 +702,35 @@ def eval_E_l(lam, l, params):
     E_{lam,l} = t^(-l(l-1)/2) * sum over 1 <= j_1 < ... < j_l <= n of
     prod_r ( t^(j_r - 1) q^(-lam_{j_r}) - t^(n + r - 1 - j_r) ).
     Reduces to eval_E at l = 1 and is nonnegative on the whole domain.
+
+    Runs on the integer numerators and denominators of q and t: each
+    factor is an int pair over td^(n-1) qn^(lam_j), each product is
+    brought to the shared denominator td^(l(n-1)) qn^|lam|, and the sum
+    is reduced once into one Fraction.  q = 0 at a nonzero label, or t = 0
+    at l >= 2, raises ZeroDivisionError, as the Fraction powers do.
+    eval_E_l_via_Eln stays on Fractions, the independent route.
     """
     lam = check_partition(lam)
     n = len(lam)
     _check_level(l, n)
-    q, t = params.q, params.t
-    zpow = [t ** (j - 1) * q ** (-lam[j - 1]) for j in range(1, n + 1)]
+    qn, qd = params.q.numerator, params.q.denominator
+    tn, td = params.t.numerator, params.t.denominator
+    weight = sum(lam)
+    # factor (r, j), 0-based, with e = n - 1 + r - j in [l - 1, n - 1]:
+    # (tn^j qd^lam_j td^(n-1-j) - tn^e td^(n-1-e) qn^lam_j) / (td^(n-1) qn^lam_j)
+    factor = {}
+    for r in range(l):
+        for j in range(r, n - l + r + 1):
+            e = n - 1 + r - j
+            factor[r, j] = tn**j * qd ** lam[j] * td ** (n - 1 - j) - tn**e * td ** (n - 1 - e) * qn ** lam[j]
     total = 0
-    for combo in itertools.combinations(range(1, n + 1), l):
-        term = 1
-        for r, jr in enumerate(combo, start=1):
-            term *= zpow[jr - 1] - t ** (n + r - 1 - jr)
+    for combo in itertools.combinations(range(n), l):
+        term = qn ** (weight - sum(lam[j] for j in combo))
+        for r, j in enumerate(combo):
+            term *= factor[r, j]
         total += term
-    exp = -l * (l - 1) // 2
-    return t**exp * total
+    k = l * (l - 1) // 2
+    return Fraction(total * td**k, td ** (l * (n - 1)) * qn**weight * tn**k)
 
 
 def eval_Eln(l, z, y):
@@ -745,7 +760,8 @@ def eval_E_l_via_Eln(lam, l, params):
 
     Independent of eval_E_l's product formula; the two must agree:
     E_{lam,l} = t^(-l(l-1)/2) E_{l,n}(q^-lam_1, t q^-lam_2, ...,
-    t^(n-1) q^-lam_n ; t^(l-1), ..., t^(n-1)).
+    t^(n-1) q^-lam_n ; t^(l-1), ..., t^(n-1)).  It stays on Fractions
+    on purpose, so it shares no integer arithmetic with eval_E_l.
     """
     lam = check_partition(lam)
     n = len(lam)
@@ -798,3 +814,38 @@ def eval_Ehat_l(l, cos_xi, params):
             term *= 2 * cos_xi[jr - 1] - t ** (jr - r) * a - t ** (r - jr) / a
         total += term
     return total
+
+
+def _ehat_pair(l, xs, params):
+    """Ehat_l at x_j = 2 cos xi_j = xn_j/xd_j, from xs = ((xn_j, xd_j), ...), xd_j != 0.
+
+    The product formula of eval_Ehat_l on the integer parts of t and
+    that0: with t^k that0 = u_k/w_k, the factor of j at offset
+    k = j_r - r is (xn_j w_k u_k - xd_j (u_k^2 + w_k^2)) / (xd_j w_k u_k),
+    brought to the shared denominator prod_j xd_j (tn td)^(l(n-l))
+    (an ad)^l.  Returns that unreduced (numerator, denominator) pair; the
+    denominator is 0 exactly where the Fraction loop divides by zero.
+    """
+    n = len(xs)
+    top = n - l
+    tn, td = params.t.numerator, params.t.denominator
+    an, ad = params.that0.numerator, params.that0.denominator
+    factor = {}
+    for k in range(top + 1):
+        u, w, pad = tn**k * an, td**k * ad, (tn * td) ** (top - k)
+        for r in range(l):
+            xn, xd = xs[r + k]
+            factor[r, r + k] = (xn * w * u - xd * (u * u + w * w)) * pad
+    total = 0
+    for combo in itertools.combinations(range(n), l):
+        term = 1
+        for r, j in enumerate(combo):
+            term *= factor[r, j]
+        for j in range(n):
+            if j not in combo:
+                term *= xs[j][1]
+        total += term
+    den = (tn * td) ** (l * top) * (an * ad) ** l
+    for _, xd in xs:
+        den *= xd
+    return total, den

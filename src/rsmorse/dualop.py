@@ -82,6 +82,7 @@ from .combinatorics import (
 )
 from .errors import ParamDomainError, PoleError, SingularMatrixError, StructureError
 from .linalg import solve_exact
+from .qcore import _check_boundary
 
 __all__ = [
     "InvariantPolynomial",
@@ -517,7 +518,12 @@ def dual_matrix(l, n, params, seed=0):
 
 @functools.lru_cache(maxsize=DUAL_CACHE_SIZE)
 def _dual_matrices(n, params, seed):
-    """{l: DualMatrix} for l = 1..n, all reading one dict of point records."""
+    """{l: DualMatrix} for l = 1..n, all reading one dict of point records.
+
+    Boundary parameters are refused by name before any point is drawn
+    (qcore._check_boundary); a refusal is not kept.
+    """
+    _check_boundary(params)
     records = {}
     return {l: DualMatrix(l, n, params, seed, records) for l in range(1, n + 1)}
 

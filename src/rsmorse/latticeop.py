@@ -54,7 +54,8 @@ exact rational on the hatted parameter domain (also for negative that0).
 Boundary parameters that params_from_hat(..., validate=False) admits
 (q = 0, t = 0 or 1, that0 = 0) are refused by name before any
 arithmetic, by the factor tables, the closed forms and norm_ratio alike
-(_check_boundary).  The case checks live in rsmorse.checks; the one
+(qcore._check_boundary, which the dual fits and leading_coeff call
+too).  The case checks live in rsmorse.checks; the one
 check kept here is morse_vanishing_limit_check with its LimitReport,
 which the lattice-exact benchmark workload calls through this module.
 """
@@ -82,7 +83,7 @@ from .combinatorics import (
     is_partition,
 )
 from .errors import DegeneracyError, ParamDomainError, PoleError
-from .qcore import _qpoch_ints
+from .qcore import _check_boundary, _qpoch_ints
 
 __all__ = [
     "LatticeFunction",
@@ -258,23 +259,6 @@ def apply_H(f, params):
 # Factor tables kept, one per (lam, params) for every level; as many hop
 # tables, one per (l, lam, params), and as many columns, one per (l, nu, params).
 HOP_CACHE_SIZE = 4096
-
-
-def _check_boundary(params):
-    """Refuse q = 0, t = 0 or 1 and that0 = 0, where the hop factors or the
-    norm ratios divide by zero, with a ParamDomainError naming the parameter.
-
-    params_from_hat(..., validate=False) admits them; that2 = 0, the
-    Morse-vanishing reduction, stays admitted.
-    """
-    # on the integer parts, which is cheaper than comparing Fractions: norm_ratio checks on every call
-    t = params.t
-    if not params.q.numerator:
-        raise ParamDomainError("parameter q must be nonzero, got 0")
-    if not t.numerator or t.numerator == t.denominator:
-        raise ParamDomainError(f"parameter t must not be 0 or 1, got {t}")
-    if not params.that0.numerator:
-        raise ParamDomainError("parameter that0 must be nonzero, got 0")
 
 
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)

@@ -36,8 +36,10 @@ Fraction per output coefficient: _hop_sum and _pieri_sum add each term
 c v as a pair, pieri_P forms each coefficient of P_mu once from its pair
 and c_mu, and at an int or Fraction point _residual_form sums
 (h_nu - Ehat_l(z) c_nu) N_nu / g^(nu_1) over the integer monomial kernel
-of the point, one Fraction per residual.  Float and complex points take
-the orbit sums.
+of the point, with Ehat_l(z) an int pair formed from the integer parts of
+z, one Fraction per residual.  Float and complex points take the orbit
+sums.  leading_coeff is one integer product over the parameters' parts.
+PolynomialFamily.P validates a label only when it does not hold it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from fractions import Fraction
 
 from .combinatorics import (
     _check_point,
+    _ehat_pair,
     _fractions,
     _Monomials,
     _monomials_at,
@@ -63,8 +66,8 @@ from .combinatorics import (
 )
 from .dualop import InvariantPolynomial, dual_matrix
 from .errors import DegeneracyError, PoleError
-from .latticeop import _check_boundary, hop_terms
-from .qcore import qpoch_finite
+from .latticeop import hop_terms
+from .qcore import _check_boundary, _qpoch_ints
 
 __all__ = [
     "leading_coeff",
@@ -86,26 +89,37 @@ def leading_coeff(lam, params):
            / ((that0 that1 t^(n-j); q)_{lam_j} (that0 that2 t^(n-j); q)_{lam_j})
     * prod_{j<k} (t^(k-j); q)_{lam_j - lam_k} / (t^(1+k-j); q)_{lam_j - lam_k}.
 
-    q = 0, t = 0 or 1 and that0 = 0 are refused first, by name
-    (latticeop._check_boundary).
+    The product runs on the integer numerators and denominators of q, t
+    and the couplings, each (x; q)_m read from the exact body of
+    qpoch_finite (qcore._qpoch_ints); one Fraction is formed, and a
+    vanishing q-symbol raises ZeroDivisionError.  q = 0, t = 0 or 1 and
+    that0 = 0 are refused first, by name (qcore._check_boundary).
     """
     _check_boundary(params)
     lam = check_partition(lam)
     n = len(lam)
-    q, t = params.q, params.t
-    th0, th1, th2 = params.that0, params.that1, params.that2
-    out = Fraction(1)
+    qn, qd = params.q.numerator, params.q.denominator
+    tn, td = params.t.numerator, params.t.denominator
+    (h0n, h0d), (h1n, h1d), (h2n, h2d) = ((th.numerator, th.denominator) for th in params.that)
+    num = den = 1
     for j in range(1, n + 1):
         lj = lam[j - 1]
-        out *= th0**lj * t ** ((n - j) * lj)
-        out /= qpoch_finite(th0 * th1 * t ** (n - j), lj, q)
-        out /= qpoch_finite(th0 * th2 * t ** (n - j), lj, q)
+        # t^(n-j) = pn/pd
+        pn, pd = tn ** (n - j), td ** (n - j)
+        num *= (h0n * pn) ** lj
+        den *= (h0d * pd) ** lj
+        for hn, hd in ((h1n, h1d), (h2n, h2d)):
+            xn, xd = _qpoch_ints(h0n * hn * pn, h0d * hd * pd, qn, qd, lj)
+            num *= xd
+            den *= xn
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
             d = lam[j - 1] - lam[k - 1]
-            out *= qpoch_finite(t ** (k - j), d, q)
-            out /= qpoch_finite(t ** (1 + k - j), d, q)
-    return out
+            xn, xd = _qpoch_ints(tn ** (k - j), td ** (k - j), qn, qd, d)
+            yn, yd = _qpoch_ints(tn ** (1 + k - j), td ** (1 + k - j), qn, qd, d)
+            num *= xn * yd
+            den *= xd * yn
+    return Fraction(num, den)
 
 
 def normalization_point(n, params):
@@ -129,10 +143,13 @@ class PolynomialFamily:
     _polys: dict = field(default_factory=dict, repr=False)
 
     def P(self, lam):
-        lam = check_partition(lam)
-        got = self._polys.get(lam)
+        # a held tuple label is a partition already: validate only on a miss
+        got = self._polys.get(lam) if type(lam) is tuple else None
         if got is None:
-            got = self._polys[lam] = self._build(lam)
+            lam = check_partition(lam)
+            got = self._polys.get(lam)
+            if got is None:
+                got = self._polys[lam] = self._build(lam)
         return got
 
     def _build(self, lam):
@@ -195,10 +212,12 @@ def pieri_residual(l, lam, z, family):
     minus Ehat_l(z) * P_lam(z); identically zero when the polynomials
     diagonalize the lattice integrals in the label variable.  The
     polynomial sum c P_target - Ehat_l(z) P_lam is formed once and
-    evaluated at z (_residual_form); Ehat_l is read at the cosines of z,
-    not through _ehat_elementary, so the check stays independent of the
-    recursion.  A point of the wrong length or with a zero coordinate
-    raises ParamDomainError; an int or Fraction point gives a Fraction.
+    evaluated at z (_residual_form); Ehat_l is read from its product
+    formula at the cosines of z, not through _ehat_elementary, so the
+    check stays independent of the recursion.  At an int or Fraction
+    point that formula runs on the integer parts of z and the value is
+    one Fraction.  A point of the wrong length or with a zero coordinate
+    raises ParamDomainError.
     """
     lam = check_partition(lam)
     z = _check_point(z, len(lam))
@@ -229,7 +248,10 @@ def _residual_form(l, lam, family):
     """(z, mono) -> the Pieri residual at z, from mono = _monomials_at(z, n).
 
     The hop sum over hop_terms(l, lam) and P_lam are read once.  At an
-    int or Fraction point mono is the integer kernel _Monomials, and
+    int or Fraction point mono is the integer kernel _Monomials at
+    z_j = a_j/b_j: Ehat_l(z) is the unreduced int pair of its product
+    formula at 2 cos xi_j = (a_j^2 + b_j^2)/(a_j b_j)
+    (combinatorics._ehat_pair), so no cosine is formed as a Fraction, and
     sum_nu (h_nu - Ehat_l(z) c_nu) N_nu / g^(nu_1), with h the hop sum
     and c the coefficients of P_lam, is summed in _pair_sums: one
     Fraction per residual.  At any other point the polynomial
@@ -240,16 +262,18 @@ def _residual_form(l, lam, family):
     n = len(lam)
 
     def residual(z, mono):
-        ehat = eval_Ehat_l(l, cosines_from_point(z), family.params)
         if not isinstance(mono, _Monomials):
+            ehat = eval_Ehat_l(l, cosines_from_point(z), family.params)
             poly = InvariantPolynomial._of_partitions(n, _fractions(hops))
             return poly.minus(p_lam.scaled(ehat))._sum_over(mono)
+        # 2 cos xi_j = z_j + 1/z_j = (a_j^2 + b_j^2)/(a_j b_j) at z_j = a_j/b_j
+        en, ed = _ehat_pair(l, tuple((a * a + b * b, a * b) for a, b in mono.pairs), family.params)
         g = mono.g
         hop_part = ((None, hn * mono[nu], hd * g ** nu[0]) for nu, (hn, hd) in hops.items())
         lam_part = (
             (None, v.numerator * mono[nu], v.denominator * g ** nu[0]) for nu, v in p_lam.coeffs.items()
         )
-        acc = _pair_sums([(1, 1, hop_part), (-ehat.numerator, ehat.denominator, lam_part)])
+        acc = _pair_sums([(1, 1, hop_part), (-en, ed, lam_part)])
         return Fraction(*acc[None])
 
     return residual
@@ -262,11 +286,10 @@ def _ehat_elementary(l, n, params):
     Ehat_l is symmetric and of degree at most one in each x_j = 2 cos xi_j
     = z_j + 1/z_j, and m_(1^k) = e_k(x); a_k is the coefficient of
     x_1 ... x_k, read off the values at x = (1^m, 0^(n-m)) by inclusion
-    and exclusion.
+    and exclusion; each value is one Fraction of its int pair
+    (combinatorics._ehat_pair).
     """
-    values = [
-        eval_Ehat_l(l, (Fraction(1, 2),) * m + (Fraction(0),) * (n - m), params) for m in range(n + 1)
-    ]
+    values = [Fraction(*_ehat_pair(l, ((1, 1),) * m + ((0, 1),) * (n - m), params)) for m in range(n + 1)]
     return tuple(
         sum((-1) ** (k - m) * math.comb(k, m) * values[m] for m in range(k + 1)) for k in range(n + 1)
     )

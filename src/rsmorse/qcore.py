@@ -260,6 +260,25 @@ class ParamSet:
         }
 
 
+def _check_boundary(params):
+    """Refuse q = 0, t = 0 or 1 and that0 = 0, where the hop factors or the
+    norm ratios divide by zero, with a ParamDomainError naming the parameter.
+
+    The lattice factor tables and closed forms, leading_coeff and the dual
+    fits (dualop._dual_matrices) call it first.  params_from_hat(...,
+    validate=False) admits these values; that2 = 0, the Morse-vanishing
+    reduction, stays admitted.
+    """
+    # on the integer parts, which is cheaper than comparing Fractions: norm_ratio checks on every call
+    t = params.t
+    if not params.q.numerator:
+        raise ParamDomainError("parameter q must be nonzero, got 0")
+    if not t.numerator or t.numerator == t.denominator:
+        raise ParamDomainError(f"parameter t must not be 0 or 1, got {t}")
+    if not params.that0.numerator:
+        raise ParamDomainError("parameter that0 must be nonzero, got 0")
+
+
 def _check_domain(q, t, that):
     _check_open_unit("q", q)
     _check_open_unit("t", t)

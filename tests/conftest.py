@@ -26,6 +26,15 @@ PARAM_SETS = [
 
 PARAM_IDS = ["pA", "pB", "pC"]
 
+# (q, t, that0, the parameter named): boundary values that params_from_hat(..., validate=False)
+# admits and the exact side refuses by name; the other couplings are -1/3 and 1/5
+BOUNDARY_SETS = [
+    ("0", "1/2", "1/2", "q"),
+    ("1/3", "1", "1/2", "t"),
+    ("1/3", "0", "1/2", "t"),
+    ("1/3", "1/2", "0", "that0"),
+]
+
 _FAMILIES = {}
 
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from rsmorse.checks import ruijsenaars_limit_check, symmetrization_identity_sides
 from rsmorse.combinatorics import _hop_coefficient, _stay_sum, check_partition, is_partition, partitions_max_weight
-from rsmorse import latticeop
+from rsmorse import dualop, latticeop
+from rsmorse.dualop import InvariantPolynomial, apply_Hhat_l, dual_matrix
 from rsmorse.errors import ParamDomainError, PoleError, RSMorseError
 from rsmorse.latticeop import (
     LatticeFunction,
@@ -26,7 +27,7 @@ from rsmorse.latticeop import (
 from rsmorse.polynomials import build_P, leading_coeff
 from rsmorse.qcore import params_from_hat
 
-from conftest import PARAM_SETS, in_domain_params
+from conftest import BOUNDARY_SETS, PARAM_SETS, in_domain_params
 
 
 def _V(Jp, Jm, lam, p):
@@ -698,12 +699,7 @@ class TestBoundary:
     """q = 0, t = 0 or 1 and that0 = 0, admitted by params_from_hat(validate=False),
     are refused by name where the hop factors and the norm ratios are formed."""
 
-    BOUNDARY = [
-        ("0", "1/2", "1/2", "q"),
-        ("1/3", "1", "1/2", "t"),
-        ("1/3", "0", "1/2", "t"),
-        ("1/3", "1/2", "0", "that0"),
-    ]
+    BOUNDARY = BOUNDARY_SETS
 
     @pytest.mark.parametrize("q, t, that0, name", BOUNDARY)
     def test_refused_by_name(self, q, t, that0, name):
@@ -722,12 +718,15 @@ class TestBoundary:
             assert isinstance(exc.value, ParamDomainError)
             assert str(exc.value).startswith(f"parameter {name} ")
 
-    @pytest.mark.parametrize("entry", ["v_plus", "v_minus", "apply_H", "leading_coeff", "build_P"])
+    @pytest.mark.parametrize(
+        "entry", ["v_plus", "v_minus", "apply_H", "leading_coeff", "build_P", "dual_matrix", "apply_Hhat_l"]
+    )
     @pytest.mark.parametrize("q, t, that0, name", BOUNDARY)
     def test_closed_forms_refused_by_name(self, entry, q, t, that0, name):
         # v_plus and apply_H raised Fraction(396, 0) at that0 = 0 and Fraction(3240, 0) at
         # t = 0, and apply_H, leading_coeff and build_P raised Fraction(0, 0) at t = 1; build_P
-        # returned the zero polynomial at t = 0 and that0 = 0, and at q = 0 gave up after its resamples
+        # returned the zero polynomial at t = 0 and that0 = 0, and at q = 0 gave up after its
+        # resamples; the dual fit gave up the same way at q = 0 and fitted at the other three
         p = params_from_hat(q, t, (that0, "-1/3", "1/5"), validate=False)
         calls = {
             "v_plus": lambda: v_plus((1, 0), 1, p),
@@ -735,9 +734,31 @@ class TestBoundary:
             "apply_H": lambda: apply_H(LatticeFunction.delta((1, 0)), p),
             "leading_coeff": lambda: leading_coeff((1, 0), p),
             "build_P": lambda: build_P((1, 0), p),
+            "dual_matrix": lambda: dual_matrix(1, 2, p, 0).grow(1),
+            "apply_Hhat_l": lambda: apply_Hhat_l(2, InvariantPolynomial.monomial((1, 0)), p),
         }
         with pytest.raises(ParamDomainError, match=f"^parameter {name} "):
             calls[entry]()
+
+    @pytest.mark.parametrize("q, t, that0, name", BOUNDARY)
+    def test_dual_fit_refused_before_any_draw(self, monkeypatch, q, t, that0, name):
+        # the refusal comes first on a memo miss, and is not kept
+        p = params_from_hat(q, t, (that0, "-1/3", "1/5"), validate=False)
+        draws = []
+        real = dualop._Draw
+
+        def spy(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dualop, "_Draw", spy)
+        before = dual_matrix.cache_info()
+        for _ in range(2):
+            with pytest.raises(ParamDomainError, match=f"^parameter {name} "):
+                dual_matrix(1, 2, p, 0)
+        after = dual_matrix.cache_info()
+        assert draws == []
+        assert (after.misses, after.currsize) == (before.misses + 2, before.currsize)
 
     def test_vanishing_morse_coupling_admitted(self):
         # that2 = 0, the reduction of criterion 08 and verify limits

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ import rsmorse.dualop as dualop
 import rsmorse.polynomials as polynomials
 from rsmorse.combinatorics import (
     _times_elementary,
-    cosines_from_point,
+    check_partition,
     eval_E,
+    eval_E_l,
     eval_Ehat_l,
     ideal,
     partitions_max_weight,
@@ -38,7 +40,7 @@ from rsmorse.polynomials import (
 )
 from rsmorse.qcore import params_from_hat, qpoch_finite
 
-from conftest import PARAM_SETS, family_for, fitted_family_for, in_domain_params
+from conftest import BOUNDARY_SETS, PARAM_SETS, family_for, fitted_family_for, in_domain_params
 
 
 class TestLeadingCoeff:
@@ -279,6 +281,53 @@ class TestPieriRecursion:
         assert fits == [(1, 1)]
 
 
+class TestFamilyLookup:
+    """P validates a label only when the family does not hold it."""
+
+    def _counted(self, monkeypatch):
+        calls = []
+        real = polynomials.check_partition
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(polynomials, "check_partition", counted)
+        return calls
+
+    def test_held_labels_are_not_validated_again(self, monkeypatch):
+        family = PolynomialFamily(params=PARAM_SETS[1])
+        family.P((2, 1, 0))
+        held = list(family._polys)
+        z = (Fraction(2, 3), Fraction(-5, 7), Fraction(3, 2))
+        pieri_residual(2, (1, 1, 0), z, family)
+        calls = self._counted(monkeypatch)
+        for lam in held:
+            assert family.P(lam) is family._polys[lam]
+        assert calls == []
+        # a residual checks its own label once; each hop target read inside is held already
+        pieri_residual(2, (1, 1, 0), z, family)
+        assert calls == [((1, 1, 0),)]
+        # a miss is validated once by P, then once by pieri_P, which builds it
+        family.P((3, 0, 0))
+        assert calls[1:] == [((3, 0, 0),)] * 2
+
+    def test_other_labels_still_validated(self, monkeypatch):
+        family = PolynomialFamily(params=PARAM_SETS[0])
+        family.P((1, 0))
+        calls = self._counted(monkeypatch)
+        # equal to a held label: the held polynomial, as check_partition normalizes it
+        assert family.P((1.0, 0)) is family.P([1, 0]) is family.P((1, 0))
+        assert calls == [([1, 0],)]
+        for bad in ([1, -1], (1, -1), (0, 1), [0, 1], (1.5, 0), (float("nan"), 0)):
+            with pytest.raises(ParamDomainError) as want:
+                check_partition(bad)
+            with pytest.raises(ParamDomainError) as got:
+                family.P(bad)
+            assert str(got.value) == str(want.value)
+        assert len(calls) == 7
+
+
 class TestPieri:
     # the residual checks read the eigen-solve P: the family's P are built from this identity
 
@@ -488,7 +537,8 @@ def _orbit_value(mu, z):
 def _residual_literal(l, lam, z, family):
     """The Pieri residual: the polynomial sum c P_target - Ehat_l(z) P_lam summed over the orbits at z."""
     hops = InvariantPolynomial(len(lam), _hop_sum_literal(l, lam, family)[0])
-    ehat = eval_Ehat_l(l, cosines_from_point(z), family.params)
+    cosines = tuple((zj + 1 / zj) / 2 for zj in (Fraction(v) if isinstance(v, int) else v for v in z))
+    ehat = _eval_Ehat_l_literal(l, cosines, family.params)
     poly = hops.minus(family.P(lam).scaled(ehat))
     # scale: a bound on sum |c m_mu(z)| on the unit torus, for the float comparison
     total = scale = 0
@@ -563,3 +613,154 @@ def test_pair_sums_equal_the_fraction_loops(p, case):
     poly = family.P(lam)
     got = apply_Hhat_l(l, poly, p, seed=1).coeffs
     assert list(got.items()) == list(_apply_Hhat_literal(l, poly, p, 1).items())
+
+
+# ---------------------------------------------------------------------------
+# the closed forms on integer pairs against Fraction copies of their formulas
+# ---------------------------------------------------------------------------
+
+
+def _eval_E_l_literal(lam, l, params):
+    """t^(-l(l-1)/2) sum_{j_1<...<j_l} prod_r (t^(j_r-1) q^(-lam_{j_r}) - t^(n+r-1-j_r)), on Fractions."""
+    n = len(lam)
+    q, t = params.q, params.t
+    zpow = [t ** (j - 1) * q ** (-lam[j - 1]) for j in range(1, n + 1)]
+    total = 0
+    for combo in itertools.combinations(range(1, n + 1), l):
+        term = 1
+        for r, jr in enumerate(combo, start=1):
+            term *= zpow[jr - 1] - t ** (n + r - 1 - jr)
+        total += term
+    return t ** (-l * (l - 1) // 2) * total
+
+
+def _eval_Ehat_l_literal(l, cos_xi, params):
+    """sum_{j_1<...<j_l} prod_r (2 cos xi_{j_r} - t^(j_r-r) that0 - t^(r-j_r)/that0), term by term."""
+    n = len(cos_xi)
+    t, a = params.t, params.that0
+    total = 0
+    for combo in itertools.combinations(range(1, n + 1), l):
+        term = 1
+        for r, jr in enumerate(combo, start=1):
+            term *= 2 * cos_xi[jr - 1] - t ** (jr - r) * a - t ** (r - jr) / a
+        total += term
+    return total
+
+
+def _ehat_elementary_literal(l, n, params):
+    """Coefficients of Ehat_l in m_(1^k), by inclusion and exclusion over the literal values at x = (1^m, 0^(n-m))."""
+    values = [_eval_Ehat_l_literal(l, (Fraction(1, 2),) * m + (0,) * (n - m), params) for m in range(n + 1)]
+    return tuple(sum((-1) ** (k - m) * math.comb(k, m) * values[m] for m in range(k + 1)) for k in range(n + 1))
+
+
+def _qpoch_literal(x, m, q):
+    out = Fraction(1)
+    for k in range(m):
+        out *= 1 - x * q**k
+    return out
+
+
+def _leading_coeff_literal(lam, params):
+    """The product formula of leading_coeff on Fractions, boundary parameters refused first."""
+    if params.q == 0 or params.t in (0, 1) or params.that0 == 0:
+        raise ParamDomainError("boundary parameters")
+    n = len(lam)
+    q, t = params.q, params.t
+    th0, th1, th2 = params.that
+    out = Fraction(1)
+    for j in range(1, n + 1):
+        lj = lam[j - 1]
+        out *= th0**lj * t ** ((n - j) * lj)
+        out /= _qpoch_literal(th0 * th1 * t ** (n - j), lj, q)
+        out /= _qpoch_literal(th0 * th2 * t ** (n - j), lj, q)
+    for j in range(1, n + 1):
+        for k in range(j + 1, n + 1):
+            d = lam[j - 1] - lam[k - 1]
+            out *= _qpoch_literal(t ** (k - j), d, q)
+            out /= _qpoch_literal(t ** (1 + k - j), d, q)
+    return out
+
+
+def _kind(fn):
+    """(type, value) of fn(), or the type of the exception it raises."""
+    try:
+        value = fn()
+    except Exception as exc:
+        return type(exc)
+    return type(value), value
+
+
+# rational cosines, zero and negative values among them, as ints and Fractions
+_COSINES = st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+
+
+@st.composite
+def _closed_form_params(draw):
+    """in_domain_params, with q = t^k for a drawn k = 1, 2 or 3 in half the cases."""
+    p = draw(in_domain_params())
+    k = draw(st.integers(0, 5))
+    return params_from_hat(p.t**k, p.t, p.that) if 1 <= k <= 3 else p
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    _closed_form_params(),
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.sampled_from(partitions_max_weight(n, 4)),
+            st.integers(1, n),
+            st.lists(_COSINES, min_size=n, max_size=n),
+            st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+            st.lists(_COORDS, min_size=n, max_size=n),
+        )
+    ),
+)
+def test_closed_forms_equal_their_fraction_formulas(p, case):
+    lam, l, cosines, angles, z = case
+    got = eval_E_l(lam, l, p)
+    assert type(got) is Fraction and got == _eval_E_l_literal(lam, l, p)
+    got = eval_Ehat_l(l, cosines, p)
+    assert type(got) is Fraction and got == _eval_Ehat_l_literal(l, cosines, p)
+    got = polynomials._ehat_elementary(l, len(lam), p)
+    assert got == _ehat_elementary_literal(l, len(lam), p) and all(type(a) is Fraction for a in got)
+    got = leading_coeff(lam, p)
+    assert type(got) is Fraction and got == _leading_coeff_literal(lam, p)
+    # float and complex cosines keep the float loop, to the last bit
+    for cos in (tuple(math.cos(a) for a in angles), tuple(cmath.cos(complex(a, 1 - a)) for a in angles)):
+        assert eval_Ehat_l(l, cos, p) == _eval_Ehat_l_literal(l, cos, p)
+    # the residual reads labels up to weight |lam| + l; at q = t^k the poles of H_l raise alike
+    if len(lam) <= 3 and sum(lam) + l <= 4:
+        family = PolynomialFamily(params=p)
+        want = _kind(lambda: _residual_literal(l, lam, tuple(z), family)[0])
+        assert _kind(lambda: pieri_residual(l, lam, tuple(z), family)) == want
+        assert want[0] is Fraction if isinstance(want, tuple) else issubclass(want, RSMorseError)
+
+
+@pytest.mark.parametrize("q, t, that0, name", BOUNDARY_SETS)
+def test_closed_forms_at_the_boundary_raise_as_their_formulas(q, t, that0, name):
+    p = params_from_hat(q, t, (that0, "-1/3", "1/5"), validate=False)
+    family = PolynomialFamily(params=p)
+    cosines = (Fraction(1, 2), 0, Fraction(-3, 4))
+    z = (Fraction(2, 3), Fraction(-5, 7), 3)
+    raised = set()
+    for n in (1, 2, 3):
+        for lam in partitions_max_weight(n, 2):
+            for l in range(1, n + 1):
+                pairs = [
+                    (lambda: eval_E_l(lam, l, p), lambda: _eval_E_l_literal(lam, l, p)),
+                    (lambda: eval_Ehat_l(l, cosines[:n], p), lambda: _eval_Ehat_l_literal(l, cosines[:n], p)),
+                    (lambda: polynomials._ehat_elementary(l, n, p), lambda: _ehat_elementary_literal(l, n, p)),
+                    (lambda: leading_coeff(lam, p), lambda: _leading_coeff_literal(lam, p)),
+                    (
+                        lambda: pieri_residual(l, lam, z[:n], family),
+                        lambda: _residual_literal(l, lam, z[:n], family)[0],
+                    ),
+                ]
+                for got, want in pairs:
+                    outcome = _kind(want)
+                    assert _kind(got) == outcome, (lam, l)
+                    if not isinstance(outcome, tuple):
+                        raised.add(outcome)
+    # each set is refused by name where the lattice side reads it; q = 0, t = 0 and that0 = 0
+    # also divide by zero in the eigenvalue formulas
+    assert raised == ({ParamDomainError} if name == "t" and t == "1" else {ParamDomainError, ZeroDivisionError})
